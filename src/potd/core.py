@@ -103,6 +103,12 @@ class LabeledDataset:
         y = np.asarray(self.y)
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise InvalidInputError("y must be a vector with one entry per row of X")
+        # NaN is the one label unequal to itself, for every dtype
+        missing = np.flatnonzero(y != y)
+        if missing.size:
+            raise InvalidInputError(
+                f"y has {missing.size} NaN labels, first at row {int(missing[0])}"
+            )
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -239,12 +245,17 @@ def _stacked_displacements(Z, y, data, solver):
 
 
 def transpose_coupling(coupling):
-    """The coupling of the reversed instance (cost matrix transposed)."""
+    """The coupling of the reversed instance (cost matrix transposed).
+
+    Dual potentials swap sides; the certificate scalars are unchanged.
+    """
     return replace(
         coupling,
         plan=coupling.plan.T,
         row_marginal=coupling.col_marginal,
         col_marginal=coupling.row_marginal,
+        dual_row=coupling.dual_col,
+        dual_col=coupling.dual_row,
     )
 
 
@@ -261,6 +272,22 @@ def _right_singular_system(stacked):
     return svals, vt.T
 
 
+def _displacement_spectrum(blocks, Z):
+    """Singular system of the stacked displacement rows of all blocks.
+
+    Raises :class:`DegenerateInputError` when every singular value is zero
+    relative to the data scale (e.g. classes with identical point clouds),
+    since any basis would then be arbitrary.
+    """
+    svals, vecs = _right_singular_system(np.vstack([b.rows for b in blocks]))
+    if svals[0] <= RANK_REL_TOL * np.linalg.norm(Z) / Z.shape[0]:
+        raise DegenerateInputError(
+            "all displacement singular values are zero: the class point "
+            "clouds coincide, so no direction separates them"
+        )
+    return svals, vecs
+
+
 def _finish_basis(vectors, svals, whitening, W):
     if whitening:
         vectors = orthonormalize(W @ vectors)
@@ -272,7 +299,9 @@ def potd_fit(data, r, solver=None, whiten_flag=True):
 
     Every ordered class pair contributes its displacement rows; the top
     ``r`` right singular vectors of the stack form the basis (mapped back
-    to original coordinates when ``whiten_flag`` is on).
+    to original coordinates when ``whiten_flag`` is on). Raises
+    :class:`DegenerateInputError` when the displacement spectrum is all
+    zero, e.g. for classes with identical point clouds.
     """
     labels = data.classes()
     if labels.shape[0] < 2:
@@ -286,8 +315,7 @@ def potd_fit(data, r, solver=None, whiten_flag=True):
     else:
         Z, W = data.X, None
     blocks = _stacked_displacements(Z, data.y, data, solver)
-    stacked = np.vstack([b.rows for b in blocks])
-    svals, vecs = _right_singular_system(stacked)
+    svals, vecs = _displacement_spectrum(blocks, Z)
     return _finish_basis(vecs[:, :r], svals, whiten_flag, W)
 
 
@@ -296,7 +324,8 @@ def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):
 
     Each cut ``c`` splits the sample into ``y < c`` and ``y >= c``; the
     displacement rows of all cuts are pooled before the SVD. Default cuts
-    are the 1/3 and 2/3 quantiles of ``y``.
+    are the 1/3 and 2/3 quantiles of ``y``. An all-zero displacement
+    spectrum raises :class:`DegenerateInputError`, as in :func:`potd_fit`.
     """
     y = np.asarray(data.y, dtype=np.float64)
     if not 1 <= r <= data.p:
@@ -318,8 +347,7 @@ def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):
         if len(np.unique(side)) < 2:
             raise InvalidInputError(f"cut {c!r} leaves one side of the split empty")
         blocks.extend(_stacked_displacements(Z, side, data, solver))
-    stacked = np.vstack([b.rows for b in blocks])
-    svals, vecs = _right_singular_system(stacked)
+    svals, vecs = _displacement_spectrum(blocks, Z)
     return _finish_basis(vecs[:, :r], svals, whiten_flag, W)
 
 

@@ -31,6 +31,8 @@ from .synthetic import SyntheticSpec, gen_model, subspace_distance
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
+# label cells read as missing values (compared case-insensitively)
+MISSING_LABELS = ("", "nan")
 METHODS = ("POTD", "SIR", "SAVE", "PCA")
 
 CSV_COLUMNS = (
@@ -140,8 +142,9 @@ def load_csv_dataset(path, label_column, delimiter=","):
     """Read a header-first CSV into a LabeledDataset.
 
     ``label_column`` selects the response by header name (str) or 0-based
-    position (int); every other column must be numeric. Error coordinates
-    are 1-based, counting data rows below the header.
+    position (int); every other column must be numeric. An empty or
+    ``nan`` label is a missing value and raises :class:`DatasetParseError`.
+    Error coordinates are 1-based, counting data rows below the header.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(f"dataset not found: {path}")
@@ -178,6 +181,13 @@ def load_csv_dataset(path, label_column, delimiter=","):
             feats = []
             for col_num, cell in enumerate(row, start=1):
                 if col_num - 1 == label_idx:
+                    if cell.strip().lower() in MISSING_LABELS:
+                        raise DatasetParseError(
+                            f"{path}: missing label {cell!r} at row {row_num}, "
+                            f"column {col_num}",
+                            row=row_num,
+                            column=col_num,
+                        )
                     labels.append(cell.strip())
                     continue
                 try:

@@ -105,6 +105,17 @@ class TestFit:
         assert code == 2
         assert "dataset not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["nan", "NaN", ""])
+    def test_missing_label_exit_2(self, missing, tmp_path, capsys):
+        rows = [f"{i},{i % 7},{'a' if i < 20 else 'b'}" for i in range(39)]
+        path = tmp_path / "nan_label.csv"
+        path.write_text("\n".join(["x1,x2,label", *rows, f"1.0,2.0,{missing}"]) + "\n")
+        code = run_cli(
+            "fit", "--data", str(path), "--r", "1", "--output", str(tmp_path / "b.csv")
+        )
+        assert code == 2
+        assert "missing label" in capsys.readouterr().err
+
     def test_deterministic_output_bytes(self, model_csv, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"

@@ -13,6 +13,7 @@ from potd.core import (
     potd_fit_continuous,
     project,
     second_order_displacement,
+    transpose_coupling,
     whiten,
 )
 from potd.errors import DegenerateInputError, InvalidInputError
@@ -20,9 +21,14 @@ from potd.ot import (
     CouplingMatrix,
     DiscreteMeasure,
     SolverConfig,
+    default_epsilon,
+    sinkhorn,
     solve_coupling,
+    squared_euclidean_cost,
 )
 from potd.synthetic import SyntheticSpec, gen_model, subspace_distance
+
+from conftest import random_instance
 
 EXACT = SolverConfig(mode="exact")
 
@@ -30,6 +36,37 @@ EXACT = SolverConfig(mode="exact")
 def make_basis(*cols):
     mat = np.array(cols, dtype=np.float64).T
     return Basis(mat, np.arange(mat.shape[1], 0, -1, dtype=np.float64))
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    def test_nan_label_rejected(self, rng, dtype):
+        y = np.array(list(np.repeat([0.0, 1.0], [20, 19])) + [np.nan], dtype=dtype)
+        with pytest.raises(InvalidInputError, match="NaN labels, first at row 39"):
+            LabeledDataset(rng.normal(size=(40, 3)), y)
+
+
+class TestTransposeCoupling:
+    def test_sinkhorn_duals_swap_sides(self, rng):
+        mu, nu = random_instance(rng, 5, 3)
+        coupling = solve_coupling(mu, nu, config=SolverConfig(mode="sinkhorn"))
+        flipped = transpose_coupling(coupling)
+        assert flipped.plan.shape == (3, 5)
+        assert np.array_equal(flipped.dual_row, coupling.dual_col)
+        assert np.array_equal(flipped.dual_col, coupling.dual_row)
+        # the swapped potentials already solve the reversed instance
+        cost_t = squared_euclidean_cost(nu.points, mu.points)
+        config = SolverConfig(mode="sinkhorn", epsilon=default_epsilon(cost_t))
+        warm = sinkhorn(nu, mu, cost_t, config, init=(flipped.dual_row, flipped.dual_col))
+        assert warm.iterations <= 1
+
+    def test_exact_certificate_carries_over(self, rng):
+        mu, nu = random_instance(rng, 5, 3)
+        coupling = solve_coupling(mu, nu, config=EXACT)
+        flipped = transpose_coupling(coupling)
+        assert flipped.dual_row is None and flipped.dual_col is None
+        assert flipped.min_reduced_cost == coupling.min_reduced_cost
+        assert flipped.duality_gap == coupling.duality_gap
 
 
 class TestWhiten:
@@ -217,6 +254,18 @@ class TestPotdFit:
         assert basis.singular_values[1:] == pytest.approx(0.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_identical_class_clouds_rejected(self, rng, weighted):
+        # uniform weights take the assignment path, unequal ones the LP
+        cloud = rng.normal(size=(20, 3))
+        w = rng.uniform(1.0, 2.0, 20) if weighted else np.ones(20)
+        data = LabeledDataset(
+            np.vstack([cloud, cloud]), np.repeat([1, 2], 20), class_weights={1: w, 2: w}
+        )
+        with pytest.raises(DegenerateInputError, match="singular values are zero"):
+            potd_fit(data, 1, solver=EXACT)
+
+
 class TestPotdFitContinuous:
     def test_median_cut_equals_binary_fit(self, rng):
         X = rng.uniform(-2, 2, (60, 4))
@@ -252,6 +301,13 @@ class TestPotdFitContinuous:
         data = LabeledDataset(X, y)
         with pytest.raises(InvalidInputError, match="5.0"):
             potd_fit_continuous(data, 1, cuts=[5.0], solver=EXACT)
+
+
+    def test_identical_cut_sides_rejected(self, rng):
+        cloud = rng.normal(size=(20, 3))
+        data = LabeledDataset(np.vstack([cloud, cloud]), np.repeat([0.0, 1.0], 20))
+        with pytest.raises(DegenerateInputError, match="singular values are zero"):
+            potd_fit_continuous(data, 1, cuts=[0.5], solver=EXACT)
 
 
 class TestEstimateDimension:

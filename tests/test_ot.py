@@ -4,8 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from potd.errors import ConvergenceError, InvalidInputError
+from potd import ot
+from potd.errors import ConvergenceError, InvalidInputError, NumericError
 from potd.ot import (
     CouplingMatrix,
     DiscreteMeasure,
@@ -51,6 +55,68 @@ def greedy_feasible_plan(a, b, order_rows, order_cols):
             elif rem_a[i] <= 1e-15:
                 break
     return plan
+
+
+def dense_lp_cost(a, b, cost):
+    """Independent oracle: optimum of the full n*m-variable transportation LP.
+
+    Solved on costs scaled to a unit maximum so the solver's absolute
+    tolerances act relative to the cost range, then scaled back.
+    """
+    n, m = cost.shape
+    scale = float(cost.max()) or 1.0
+    a_eq = np.vstack(
+        [np.kron(np.eye(n), np.ones((1, m))), np.kron(np.ones((1, n)), np.eye(m))[:-1]]
+    )
+    res = linprog(
+        (cost / scale).ravel(),
+        A_eq=a_eq,
+        b_eq=np.concatenate([a, b[:-1]]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return scale * res.fun
+
+
+def integer_weights(rng, size, zeros):
+    """Normalized weights from small integers; ``zeros`` allows zero masses."""
+    w = rng.integers(0 if zeros else 1, 4, size=size).astype(np.float64)
+    if w.sum() == 0:
+        w[rng.integers(size)] = 1.0
+    return w / w.sum()
+
+
+@st.composite
+def transport_instances(draw):
+    """Weighted clouds with zero masses, duplicated points and cost scales
+    from 1e-8 to 1e8; equal sizes are drawn often so the assignment path
+    is exercised next to the LP."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.one_of(st.just(n), st.integers(1, 40)))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = rng.normal(size=(n, p))
+    tgt = rng.normal(size=(m, p)) + rng.normal(size=p)
+    duplicates = draw(st.sampled_from(["none", "across", "within", "all"]))
+    if duplicates == "across":
+        k = min(n, m)
+        idx = rng.choice(k, size=rng.integers(1, k + 1), replace=False)
+        tgt[idx] = src[idx]
+    elif duplicates == "within":
+        src[rng.integers(0, n, size=n // 2)] = src[0]
+        tgt[rng.integers(0, m, size=m // 2)] = tgt[0]
+    elif duplicates == "all":
+        tgt[:] = src[0]
+        src[:] = src[0]
+    points_scale = 10.0 ** draw(st.integers(-4, 4))
+    weighting = draw(st.sampled_from(["uniform", "positive", "zeros"]))
+    if weighting == "uniform":
+        a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    else:
+        a = integer_weights(rng, n, weighting == "zeros")
+        b = integer_weights(rng, m, weighting == "zeros")
+    return DiscreteMeasure(points_scale * src, a), DiscreteMeasure(points_scale * tgt, b)
 
 
 class TestDiscreteMeasure:
@@ -154,6 +220,40 @@ class TestExactOT:
                 trial_rng.permutation(m),
             )
             assert opt <= float((plan * cost).sum()) + 1e-9
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(transport_instances())
+    def test_matches_dense_lp_with_certificate(self, instance):
+        mu, nu = instance
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        tol = 1e-9 * float(cost.max())
+        coupling = exact_ot(mu, nu, cost)
+        # ties admit several optimal plans, so costs are compared, not plans
+        reference = dense_lp_cost(mu.weights, nu.weights, cost)
+        assert abs(transport_cost(coupling, cost) - reference) <= tol
+        assert max(coupling.marginal_errors()) <= 1e-10
+        assert coupling.dual_row is None and coupling.dual_col is None
+        if coupling.min_reduced_cost is None:
+            # only the assignment path, which exposes no duals, is uncertified
+            assert mu.size == nu.size and coupling.duality_gap is None
+            assert np.allclose(mu.weights, 1.0 / mu.size, rtol=0, atol=1e-12)
+            assert np.allclose(nu.weights, 1.0 / nu.size, rtol=0, atol=1e-12)
+        else:
+            assert coupling.min_reduced_cost >= -tol
+            assert abs(coupling.duality_gap) <= tol
+
+    def test_suboptimal_plan_fails_certificate(self, monkeypatch, rng):
+        w_a = rng.uniform(0.2, 1.0, 6)
+        mu = DiscreteMeasure(rng.normal(size=(6, 3)), w_a / w_a.sum())
+        nu = DiscreteMeasure.uniform(rng.normal(size=(5, 3)))
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        # a feasible but not optimal plan, with duals that bound nothing
+        plan = greedy_feasible_plan(mu.weights, nu.weights, range(6), range(5)[::-1])
+        monkeypatch.setattr(
+            ot, "_transportation_lp", lambda a, b, c: (plan, np.zeros(6), np.zeros(5))
+        )
+        with pytest.raises(NumericError, match="certificate"):
+            exact_ot(mu, nu, cost)
 
     def test_infeasible_weight_sums(self):
         mu = DiscreteMeasure.uniform([[0.0], [1.0]])
