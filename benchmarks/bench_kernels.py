@@ -1,26 +1,19 @@
-"""Benchmark the JIT-compiled kernels against their pure-numpy fallbacks.
+"""Time the two hot kernels of the coupling stage.
 
-Runs the same workloads through both code paths and prints a timing
-table. The first JIT call includes compilation (cached on disk for later
-runs); timings below exclude it via a warmup call.
+``sinkhorn_scaling`` is timed to a 1e-9 column-marginal error on n-by-n
+scaled costs at epsilon = 0.01 times the largest cost, reporting the
+sweep count and the time per sweep; ``pairwise_sqdist`` is timed on
+n-by-n point clouds. Each timing is the best of a few repeats.
 
 Usage:
     python benchmarks/bench_kernels.py
-    POTD_NUMBA=0 python benchmarks/bench_kernels.py   # fallback only
 """
 
 import time
 
 import numpy as np
 
-from potd.kernels import (
-    JIT_ENABLED,
-    pairwise_sqdist_numpy,
-    sinkhorn_scaling_numpy,
-)
-
-if JIT_ENABLED:
-    from potd.kernels import pairwise_sqdist_jit, sinkhorn_scaling_jit
+from potd.ot import pairwise_sqdist, sinkhorn_scaling
 
 REPEATS = 5
 
@@ -36,49 +29,34 @@ def best_of(func, *args):
 
 def bench_pairwise(rng):
     print("\npairwise squared distances (n x n, p=10)")
-    print(f"{'n':>6} {'numpy [ms]':>12} {'numba [ms]':>12} {'speedup':>9}")
-    for n in (100, 400, 1000):
+    print(f"{'n':>6} {'ms':>10}")
+    for n in (200, 400, 800):
         x = rng.normal(size=(n, 10))
         y = rng.normal(size=(n, 10))
-        t_np = best_of(pairwise_sqdist_numpy, x, y)
-        if JIT_ENABLED:
-            pairwise_sqdist_jit(x, y)  # warmup/compile
-            t_jit = best_of(pairwise_sqdist_jit, x, y)
-            print(f"{n:>6} {t_np * 1e3:>12.3f} {t_jit * 1e3:>12.3f} {t_np / t_jit:>8.1f}x")
-        else:
-            print(f"{n:>6} {t_np * 1e3:>12.3f} {'-':>12} {'-':>9}")
+        print(f"{n:>6} {best_of(pairwise_sqdist, x, y) * 1e3:>10.3f}")
 
 
 def sinkhorn_workload(rng, n, eps_factor=0.01):
     x = rng.normal(size=(n, 10))
     y = rng.normal(size=(n, 10)) + 0.5
-    cost = pairwise_sqdist_numpy(x, y)
+    cost = pairwise_sqdist(x, y)
     neg_cost = -cost / (eps_factor * cost.max())
     log_marg = np.log(np.full(n, 1.0 / n))
     return neg_cost, log_marg
 
 
 def bench_sinkhorn(rng):
-    print("\nlog-domain scaling to 1e-9 marginal error (n x n, eps = 0.01 max cost)")
-    print(f"{'n':>6} {'sweeps':>7} {'numpy [ms]':>12} {'numba [ms]':>12} {'speedup':>9}")
-    for n in (50, 150, 400):
+    print("\nstabilized scaling to 1e-9 marginal error (n x n, eps = 0.01 max cost)")
+    print(f"{'n':>6} {'sweeps':>7} {'ms':>10} {'ms/sweep':>10}")
+    for n in (200, 400, 800):
         neg_cost, log_marg = sinkhorn_workload(rng, n)
         args = (neg_cost, log_marg, log_marg, 100_000, 1e-9)
-        sweeps = sinkhorn_scaling_numpy(*args)[2]
-        t_np = best_of(sinkhorn_scaling_numpy, *args)
-        if JIT_ENABLED:
-            sinkhorn_scaling_jit(*args)  # warmup/compile
-            t_jit = best_of(sinkhorn_scaling_jit, *args)
-            print(
-                f"{n:>6} {sweeps:>7} {t_np * 1e3:>12.1f} {t_jit * 1e3:>12.1f} "
-                f"{t_np / t_jit:>8.1f}x"
-            )
-        else:
-            print(f"{n:>6} {sweeps:>7} {t_np * 1e3:>12.1f} {'-':>12} {'-':>9}")
+        sweeps = sinkhorn_scaling(*args)[2]
+        t = best_of(sinkhorn_scaling, *args)
+        print(f"{n:>6} {sweeps:>7} {t * 1e3:>10.1f} {t * 1e3 / max(sweeps, 1):>10.3f}")
 
 
 def main():
-    print(f"JIT enabled: {JIT_ENABLED}")
     rng = np.random.default_rng(np.random.SeedSequence([123]))
     bench_pairwise(rng)
     bench_sinkhorn(rng)

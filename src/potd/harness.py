@@ -25,7 +25,7 @@ from .errors import (
     InvalidInputError,
     PotdError,
 )
-from .kernels import pairwise_sqdist
+from .ot import pairwise_sqdist
 from .synthetic import SyntheticSpec, gen_model, subspace_distance
 
 logger = logging.getLogger(__name__)

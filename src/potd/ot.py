@@ -4,8 +4,8 @@ The coupling between two classes can be computed two ways: an exact
 solver (assignment fast path for uniform equal-size clouds, a shortlist
 transportation LP grown by column generation and certified by its dual
 potentials otherwise) and an entropic-regularized solver using
-log-domain scaling iterations. The exact route doubles as the oracle for
-the regularized one in the verification suite.
+log-stabilized scaling iterations. The exact route doubles as the oracle
+for the regularized one in the verification suite.
 """
 
 from dataclasses import dataclass, replace
@@ -15,7 +15,6 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import ConvergenceError, InvalidInputError, NumericError
-from .kernels import pairwise_sqdist, sinkhorn_scaling
 
 WEIGHT_SUM_TOL = 1e-12
 EXACT_MARGINAL_TOL = 1e-10
@@ -25,6 +24,9 @@ CERTIFICATE_RTOL = 1e-9
 LP_TOL = 1e-10
 # cheapest entries per row and per column in the initial shortlist support
 SHORTLIST_K = 5
+# scaling factors may drift into [1/SCALING_BOUND, SCALING_BOUND] before
+# they are absorbed into the log-domain potentials
+SCALING_BOUND = 1e3
 
 
 def _as_points(name, arr):
@@ -154,6 +156,111 @@ class SolverConfig:
             raise InvalidInputError("marginal_tolerance must be positive")
 
 
+def pairwise_sqdist(x, y):
+    """All-pairs squared Euclidean distances, shape (len(x), len(y))."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
+    d = sq - 2.0 * (x @ y.T)
+    # the dot-product expansion can go slightly negative for near-coincident
+    # points; squared distances are nonnegative by definition
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
+def _log_sum_exp(neg_cost, pot, axis, work):
+    """``log(sum(exp(neg_cost + pot), axis))``, ``-inf`` for all-``-inf`` lines.
+
+    ``pot`` is the potential of the other axis (``u`` for the column sums at
+    ``axis=0``, ``v`` for the row sums at ``axis=1``). Returns the sums and
+    the per-line shift; the n-by-m buffer ``work`` is left holding
+    ``exp(neg_cost + pot - shift)``.
+    """
+    np.add(neg_cost, np.expand_dims(pot, 1 - axis), out=work)
+    mx = work.max(axis=axis, keepdims=True)
+    shift = np.where(np.isneginf(mx), 0.0, mx)
+    work -= shift
+    np.exp(work, out=work)
+    lse = np.where(np.isneginf(mx), -np.inf, shift + np.log(work.sum(axis=axis, keepdims=True)))
+    return lse.ravel(), shift.ravel()
+
+
+def _in_bounds(factors):
+    # min and max propagate NaN, so NaN and infinite factors are out of bounds
+    return 1.0 / SCALING_BOUND < factors.min() and factors.max() < SCALING_BOUND
+
+
+def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None):
+    """Sinkhorn iterations on the scaled negative cost ``K = -C/eps``.
+
+    Returns ``(u, v, sweeps, err)``: log-domain dual potentials, the number
+    of sweeps and the L1 error of the column marginals of
+    ``exp(K + u[:, None] + v[None, :])``, measured on the returned
+    potentials. After a row update the row marginals are exact, so the
+    column error is the stopping rule. Zero-mass atoms get ``-inf``
+    potentials.
+
+    The iterates are those of the log-domain updates
+    ``v = log b - LSE_i(K + u)``, ``u = log a - LSE_j(K + v)``, computed by
+    the log-stabilized scaling algorithm (Schmitzer, SIAM J. Sci. Comput.
+    2019): the potentials are absorbed into the kernel
+    ``Kt = exp(K + u[:, None] + v[None, :])`` and a sweep updates scaling
+    factors with two matrix-vector products, ``beta = b / (Kt.T @ alpha)``
+    and ``alpha = a / (Kt @ beta)``, so the live potentials are
+    ``u + log(alpha)`` and ``v + log(beta)``. When a live factor would leave
+    ``[1/SCALING_BOUND, SCALING_BOUND]`` or stop being finite (underflow at
+    tiny epsilon), the factors are folded into the potentials, that sweep
+    runs in the log domain and the kernel is formed again. The first sweep
+    always runs in the log domain, so cold and warm starts behave alike.
+    """
+    neg_cost = np.ascontiguousarray(neg_cost, dtype=np.float64)
+    n, m = neg_cost.shape
+    a = np.exp(log_a)
+    b = np.exp(log_b)
+    live_a = a > 0
+    live_b = b > 0
+    u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
+    v = np.zeros(m) if v0 is None else np.array(v0, dtype=np.float64)
+    kernel = np.empty((n, m))
+    # zero-mass atoms keep factor 1: their kernel lines are zero
+    alpha = np.ones(n)
+    beta = np.ones(m)
+    absorbed = False
+    # degenerate potentials (NaN, infinite) are reported by the caller
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for sweeps in range(max_iterations + 1):
+            if absorbed:
+                col = kernel.T @ alpha
+                err = np.abs(beta * col - b).sum()
+            else:
+                lse_cols, _ = _log_sum_exp(neg_cost, u, 0, kernel)
+                err = np.abs(np.exp(v + lse_cols) - b).sum()
+            if err <= tolerance or sweeps == max_iterations:
+                if absorbed:
+                    u += np.log(alpha)
+                    v += np.log(beta)
+                return u, v, sweeps, err
+            if absorbed:
+                new_beta = np.divide(b, col, out=np.ones(m), where=live_b)
+                new_alpha = np.divide(a, kernel @ new_beta, out=np.ones(n), where=live_a)
+                if _in_bounds(new_alpha) and _in_bounds(new_beta):
+                    alpha, beta = new_alpha, new_beta
+                    continue
+                u += np.log(alpha)
+                v += np.log(beta)
+                lse_cols, _ = _log_sum_exp(neg_cost, u, 0, kernel)
+            v = log_b - lse_cols
+            lse_rows, shift = _log_sum_exp(neg_cost, v, 1, kernel)
+            u = log_a - lse_rows
+            # the row pass left exp(neg_cost + v - shift) in the kernel;
+            # scaling its rows by exp(u + shift) absorbs the new potentials
+            kernel *= np.exp(u + shift)[:, None]
+            alpha.fill(1.0)
+            beta.fill(1.0)
+            absorbed = True
+    raise AssertionError("unreachable")
+
+
 def squared_euclidean_cost(source, target):
     """Pairwise squared Euclidean distances between two point matrices."""
     src = _as_points("source", source)
@@ -185,29 +292,46 @@ def _check_cost(mu, nu, cost):
     return cost
 
 
+def _check_init(name, potential, size):
+    """Warm-start potential as a float vector of length ``size``.
+
+    ``-inf`` is allowed (zero-mass atoms of an earlier solve carry it);
+    NaN and ``+inf`` are not.
+    """
+    pot = np.asarray(potential, dtype=np.float64)
+    if pot.shape != (size,):
+        raise InvalidInputError(
+            f"init {name} has shape {pot.shape}, expected ({size},)"
+        )
+    if np.any(np.isnan(pot)) or np.any(np.isposinf(pot)):
+        raise InvalidInputError(f"init {name} contains NaN or +inf entries")
+    return pot
+
+
 def sinkhorn(mu, nu, cost, config, init=None):
-    """Entropic-regularized coupling via log-domain scaling iterations.
+    """Entropic-regularized coupling via log-stabilized scaling iterations.
 
     ``init`` optionally warm-starts the solve from ``(dual_row, dual_col)``
     potentials of a previous coupling (typically one computed at a larger
-    epsilon). Raises :class:`ConvergenceError` when the column-marginal L1
-    error is still above ``config.marginal_tolerance`` after
-    ``config.max_iterations`` sweeps, and :class:`NumericError` when the
-    potentials degenerate (remedy: increase epsilon).
+    epsilon); potentials of the wrong length or with NaN entries raise
+    :class:`InvalidInputError`. Raises :class:`ConvergenceError` when the
+    column-marginal L1 error is still above ``config.marginal_tolerance``
+    after ``config.max_iterations`` sweeps, and :class:`NumericError` when
+    the potentials degenerate (remedy: increase epsilon).
     """
     cost = _check_cost(mu, nu, cost)
     if config.mode != "sinkhorn":
         raise InvalidInputError("sinkhorn() requires a config with mode='sinkhorn'")
     eps = config.epsilon if config.epsilon is not None else default_epsilon(cost)
-    neg_cost = -cost / eps
+    neg_cost = np.divide(cost, -eps)
     with np.errstate(divide="ignore"):
         log_a = np.log(mu.weights)
         log_b = np.log(nu.weights)
     u0 = v0 = None
     if init is not None:
         dual_row, dual_col = init
-        u0 = np.asarray(dual_row, dtype=np.float64) / eps
-        v0 = np.asarray(dual_col, dtype=np.float64) / eps
+        u0 = _check_init("dual_row", dual_row, mu.size) / eps
+        v0 = _check_init("dual_col", dual_col, nu.size) / eps
     u, v, iterations, err = sinkhorn_scaling(
         neg_cost, log_a, log_b, config.max_iterations, config.marginal_tolerance,
         u0, v0,
@@ -236,7 +360,10 @@ def sinkhorn(mu, nu, cost, config, init=None):
             iterations=iterations,
             marginal_error=err,
         )
-    plan = np.exp(neg_cost + u[:, None] + v[None, :])
+    # the plan exp(neg_cost + u + v) overwrites neg_cost, which is spent
+    neg_cost += u[:, None]
+    neg_cost += v[None, :]
+    plan = np.exp(neg_cost, out=neg_cost)
     if not np.all(np.isfinite(plan)):
         raise NumericError(
             f"transport plan overflowed; increase epsilon (epsilon={eps:g})"

@@ -23,3 +23,11 @@ def random_instance(rng, n, m, p=3, shift=0.5):
     mu = DiscreteMeasure.uniform(rng.normal(size=(n, p)))
     nu = DiscreteMeasure.uniform(rng.normal(size=(m, p)) + shift)
     return mu, nu
+
+
+def integer_weights(rng, size, zeros):
+    """Normalized weights from small integers; ``zeros`` allows zero masses."""
+    w = rng.integers(0 if zeros else 1, 4, size=size).astype(np.float64)
+    if w.sum() == 0:
+        w[rng.integers(size)] = 1.0
+    return w / w.sum()

@@ -23,7 +23,7 @@ from potd.ot import (
     transport_cost,
 )
 
-from conftest import random_instance
+from conftest import integer_weights, random_instance
 
 
 def brute_force_assignment_cost(cost):
@@ -77,14 +77,6 @@ def dense_lp_cost(a, b, cost):
     )
     assert res.status == 0, res.message
     return scale * res.fun
-
-
-def integer_weights(rng, size, zeros):
-    """Normalized weights from small integers; ``zeros`` allows zero masses."""
-    w = rng.integers(0 if zeros else 1, 4, size=size).astype(np.float64)
-    if w.sum() == 0:
-        w[rng.integers(size)] = 1.0
-    return w / w.sum()
 
 
 @st.composite
@@ -360,6 +352,33 @@ class TestSinkhorn:
                 sinkhorn(
                     mu, nu, cost, self.config(epsilon=1e-300, max_iterations=50)
                 )
+
+    def test_init_of_wrong_length_is_rejected(self, rng):
+        mu, nu = random_instance(rng, 4, 3)
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        with pytest.raises(InvalidInputError, match="dual_col"):
+            sinkhorn(mu, nu, cost, self.config(), init=(np.zeros(4), np.zeros(4)))
+        with pytest.raises(InvalidInputError, match="dual_row"):
+            sinkhorn(mu, nu, cost, self.config(), init=(None, np.zeros(3)))
+
+    def test_init_with_nan_is_rejected(self, rng):
+        mu, nu = random_instance(rng, 4, 3)
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        dual_row = np.array([0.0, np.nan, 0.0, 0.0])
+        with pytest.raises(InvalidInputError, match="NaN"):
+            sinkhorn(mu, nu, cost, self.config(), init=(dual_row, np.zeros(3)))
+
+    def test_warm_start_from_zero_mass_solve(self):
+        mu = DiscreteMeasure([[0.0], [5.0]], [1.0, 0.0])
+        nu = DiscreteMeasure.uniform([[0.5], [1.5]])
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        coarse = sinkhorn(mu, nu, cost, self.config(epsilon=0.1 * float(cost.max())))
+        assert np.isneginf(coarse.dual_row[1])
+        fine = sinkhorn(
+            mu, nu, cost, self.config(epsilon=0.02 * float(cost.max())),
+            init=(coarse.dual_row, coarse.dual_col),
+        )
+        assert np.allclose(fine.plan[1], 0.0)
 
     def test_requires_sinkhorn_mode(self):
         mu = DiscreteMeasure.uniform([[0.0], [1.0]])
