@@ -1,9 +1,11 @@
-"""Time the two hot kernels of the coupling stage.
+"""Time the hot kernels of the coupling stage.
 
 ``sinkhorn_scaling`` is timed to a 1e-9 column-marginal error on n-by-n
 scaled costs at epsilon = 0.01 times the largest cost, reporting the
 sweep count and the time per sweep; ``pairwise_sqdist`` is timed on
-n-by-n point clouds. Each timing is the best of a few repeats.
+n-by-n point clouds; ``exact_ot`` is timed on uniform unequal splits
+(the shortlist transportation LP), reporting the nonzeros of the plan.
+Each timing is the best of a few repeats.
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -13,7 +15,7 @@ import time
 
 import numpy as np
 
-from potd.ot import pairwise_sqdist, sinkhorn_scaling
+from potd.ot import DiscreteMeasure, exact_ot, pairwise_sqdist, sinkhorn_scaling
 
 REPEATS = 5
 
@@ -56,10 +58,23 @@ def bench_sinkhorn(rng):
         print(f"{n:>6} {sweeps:>7} {t * 1e3:>10.1f} {t * 1e3 / max(sweeps, 1):>10.3f}")
 
 
+def bench_exact_lp(rng):
+    print("\nexact coupling on uniform unequal splits (shortlist LP, p=10)")
+    print(f"{'n x m':>9} {'ms':>10} {'nonzeros':>9}")
+    for n, m in ((190, 210), (380, 420)):
+        mu = DiscreteMeasure.uniform(rng.normal(size=(n, 10)))
+        nu = DiscreteMeasure.uniform(rng.normal(size=(m, 10)) + 0.5)
+        cost = pairwise_sqdist(mu.points, nu.points)
+        nonzeros = np.count_nonzero(exact_ot(mu, nu, cost).plan)
+        t = best_of(exact_ot, mu, nu, cost)
+        print(f"{f'{n}x{m}':>9} {t * 1e3:>10.1f} {nonzeros:>9}")
+
+
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([123]))
     bench_pairwise(rng)
     bench_sinkhorn(rng)
+    bench_exact_lp(rng)
 
 
 if __name__ == "__main__":

@@ -1,18 +1,23 @@
 """Discrete optimal transport between weighted point clouds.
 
 The coupling between two classes can be computed two ways: an exact
-solver (assignment fast path for uniform equal-size clouds, a shortlist
-transportation LP grown by column generation and certified by its dual
-potentials otherwise) and an entropic-regularized solver using
-log-stabilized scaling iterations. The exact route doubles as the oracle
-for the regularized one in the verification suite.
+solver (assignment fast path for uniform equal-size clouds, otherwise a
+shortlist transportation LP solved by a warm-started dual simplex grown by
+pricing and certified by its dual potentials) and an entropic-regularized
+solver using log-stabilized scaling iterations. The exact route doubles as
+the oracle for the regularized one in the verification suite.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
+
+# The HiGHS binding that scipy bundles (scipy >= 1.15). The public
+# ``linprog`` cannot warm-start: it builds a fresh model on every call and
+# loops in Python over every column to fill bound marginals, so each pricing
+# round of the shortlist LP would pay a cold solve plus that loop.
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .errors import ConvergenceError, InvalidInputError, NumericError
 
@@ -24,6 +29,17 @@ CERTIFICATE_RTOL = 1e-9
 LP_TOL = 1e-10
 # cheapest entries per row and per column in the initial shortlist support
 SHORTLIST_K = 5
+# dual simplex without presolve (presolve finds nothing to remove in a
+# transportation LP; turning it off cut the solve time by about a third at
+# n = 400), silent so the CLI's stdout stays byte-deterministic
+HIGHS_OPTIONS = {
+    "output_flag": False,
+    "presolve": "off",
+    "solver": "simplex",
+    "simplex_strategy": 1,  # dual
+    "primal_feasibility_tolerance": LP_TOL,
+    "dual_feasibility_tolerance": LP_TOL,
+}
 # scaling factors may drift into [1/SCALING_BOUND, SCALING_BOUND] before
 # they are absorbed into the log-domain potentials
 SCALING_BOUND = 1e3
@@ -272,9 +288,25 @@ def squared_euclidean_cost(source, target):
     return pairwise_sqdist(src, tgt)
 
 
+def _median(values):
+    """Median of all entries, equal to ``np.median`` bitwise.
+
+    One ``partition`` of a flat copy; the lower middle value of an even
+    size is then the largest entry below the split. ``np.median``
+    partitions around both middle positions, which took 13.7 ms against
+    2.6 ms on an 822-by-778 cost (one core of a 2-vCPU x86 VM).
+    """
+    flat = np.asarray(values, dtype=np.float64).flatten()
+    k = flat.shape[0] // 2
+    flat.partition(k)
+    if flat.shape[0] % 2:
+        return float(flat[k])
+    return float((flat[:k].max() + flat[k]) / 2)
+
+
 def default_epsilon(cost):
     """Documented default regularization: 0.05 times the median cost."""
-    med = float(np.median(cost))
+    med = _median(cost)
     if med <= 0.0:
         med = float(np.max(cost))
     return 0.05 * med if med > 0.0 else 1.0
@@ -472,6 +504,29 @@ def _shortlist_mask(cost, a, b):
     return mask
 
 
+def _add_lp_columns(highs, unit, rows, cols):
+    """Append the plan entries ``(rows[k], cols[k])`` as LP columns.
+
+    Each entry has a unit coefficient in the row-sum constraint of its
+    source atom and, unless it lies in the last target column (whose
+    constraint is implied by mass balance), in the column-sum constraint of
+    its target atom.
+    """
+    n, m = unit.shape
+    k = rows.shape[0]
+    in_col = cols < m - 1
+    nnz = 1 + in_col
+    starts = np.zeros(k, dtype=np.int32)
+    np.cumsum(nnz[:-1], out=starts[1:])
+    index = np.empty(int(nnz.sum()), dtype=np.int32)
+    index[starts] = rows
+    index[starts[in_col] + 1] = n + cols[in_col]
+    highs.addCols(
+        k, unit[rows, cols], np.zeros(k), np.full(k, np.inf),
+        index.shape[0], starts, index, np.ones(index.shape[0]),
+    )
+
+
 def _transportation_lp(a, b, cost):
     """Exact transportation plan by the shortlist method.
 
@@ -479,8 +534,11 @@ def _transportation_lp(a, b, cost):
     Schuhmacher 2014). Its duals price every excluded entry; entries with
     negative reduced cost join the support and the LP is solved again,
     until none is left, which makes the duals feasible for the full
-    problem and the restricted plan optimal for it. Costs are scaled to a
-    unit maximum so the solver tolerances are relative to the cost range.
+    problem and the restricted plan optimal for it. One HiGHS model holds
+    the LP for the whole solve: each pricing round appends only the
+    entering columns, so the dual simplex restarts from the basis of the
+    previous round. Costs are scaled to a unit maximum so the solver
+    tolerances are relative to the cost range.
 
     Returns ``(plan, u, v)`` with dual potentials in cost units.
     """
@@ -490,41 +548,39 @@ def _transportation_lp(a, b, cost):
         scale = 1.0
     unit = cost / scale
     mask = _shortlist_mask(unit, a, b)
+    highs = _Highs()
+    for option, value in HIGHS_OPTIONS.items():
+        highs.setOptionValue(option, value)
+    # row-sum constraints for every source atom, column-sum constraints for
+    # all but the last target atom (the dropped one is implied by mass balance)
     b_eq = np.concatenate([a, b[:-1]])
+    no_entries = np.zeros(0, dtype=np.int32)
+    highs.addRows(n + m - 1, b_eq, b_eq, 0, no_entries, no_entries, np.zeros(0))
+    rows, cols = np.nonzero(mask)
+    entering_rows, entering_cols = rows, cols
     while True:
-        rows, cols = np.nonzero(mask)
-        # row-sum constraints for every source atom, column-sum constraints for
-        # all but the last target atom (the dropped one is implied by mass balance)
-        in_col = cols < m - 1
-        con = np.concatenate([rows, n + cols[in_col]])
-        var = np.concatenate([np.arange(rows.shape[0]), np.flatnonzero(in_col)])
-        a_eq = sparse.csc_matrix(
-            (np.ones(con.shape[0]), (con, var)), shape=(n + m - 1, rows.shape[0])
-        )
-        res = linprog(
-            unit[rows, cols],
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=(0, None),
-            method="highs-ds",
-            # presolve finds nothing to remove in a transportation LP; turning
-            # it off cut the solve time by about a third at n = 400
-            options={
-                "presolve": False,
-                "primal_feasibility_tolerance": LP_TOL,
-                "dual_feasibility_tolerance": LP_TOL,
-            },
-        )
-        if res.status != 0:
-            raise NumericError(f"transportation LP failed: {res.message}")
-        u = res.eqlin.marginals[:n]
-        v = np.concatenate([res.eqlin.marginals[n:], [0.0]])
+        _add_lp_columns(highs, unit, entering_rows, entering_cols)
+        highs.run()
+        status = highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise NumericError(
+                f"transportation LP failed: {highs.modelStatusToString(status)}"
+            )
+        solution = highs.getSolution()
+        # row duals price entry (i, j) at unit[i, j] - u[i] - v[j]; the
+        # dropped last column constraint has dual zero
+        duals = np.asarray(solution.row_dual)
+        u = duals[:n]
+        v = np.append(duals[n:], 0.0)
         entering = (unit - u[:, None] - v[None, :] < -LP_TOL) & ~mask
         if not entering.any():
             break
         mask |= entering
+        entering_rows, entering_cols = np.nonzero(entering)
+        rows = np.concatenate([rows, entering_rows])
+        cols = np.concatenate([cols, entering_cols])
     plan = np.zeros((n, m))
-    plan[rows, cols] = np.maximum(res.x, 0.0)
+    plan[rows, cols] = np.maximum(solution.col_value, 0.0)
     return plan, scale * u, scale * v
 
 

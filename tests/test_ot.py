@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from potd import ot
@@ -57,8 +58,9 @@ def greedy_feasible_plan(a, b, order_rows, order_cols):
     return plan
 
 
-def dense_lp_cost(a, b, cost):
-    """Independent oracle: optimum of the full n*m-variable transportation LP.
+def dense_lp(a, b, cost):
+    """Independent oracle: optimal plan and cost of the full n*m-variable
+    transportation LP.
 
     Solved on costs scaled to a unit maximum so the solver's absolute
     tolerances act relative to the cost range, then scaled back.
@@ -76,7 +78,11 @@ def dense_lp_cost(a, b, cost):
         method="highs",
     )
     assert res.status == 0, res.message
-    return scale * res.fun
+    return res.x.reshape(n, m), scale * res.fun
+
+
+def dense_lp_cost(a, b, cost):
+    return dense_lp(a, b, cost)[1]
 
 
 @st.composite
@@ -246,6 +252,44 @@ class TestExactOT:
         )
         with pytest.raises(NumericError, match="certificate"):
             exact_ot(mu, nu, cost)
+
+    def test_pricing_rounds_match_dense_lp(self, monkeypatch):
+        runs = []
+
+        class CountingHighs(ot._Highs):
+            def run(self):
+                runs.append((self, self.getNumCol()))
+                return super().run()
+
+        monkeypatch.setattr(ot, "_Highs", CountingHighs)
+        rng = np.random.default_rng(np.random.SeedSequence([70]))
+        mu, nu = random_instance(rng, 38, 42, p=10)
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        coupling = exact_ot(mu, nu, cost)
+        # the shortlist alone is not optimal: entering columns were appended
+        # to the one model and it was solved again
+        models, columns = zip(*runs)
+        assert len(runs) >= 2 and all(model is models[0] for model in models)
+        assert list(columns) == sorted(set(columns))
+        plan, reference = dense_lp(mu.weights, nu.weights, cost)
+        # distinct random costs have a unique optimal plan
+        assert np.abs(coupling.plan - plan).max() <= 1e-12
+        assert transport_cost(coupling, cost) == pytest.approx(reference, rel=1e-12)
+
+    def test_lp_status_other_than_optimal_raises(self, monkeypatch, rng):
+        class StalledHighs(ot._Highs):
+            def getModelStatus(self):
+                return ot.HighsModelStatus.kIterationLimit
+
+        monkeypatch.setattr(ot, "_Highs", StalledHighs)
+        mu, nu = random_instance(rng, 6, 5)
+        with pytest.raises(NumericError, match="transportation LP failed"):
+            exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
+
+    def test_lp_solve_is_silent(self, capfd, rng):
+        mu, nu = random_instance(rng, 19, 21)
+        exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
+        assert capfd.readouterr() == ("", "")
 
     def test_infeasible_weight_sums(self):
         mu = DiscreteMeasure.uniform([[0.0], [1.0]])
@@ -470,3 +514,17 @@ class TestSolverConfig:
     def test_default_epsilon_rule(self):
         cost = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert default_epsilon(cost) == pytest.approx(0.05 * 2.5)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 30), st.integers(1, 30)),
+            elements=st.one_of(
+                st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1e8, allow_subnormal=False)
+            ),
+        )
+    )
+    def test_median_matches_numpy_median(self, cost):
+        # drawn sizes are odd and even, with ties and zero costs
+        assert ot._median(cost) == np.median(cost)
