@@ -1,28 +1,58 @@
-"""Time the hot kernels of the coupling stage.
+"""Time the hot kernels of the coupling stage and record them.
 
 ``sinkhorn_scaling`` is timed to a 1e-9 column-marginal error on n-by-n
 scaled costs at epsilon = 0.01 times the largest cost, reporting the
 sweep count and the time per sweep; ``pairwise_sqdist`` is timed on
 n-by-n point clouds; ``exact_ot`` is timed on uniform unequal splits
-(the shortlist transportation LP), reporting the nonzeros of the plan.
-Each timing is the best of a few repeats.
+(the shortlist transportation LP), reporting the nonzeros of the plan,
+and on table-shaped instances: the whitened sign-label classes of model
+I at p=10 and model III at p=30, n=400, over the first 12 seeds whose
+classes differ in size, reporting the median time and the median number
+of HiGHS runs (pricing rounds) per solve. Each timing is the best of a
+few repeats. BLAS runs on one thread.
+
+Every run appends one record, its rows plus provenance (git SHA of the
+measured ``potd`` checkout, suffixed ``-dirty`` when it has uncommitted
+changes, a hash of its sources, library versions, BLAS threads,
+``os.cpu_count()``), to ``BENCH_kernels.json`` at the repository root.
+To measure another checkout's library with this script, put its ``src``
+first on ``PYTHONPATH``.
 
 Usage:
     python benchmarks/bench_kernels.py
 """
 
+import hashlib
+import json
+import os
+import platform
+import subprocess
 import time
+from pathlib import Path
 
-import numpy as np
+# single-threaded BLAS for steady timings; set before numpy is imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from potd.ot import DiscreteMeasure, exact_ot, pairwise_sqdist, sinkhorn_scaling
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+import potd  # noqa: E402
+from potd import ot  # noqa: E402
+from potd.core import whiten  # noqa: E402
+from potd.ot import DiscreteMeasure, exact_ot, pairwise_sqdist, sinkhorn_scaling  # noqa: E402
+from potd.synthetic import SyntheticSpec, gen_model  # noqa: E402
 
 REPEATS = 5
+TABLE_CELLS = (("I", 10), ("III", 30))
+TABLE_N = 400
+TABLE_SEEDS = 12
+OUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
-def best_of(func, *args):
+def best_of(func, *args, repeats=REPEATS):
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         func(*args)
         times.append(time.perf_counter() - t0)
@@ -32,10 +62,14 @@ def best_of(func, *args):
 def bench_pairwise(rng):
     print("\npairwise squared distances (n x n, p=10)")
     print(f"{'n':>6} {'ms':>10}")
+    rows = []
     for n in (200, 400, 800):
         x = rng.normal(size=(n, 10))
         y = rng.normal(size=(n, 10))
-        print(f"{n:>6} {best_of(pairwise_sqdist, x, y) * 1e3:>10.3f}")
+        ms = best_of(pairwise_sqdist, x, y) * 1e3
+        print(f"{n:>6} {ms:>10.3f}")
+        rows.append({"bench": "pairwise_sqdist", "n": n, "p": 10, "ms": ms})
+    return rows
 
 
 def sinkhorn_workload(rng, n, eps_factor=0.01):
@@ -50,31 +84,122 @@ def sinkhorn_workload(rng, n, eps_factor=0.01):
 def bench_sinkhorn(rng):
     print("\nstabilized scaling to 1e-9 marginal error (n x n, eps = 0.01 max cost)")
     print(f"{'n':>6} {'sweeps':>7} {'ms':>10} {'ms/sweep':>10}")
+    rows = []
     for n in (200, 400, 800):
         neg_cost, log_marg = sinkhorn_workload(rng, n)
         args = (neg_cost, log_marg, log_marg, 100_000, 1e-9)
         sweeps = sinkhorn_scaling(*args)[2]
-        t = best_of(sinkhorn_scaling, *args)
-        print(f"{n:>6} {sweeps:>7} {t * 1e3:>10.1f} {t * 1e3 / max(sweeps, 1):>10.3f}")
+        ms = best_of(sinkhorn_scaling, *args) * 1e3
+        print(f"{n:>6} {sweeps:>7} {ms:>10.1f} {ms / max(sweeps, 1):>10.3f}")
+        rows.append({"bench": "sinkhorn_scaling", "n": n, "sweeps": sweeps, "ms": ms})
+    return rows
 
 
 def bench_exact_lp(rng):
     print("\nexact coupling on uniform unequal splits (shortlist LP, p=10)")
     print(f"{'n x m':>9} {'ms':>10} {'nonzeros':>9}")
+    rows = []
     for n, m in ((190, 210), (380, 420)):
         mu = DiscreteMeasure.uniform(rng.normal(size=(n, 10)))
         nu = DiscreteMeasure.uniform(rng.normal(size=(m, 10)) + 0.5)
         cost = pairwise_sqdist(mu.points, nu.points)
-        nonzeros = np.count_nonzero(exact_ot(mu, nu, cost).plan)
-        t = best_of(exact_ot, mu, nu, cost)
-        print(f"{f'{n}x{m}':>9} {t * 1e3:>10.1f} {nonzeros:>9}")
+        nonzeros = int(np.count_nonzero(exact_ot(mu, nu, cost).plan))
+        ms = best_of(exact_ot, mu, nu, cost) * 1e3
+        print(f"{f'{n}x{m}':>9} {ms:>10.1f} {nonzeros:>9}")
+        rows.append({"bench": "exact_ot_uniform", "n": n, "m": m, "p": 10,
+                     "ms": ms, "nonzeros": nonzeros})
+    return rows
+
+
+def table_instances(model, p):
+    """Whitened sign-label classes of the first seeds with unequal sizes."""
+    seed = 0
+    found = 0
+    while found < TABLE_SEEDS:
+        data, _ = gen_model(SyntheticSpec(model, TABLE_N, p, seed))
+        z, _ = whiten(data.X)
+        src, tgt = z[data.y == 1], z[data.y == -1]
+        if src.shape[0] != tgt.shape[0]:
+            found += 1
+            yield seed, DiscreteMeasure.uniform(src), DiscreteMeasure.uniform(tgt)
+        seed += 1
+
+
+def highs_runs(mu, nu, cost):
+    """HiGHS runs of one solve, counted on a stand-in model class."""
+    runs = 0
+    highs = ot._Highs
+
+    class CountingHighs(highs):
+        def run(self):
+            nonlocal runs
+            runs += 1
+            return super().run()
+
+    ot._Highs = CountingHighs
+    try:
+        exact_ot(mu, nu, cost)
+    finally:
+        ot._Highs = highs
+    return runs
+
+
+def bench_table_lp():
+    print(f"\nexact coupling on table cells (whitened sign classes, n={TABLE_N}, "
+          f"{TABLE_SEEDS} seeds)")
+    print(f"{'cell':>7} {'ms':>8} {'runs':>5} {'seeds':>10}")
+    rows = []
+    for model, p in TABLE_CELLS:
+        ms, runs, seeds = [], [], []
+        for seed, mu, nu in table_instances(model, p):
+            cost = pairwise_sqdist(mu.points, nu.points)
+            runs.append(highs_runs(mu, nu, cost))
+            ms.append(best_of(exact_ot, mu, nu, cost, repeats=3) * 1e3)
+            seeds.append(seed)
+        cell = f"{model}-{p}"
+        print(f"{cell:>7} {np.median(ms):>8.1f} {np.median(runs):>5.1f} "
+              f"{seeds[0]:>4}..{seeds[-1]:<4}")
+        rows.append({"bench": "exact_ot_table", "cell": cell, "n": TABLE_N,
+                     "seeds": seeds, "median_ms": float(np.median(ms)),
+                     "median_highs_runs": float(np.median(runs)), "ms": ms,
+                     "highs_runs": runs})
+    return rows
+
+
+def provenance():
+    """Where the measured library comes from and what it ran on."""
+    src = Path(potd.__file__).resolve().parent
+    src_hash = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        src_hash.update(path.relative_to(src).as_posix().encode())
+        src_hash.update(path.read_bytes())
+    try:
+        described = subprocess.run(
+            ["git", "-C", str(src), "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True, text=True, timeout=10,
+        ).stdout.strip() or None
+    except (OSError, subprocess.TimeoutExpired):
+        described = None
+    return {
+        "git_sha": described,
+        "src_sha256": src_hash.hexdigest(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+    }
 
 
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([123]))
-    bench_pairwise(rng)
-    bench_sinkhorn(rng)
-    bench_exact_lp(rng)
+    rows = bench_pairwise(rng) + bench_sinkhorn(rng) + bench_exact_lp(rng) + bench_table_lp()
+    record = {"provenance": provenance(), "rows": rows}
+    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
+    runs.append(record)
+    OUT.write_text(json.dumps({"runs": runs}, indent=1) + "\n")
+    print(f"\nappended to {OUT.name}: {json.dumps(record['provenance'])}")
 
 
 if __name__ == "__main__":

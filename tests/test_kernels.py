@@ -43,6 +43,22 @@ def plan_of(neg_cost, u, v):
     return np.exp(neg_cost + u[:, None] + v[None, :])
 
 
+def assert_plan_of_potentials(plan, neg_cost, u, v):
+    """``plan`` equals ``exp(-C/eps + u + v)`` recomputed from the
+    potentials, within 1e-12 relative per entry."""
+    ref = plan_of(neg_cost, u, v)
+    assert np.all(np.abs(plan - ref) <= 1e-12 * ref)
+
+
+def scaling_with_plan(neg_cost, log_a, log_b, max_iterations, u0=None, v0=None):
+    """``sinkhorn_scaling`` to 1e-9 with the plan it leaves in ``out``."""
+    plan = np.empty_like(neg_cost)
+    u, v, sweeps, err = sinkhorn_scaling(
+        neg_cost, log_a, log_b, max_iterations, 1e-9, u0, v0, plan
+    )
+    return plan, u, v, sweeps, err
+
+
 @st.composite
 def scaling_instances(draw):
     """Scaled costs at epsilon from 1e-3 to 1 times the largest cost, with
@@ -127,6 +143,39 @@ class TestSinkhornScaling:
         assert col_err == pytest.approx(err, abs=1e-12)
         assert np.all(np.isneginf(u[np.isneginf(log_a)]))
         assert np.all(np.isneginf(v[np.isneginf(log_b)]))
+
+    @given(scaling_instances(), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_out_holds_the_plan_of_the_potentials(self, instance, budget):
+        # the budget stops some solves unconverged; the plan must match anyway
+        neg_cost, log_a, log_b, u0, v0 = instance
+        plan, u, v, _, _ = scaling_with_plan(neg_cost, log_a, log_b, budget, u0, v0)
+        assert_plan_of_potentials(plan, neg_cost, u, v)
+
+    def test_out_holds_the_plan_on_log_domain_exits(self, rng):
+        # a solve that stops before any scaling sweep leaves the plan of the
+        # log-domain column pass: converged at the warm start, or out of budget
+        neg_cost, log_a, log_b = self.setup_instance(rng, 9, 7)
+        _, u, v, _, _ = scaling_with_plan(neg_cost, log_a, log_b, 10_000)
+        plan, u0, v0, sweeps, err = scaling_with_plan(neg_cost, log_a, log_b, 10, u, v)
+        assert sweeps == 0 and err <= 1e-9
+        assert_plan_of_potentials(plan, neg_cost, u0, v0)
+        plan, u, v, sweeps, err = scaling_with_plan(neg_cost, log_a, log_b, 0)
+        assert sweeps == 0 and err > 1e-9
+        assert_plan_of_potentials(plan, neg_cost, u, v)
+        # one sweep, which always runs in the log domain, then the budget
+        plan, u, v, sweeps, err = scaling_with_plan(neg_cost, log_a, log_b, 1)
+        assert sweeps == 1 and err > 1e-9
+        assert_plan_of_potentials(plan, neg_cost, u, v)
+
+    def test_sinkhorn_plan_is_the_plan_of_its_duals(self, rng):
+        mu, nu = random_instance(rng, 12, 9)
+        cost = pairwise_sqdist(mu.points, nu.points)
+        coupling = solve_coupling(mu, nu, cost, SolverConfig(mode="sinkhorn"))
+        eps = ot.default_epsilon(cost)
+        assert_plan_of_potentials(
+            coupling.plan, -cost / eps, coupling.dual_row / eps, coupling.dual_col / eps
+        )
 
     def test_absorbs_where_the_plain_kernel_underflows(self, monkeypatch):
         rng = np.random.default_rng(np.random.SeedSequence([401]))

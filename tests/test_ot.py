@@ -117,6 +117,32 @@ def transport_instances(draw):
     return DiscreteMeasure(points_scale * src, a), DiscreteMeasure(points_scale * tgt, b)
 
 
+def assert_exact_and_certified(mu, nu):
+    """``exact_ot`` takes the LP, matches the dense oracle in cost and
+    carries a passing certificate."""
+    cost = squared_euclidean_cost(mu.points, nu.points)
+    tol = 1e-9 * float(cost.max())
+    coupling = exact_ot(mu, nu, cost)
+    assert coupling.min_reduced_cost is not None
+    assert coupling.min_reduced_cost >= -tol and abs(coupling.duality_gap) <= tol
+    reference = dense_lp_cost(mu.weights, nu.weights, cost)
+    assert abs(transport_cost(coupling, cost) - reference) <= tol
+    assert max(coupling.marginal_errors()) <= 1e-10
+
+
+def spy_on_crash(monkeypatch):
+    """Record what every crash start of the LP returns."""
+    results = []
+    crash = ot._crash_scaling
+
+    def spy(*args):
+        results.append(crash(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ot, "_crash_scaling", spy)
+    return results
+
+
 class TestDiscreteMeasure:
     def test_uniform_weights(self):
         mu = DiscreteMeasure.uniform([[0.0, 1.0], [2.0, 3.0]])
@@ -262,6 +288,9 @@ class TestExactOT:
                 return super().run()
 
         monkeypatch.setattr(ot, "_Highs", CountingHighs)
+        # the crash-seeded shortlist solves this instance in one round; the
+        # smallest shortlist forces the multi-round warm-start path
+        monkeypatch.setattr(ot, "SHORTLIST_K", 1)
         rng = np.random.default_rng(np.random.SeedSequence([70]))
         mu, nu = random_instance(rng, 38, 42, p=10)
         cost = squared_euclidean_cost(mu.points, nu.points)
@@ -290,6 +319,76 @@ class TestExactOT:
         mu, nu = random_instance(rng, 19, 21)
         exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("potentials", ["zeros", "random"])
+    def test_exact_whatever_the_crash_potentials(self, monkeypatch, potentials):
+        # the crash only picks the starting support; pricing and the
+        # certificate make the result exact for any potentials
+        rng = np.random.default_rng(np.random.SeedSequence([71]))
+
+        def fake_crash(neg_cost, log_a, log_b, max_iterations, tolerance):
+            n, m = neg_cost.shape
+            if potentials == "zeros":
+                return np.zeros(n), np.zeros(m), 0, 1.0
+            return rng.normal(scale=50.0, size=n), rng.normal(scale=50.0, size=m), 0, 1.0
+
+        monkeypatch.setattr(ot, "_crash_scaling", fake_crash)
+        mu = DiscreteMeasure(rng.normal(size=(30, 4)), integer_weights(rng, 30, False))
+        nu = DiscreteMeasure(rng.normal(size=(37, 4)) + 0.5, integer_weights(rng, 37, False))
+        assert_exact_and_certified(mu, nu)
+
+    def test_exact_when_the_crash_hits_its_sweep_budget(self, monkeypatch):
+        # a tight cluster plus one far outlier on each side: the median cost
+        # is tiny against the largest, so the default epsilon is too, and
+        # the crash stops at its budget far above its tolerance
+        rng = np.random.default_rng(np.random.SeedSequence([72]))
+        src = 1e-3 * rng.normal(size=(24, 3))
+        tgt = 1e-3 * rng.normal(size=(31, 3))
+        src[0] = 50.0
+        tgt[0] = -50.0
+        mu = DiscreteMeasure(src, integer_weights(rng, 24, False))
+        nu = DiscreteMeasure(tgt, integer_weights(rng, 31, False))
+        crashes = spy_on_crash(monkeypatch)
+        assert_exact_and_certified(mu, nu)
+        (_, _, sweeps, err), = crashes
+        assert sweeps == ot.CRASH_SWEEPS and err > ot.CRASH_TOL
+
+    def test_exact_with_zero_mass_atoms(self, monkeypatch):
+        rng = np.random.default_rng(np.random.SeedSequence([73]))
+        a = integer_weights(rng, 26, True)
+        b = integer_weights(rng, 33, True)
+        a[:3] = 0.0
+        b[:4] = 0.0
+        mu = DiscreteMeasure(rng.normal(size=(26, 3)), a / a.sum())
+        nu = DiscreteMeasure(rng.normal(size=(33, 3)) + 0.5, b / b.sum())
+        crashes = spy_on_crash(monkeypatch)
+        assert_exact_and_certified(mu, nu)
+        (u, v, _, _), = crashes
+        assert np.all(np.isneginf(u[mu.weights == 0]))
+        assert np.all(np.isneginf(v[nu.weights == 0]))
+        # their lines fall back to raw cost instead of ranking at +inf
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        reduced = ot._crash_reduced_cost(cost / cost.max(), mu.weights, nu.weights)
+        assert np.all(np.isfinite(reduced))
+
+    def test_lp_makes_no_traced_sinkhorn_calls(self, monkeypatch, rng):
+        # the benchmark tracer wraps these names to time entropic solves and
+        # cost matrices; the crash start is LP work and must bypass them
+        mu, nu = random_instance(rng, 23, 29)
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for attr in ("sinkhorn_scaling", "sinkhorn", "pairwise_sqdist"):
+            monkeypatch.setattr(ot, attr, counting(attr, getattr(ot, attr)))
+        assert exact_ot(mu, nu, cost).min_reduced_cost is not None
+        assert calls == []
 
     def test_infeasible_weight_sums(self):
         mu = DiscreteMeasure.uniform([[0.0], [1.0]])
