@@ -9,14 +9,8 @@ import warnings
 
 import numpy as np
 
-from .core import Basis, apply_sign_convention, orthonormalize, whiten
+from .core import back_mapped_basis, descending_eigh, whiten
 from .errors import DegenerateInputError, InvalidInputError
-
-
-def _top_eigensystem(matrix):
-    evals, evecs = np.linalg.eigh(matrix)
-    order = np.argsort(evals)[::-1]
-    return evals[order], evecs[:, order]
 
 
 def _slice_stats(Z, y):
@@ -54,9 +48,8 @@ def sir_fit(data, r):
     for _, block, weight in _slice_stats(Z, data.y):
         mean = block.mean(axis=0)
         between += weight * np.outer(mean, mean)
-    evals, evecs = _top_eigensystem(between)
-    vectors = orthonormalize(W @ evecs[:, :effective_r])
-    return Basis(vectors, np.maximum(evals, 0.0), whitening_applied=True)
+    evals, evecs = descending_eigh(between)
+    return back_mapped_basis(evecs[:, :effective_r], np.maximum(evals, 0.0), W)
 
 
 def save_fit(data, r):
@@ -84,9 +77,8 @@ def save_fit(data, r):
         cov = centered.T @ centered / block.shape[0]
         diff = eye - cov
         accum += weight * (diff @ diff)
-    evals, evecs = _top_eigensystem(accum)
-    vectors = orthonormalize(W @ evecs[:, :r])
-    return Basis(vectors, np.maximum(evals, 0.0), whitening_applied=True)
+    evals, evecs = descending_eigh(accum)
+    return back_mapped_basis(evecs[:, :r], np.maximum(evals, 0.0), W)
 
 
 def pca_fit(X, r):
@@ -98,9 +90,5 @@ def pca_fit(X, r):
         raise InvalidInputError(f"r must be in [1, p={X.shape[1]}], got {r}")
     Xc = X - X.mean(axis=0)
     cov = Xc.T @ Xc / X.shape[0]
-    evals, evecs = _top_eigensystem(cov)
-    return Basis(
-        apply_sign_convention(evecs[:, :r]),
-        np.maximum(evals, 0.0),
-        whitening_applied=False,
-    )
+    evals, evecs = descending_eigh(cov)
+    return back_mapped_basis(evecs[:, :r], np.maximum(evals, 0.0), None)

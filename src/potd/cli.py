@@ -31,6 +31,7 @@ from .errors import (
     PotdError,
 )
 from .harness import (
+    METHODS,
     SplitConfig,
     fit_method,
     load_csv_dataset,
@@ -273,6 +274,18 @@ def _cmd_gen(args):
 # benchmarks
 
 
+def _write_report(args, report, title):
+    meta = {
+        "cli_config": _resolved_config(args),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    report.write_json(args.output, meta=meta)
+    if args.csv:
+        report.write_csv(args.csv)
+    print(f"wrote {title} ({len(report.rows)} rows) to {args.output}")
+    return EXIT_OK
+
+
 def _cmd_bench_synthetic(args):
     solver = _solver_from_args(args)
     report = run_synthetic_benchmark(
@@ -286,15 +299,7 @@ def _cmd_bench_synthetic(args):
         noise_scale=args.noise_scale,
         workers=args.workers,
     )
-    meta = {
-        "cli_config": _resolved_config(args),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    report.write_json(args.output, meta=meta)
-    if args.csv:
-        report.write_csv(args.csv)
-    print(f"wrote synthetic benchmark ({len(report.rows)} rows) to {args.output}")
-    return EXIT_OK
+    return _write_report(args, report, "synthetic benchmark")
 
 
 def _cmd_bench_real(args):
@@ -316,15 +321,7 @@ def _cmd_bench_real(args):
         setting=args.setting,
         workers=args.workers,
     )
-    meta = {
-        "cli_config": _resolved_config(args),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    report.write_json(args.output, meta=meta)
-    if args.csv:
-        report.write_csv(args.csv)
-    print(f"wrote real-data benchmark ({len(report.rows)} rows) to {args.output}")
-    return EXIT_OK
+    return _write_report(args, report, "real-data benchmark")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +462,7 @@ def build_parser():
     p_embed.add_argument(
         "--method",
         required=True,
-        choices=["POTD", "SIR", "SAVE", "PCA"],
+        choices=METHODS,
         help="reduction method",
     )
     p_embed.add_argument("--r", type=int, required=True, help="embedding dimension")
@@ -523,7 +520,7 @@ def build_parser():
     p_bs.add_argument(
         "--methods",
         type=_csv_list,
-        default=["POTD", "SIR", "SAVE", "PCA"],
+        default=list(METHODS),
         help="comma-separated methods (default: POTD,SIR,SAVE,PCA)",
     )
     p_bs.add_argument("--n", type=int, default=400, help="sample size (default: 400)")
@@ -552,7 +549,7 @@ def build_parser():
     p_br.add_argument(
         "--methods",
         type=_csv_list,
-        default=["POTD", "SIR", "SAVE", "PCA"],
+        default=list(METHODS),
         help="comma-separated methods (default: POTD,SIR,SAVE,PCA)",
     )
     p_br.add_argument(

@@ -212,22 +212,17 @@ def displacement_matrix(source, target, coupling, source_class=None, target_clas
     return DisplacementMatrix(rows, source_class, target_class)
 
 
-def _class_measures(Z, y, data):
-    labels = np.unique(y)
-    measures = {}
-    for label in labels:
-        pts = Z[y == label]
-        measures[label] = DiscreteMeasure(pts, data.weights_for(label, pts.shape[0]))
-    return labels, measures
-
-
 def _stacked_displacements(Z, y, data, solver):
     """Displacement blocks for every ordered class pair, in label order.
 
     The coupling for (j, i) is the transpose of the one for (i, j) — the
     cost matrix transposes — so each unordered pair is solved once.
     """
-    labels, measures = _class_measures(Z, y, data)
+    labels = np.unique(y)
+    measures = {}
+    for label in labels:
+        pts = Z[y == label]
+        measures[label] = DiscreteMeasure(pts, data.weights_for(label, pts.shape[0]))
     plans = {}
     blocks = []
     for ci in labels:
@@ -259,39 +254,52 @@ def transpose_coupling(coupling):
     )
 
 
-def _right_singular_system(stacked):
-    """Singular values and right singular vectors of the stacked rows."""
-    rows, p = stacked.shape
-    if rows > GRAM_PATH_ROW_FACTOR * p:
-        gram = stacked.T @ stacked
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1]
-        svals = np.sqrt(np.maximum(evals[order], 0.0))
-        return svals, evecs[:, order]
-    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
-    return svals, vt.T
+def descending_eigh(matrix):
+    """Eigenvalues and eigenvectors of a symmetric matrix, largest first."""
+    evals, evecs = np.linalg.eigh(matrix)
+    order = np.argsort(evals)[::-1]
+    return evals[order], evecs[:, order]
 
 
-def _displacement_spectrum(blocks, Z):
-    """Singular system of the stacked displacement rows of all blocks.
+def back_mapped_basis(vectors, spectrum, W):
+    """Basis of ``vectors`` fitted on data whitened by ``W``, in predictor
+    coordinates; ``W is None`` means the fit ran on the raw predictors."""
+    if W is not None:
+        vectors = orthonormalize(W @ vectors)
+    return Basis(vectors, spectrum, whitening_applied=W is not None)
 
+
+def _fit(data, labelings, r, solver, whiten_flag):
+    """The fit behind :func:`potd_fit` and :func:`potd_fit_continuous`.
+
+    Every labelling of the rows contributes the displacement blocks of its
+    ordered class pairs; the blocks are stacked labelling by labelling and
+    the top ``r`` right singular vectors of the stack form the basis. The
+    SVD is taken through the p-by-p Gram matrix when the stack is tall.
     Raises :class:`DegenerateInputError` when every singular value is zero
     relative to the data scale (e.g. classes with identical point clouds),
     since any basis would then be arbitrary.
     """
-    svals, vecs = _right_singular_system(np.vstack([b.rows for b in blocks]))
+    if not 1 <= r <= data.p:
+        raise InvalidInputError(f"r must be in [1, p={data.p}], got {r}")
+    if solver is None:
+        solver = SolverConfig()
+    Z, W = whiten(data.X) if whiten_flag else (data.X, None)
+    stacked = np.vstack(
+        [b.rows for y in labelings for b in _stacked_displacements(Z, y, data, solver)]
+    )
+    if stacked.shape[0] > GRAM_PATH_ROW_FACTOR * data.p:
+        evals, vecs = descending_eigh(stacked.T @ stacked)
+        svals = np.sqrt(np.maximum(evals, 0.0))
+    else:
+        _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
+        vecs = vt.T
     if svals[0] <= RANK_REL_TOL * np.linalg.norm(Z) / Z.shape[0]:
         raise DegenerateInputError(
             "all displacement singular values are zero: the class point "
             "clouds coincide, so no direction separates them"
         )
-    return svals, vecs
-
-
-def _finish_basis(vectors, svals, whitening, W):
-    if whitening:
-        vectors = orthonormalize(W @ vectors)
-    return Basis(vectors, svals, whitening_applied=whitening)
+    return back_mapped_basis(vecs[:, :r], svals, W)
 
 
 def potd_fit(data, r, solver=None, whiten_flag=True):
@@ -303,20 +311,9 @@ def potd_fit(data, r, solver=None, whiten_flag=True):
     :class:`DegenerateInputError` when the displacement spectrum is all
     zero, e.g. for classes with identical point clouds.
     """
-    labels = data.classes()
-    if labels.shape[0] < 2:
+    if data.classes().shape[0] < 2:
         raise InvalidInputError("need at least 2 classes")
-    if not 1 <= r <= data.p:
-        raise InvalidInputError(f"r must be in [1, p={data.p}], got {r}")
-    if solver is None:
-        solver = SolverConfig()
-    if whiten_flag:
-        Z, W = whiten(data.X)
-    else:
-        Z, W = data.X, None
-    blocks = _stacked_displacements(Z, data.y, data, solver)
-    svals, vecs = _displacement_spectrum(blocks, Z)
-    return _finish_basis(vecs[:, :r], svals, whiten_flag, W)
+    return _fit(data, [data.y], r, solver, whiten_flag)
 
 
 def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):
@@ -327,28 +324,22 @@ def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):
     are the 1/3 and 2/3 quantiles of ``y``. An all-zero displacement
     spectrum raises :class:`DegenerateInputError`, as in :func:`potd_fit`.
     """
-    y = np.asarray(data.y, dtype=np.float64)
-    if not 1 <= r <= data.p:
-        raise InvalidInputError(f"r must be in [1, p={data.p}], got {r}")
+    try:
+        y = np.asarray(data.y, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            f"continuous fit needs a numeric response, got dtype {data.y.dtype}"
+        ) from None
     if cuts is None:
         cuts = np.quantile(y, [1 / 3, 2 / 3])
     cuts = np.atleast_1d(np.asarray(cuts, dtype=np.float64))
     if cuts.shape[0] < 1:
         raise InvalidInputError("need at least one cut")
-    if solver is None:
-        solver = SolverConfig()
-    if whiten_flag:
-        Z, W = whiten(data.X)
-    else:
-        Z, W = data.X, None
-    blocks = []
-    for c in cuts:
-        side = np.where(y < c, 0, 1)
+    sides = [np.where(y < c, 0, 1) for c in cuts]
+    for c, side in zip(cuts, sides):
         if len(np.unique(side)) < 2:
             raise InvalidInputError(f"cut {c!r} leaves one side of the split empty")
-        blocks.extend(_stacked_displacements(Z, side, data, solver))
-    svals, vecs = _displacement_spectrum(blocks, Z)
-    return _finish_basis(vecs[:, :r], svals, whiten_flag, W)
+    return _fit(data, sides, r, solver, whiten_flag)
 
 
 def estimate_dimension(singular_values, threshold=0.9):
@@ -389,11 +380,8 @@ def second_order_displacement(source, target, coupling):
     diffs = source.points - images
     sigma = diffs.T @ (diffs * a[:, None])
     sigma = 0.5 * (sigma + sigma.T)
-    evals, evecs = np.linalg.eigh(sigma)
-    order = np.argsort(evals)[::-1]
-    return SecondOrderDisplacement(
-        sigma, evals[order], apply_sign_convention(evecs[:, order])
-    )
+    evals, evecs = descending_eigh(sigma)
+    return SecondOrderDisplacement(sigma, evals, apply_sign_convention(evecs))
 
 
 def project(X, basis):

@@ -26,13 +26,20 @@ from .errors import (
     PotdError,
 )
 from .ot import pairwise_sqdist
-from .synthetic import SyntheticSpec, gen_model, subspace_distance
+from .synthetic import (
+    MODEL_SUBSPACE_DIM,
+    MODELS,
+    SyntheticSpec,
+    gen_model,
+    subspace_distance,
+)
 
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 # label cells read as missing values (compared case-insensitively)
 MISSING_LABELS = ("", "nan")
+# the benchmark methods, in report order; fit_method dispatches on them
 METHODS = ("POTD", "SIR", "SAVE", "PCA")
 
 CSV_COLUMNS = (
@@ -125,13 +132,46 @@ class BenchmarkReport:
                 )
 
 
-def _aggregate(values):
-    if not values:
-        return None, None
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, sd
+def _check_known(kind, names, valid):
+    for name in names:
+        if name not in valid:
+            raise InvalidInputError(
+                f"unknown {kind} {name!r}; valid {kind}s: {', '.join(valid)}"
+            )
+
+
+def _report_row(results, key, method, setting, r, metric_kind):
+    """Aggregate one cell over the per-replication ``results[rep][key]``.
+
+    Each entry is ``(status, payload, effective_r)``; failed replications
+    are kept by index and left out of the mean and sd.
+    """
+    values, failures = [], {}
+    effective_r = r
+    for rep, res in enumerate(results):
+        status, payload, r_eff = res[key]
+        if status == "ok":
+            values.append(payload)
+            effective_r = r_eff
+        else:
+            failures[rep] = payload
+    mean = sd = None
+    if values:
+        arr = np.asarray(values, dtype=np.float64)
+        mean = float(arr.mean())
+        sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    return ReportRow(
+        method=method,
+        setting=setting,
+        r=r,
+        effective_r=effective_r,
+        metric_kind=metric_kind,
+        mean=mean,
+        sd=sd,
+        replications=len(results),
+        values=values,
+        failures=failures,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +343,14 @@ def fit_method(method, dataset, r, solver=None, whiten_flag=True):
 
     SIR may return fewer columns than requested (clamped to k-1).
     """
+    _check_known("method", [method], METHODS)
     if method == "POTD":
         return potd_fit(dataset, r, solver=solver, whiten_flag=whiten_flag)
     if method == "SIR":
         return sir_fit(dataset, r)
     if method == "SAVE":
         return save_fit(dataset, r)
-    if method == "PCA":
-        return pca_fit(dataset.X, r)
-    raise InvalidInputError(
-        f"unknown method {method!r}; valid methods: {', '.join(METHODS)}"
-    )
+    return pca_fit(dataset.X, r)
 
 
 def evaluate_split(dataset, train_idx, test_idx, method, r, K=10, solver=None):
@@ -333,9 +370,6 @@ def evaluate_split(dataset, train_idx, test_idx, method, r, K=10, solver=None):
 
 # ---------------------------------------------------------------------------
 # synthetic benchmark
-
-_MODEL_CODES = {"I": 1, "II": 2, "III": 3, "IV": 4}
-
 
 def _replication_seed(seed, *key):
     ss = np.random.SeedSequence([int(seed), *[int(k) for k in key]])
@@ -387,19 +421,12 @@ def run_synthetic_benchmark(
     recorded without aborting the run.
     """
     models = list(models)
-    for model in models:
-        if model not in _MODEL_CODES:
-            raise InvalidInputError(
-                f"unknown model {model!r}; valid models: "
-                f"{', '.join(_MODEL_CODES)}"
-            )
+    _check_known("model", models, MODELS)
     p_values = [int(p) for p in p_values]
     methods = list(methods)
-    for method in methods:
-        if method not in METHODS:
-            raise InvalidInputError(
-                f"unknown method {method!r}; valid methods: {', '.join(METHODS)}"
-            )
+    _check_known("method", methods, METHODS)
+    if replications < 1:
+        raise InvalidInputError("replications must be >= 1")
     config = {
         "models": models,
         "p_values": p_values,
@@ -420,7 +447,8 @@ def run_synthetic_benchmark(
                     model,
                     p,
                     n,
-                    _replication_seed(seed, _MODEL_CODES[model], p, rep),
+                    # a model's seed code is its 1-based position in MODELS
+                    _replication_seed(seed, MODELS.index(model) + 1, p, rep),
                     methods,
                     solver,
                     whiten_flag,
@@ -429,32 +457,11 @@ def run_synthetic_benchmark(
                 for rep in range(replications)
             ]
             results = _run_tasks(_synthetic_rep, tasks, workers)
-            for method in methods:
-                values, failures = [], {}
-                effective_r = None
-                for rep, res in enumerate(results):
-                    status, payload, r_eff = res[method]
-                    if status == "ok":
-                        values.append(payload)
-                        effective_r = r_eff
-                    else:
-                        failures[rep] = payload
-                mean, sd = _aggregate(values)
-                r0 = 2 if model in ("I", "II") else 4
-                rows.append(
-                    ReportRow(
-                        method=method,
-                        setting=f"{model}-{p}",
-                        r=r0,
-                        effective_r=effective_r if effective_r is not None else r0,
-                        metric_kind="subspace_distance",
-                        mean=mean,
-                        sd=sd,
-                        replications=replications,
-                        values=values,
-                        failures=failures,
-                    )
-                )
+            r0 = MODEL_SUBSPACE_DIM[model]
+            rows += [
+                _report_row(results, m, m, f"{model}-{p}", r0, "subspace_distance")
+                for m in methods
+            ]
     return BenchmarkReport(kind="synthetic-benchmark", rows=rows, config=config)
 
 
@@ -506,11 +513,7 @@ def run_real_benchmark(
     if split is None:
         split = SplitConfig()
     methods = list(methods)
-    for method in methods:
-        if method not in METHODS:
-            raise InvalidInputError(
-                f"unknown method {method!r}; valid methods: {', '.join(METHODS)}"
-            )
+    _check_known("method", methods, METHODS)
     dims = [int(r) for r in dims]
     if dataset.classes().shape[0] < 2:
         raise InvalidInputError("dataset must have at least 2 classes")
@@ -538,31 +541,9 @@ def run_real_benchmark(
         for rep in range(split.replications)
     ]
     results = _run_tasks(_real_rep, tasks, workers)
-    rows = []
-    for method in methods:
-        for r in dims:
-            values, failures = [], {}
-            effective_r = r
-            for rep, res in enumerate(results):
-                status, payload, r_eff = res[(method, r)]
-                if status == "ok":
-                    values.append(payload)
-                    effective_r = r_eff
-                else:
-                    failures[rep] = payload
-            mean, sd = _aggregate(values)
-            rows.append(
-                ReportRow(
-                    method=method,
-                    setting=setting,
-                    r=r,
-                    effective_r=effective_r,
-                    metric_kind="accuracy",
-                    mean=mean,
-                    sd=sd,
-                    replications=split.replications,
-                    values=values,
-                    failures=failures,
-                )
-            )
+    rows = [
+        _report_row(results, (method, r), method, setting, r, "accuracy")
+        for method in methods
+        for r in dims
+    ]
     return BenchmarkReport(kind="real-benchmark", rows=rows, config=config)

@@ -14,9 +14,9 @@ from .errors import InvalidInputError
 
 MODELS = ("I", "II", "III", "IV")
 
-# dimension of the informative subspace (leading coordinate directions)
+# dimension of the informative subspace (leading coordinate directions);
+# the signal reads exactly these axes, so it is also each model's minimum p
 MODEL_SUBSPACE_DIM = {"I": 2, "II": 2, "III": 4, "IV": 4}
-_MODEL_MIN_P = {"I": 2, "II": 2, "III": 4, "IV": 4}
 
 
 def make_rng(seed, *key):
@@ -41,9 +41,9 @@ class SyntheticSpec:
                 f"unknown model {self.model!r}; valid: {', '.join(MODELS)}, "
                 "cshape, svm3d"
             )
-        if self.model in MODELS and self.p < _MODEL_MIN_P[self.model]:
+        if self.model in MODELS and self.p < MODEL_SUBSPACE_DIM[self.model]:
             raise InvalidInputError(
-                f"model {self.model} requires p >= {_MODEL_MIN_P[self.model]}"
+                f"model {self.model} requires p >= {MODEL_SUBSPACE_DIM[self.model]}"
             )
         if self.n < 2:
             raise InvalidInputError("n must be >= 2")
@@ -176,16 +176,6 @@ def gen_svm3d(n_per_class=200, seed=0):
     X = np.vstack([first, second])
     y = np.repeat([1, 2], n_per_class)
     return LabeledDataset(X, y), _leading_axes(3, 2)
-
-
-def generate(spec, n_per_class=None, standardize="per-class"):
-    """Dispatch a SyntheticSpec to its generator."""
-    if spec.model in MODELS:
-        return gen_model(spec)
-    per_class = n_per_class if n_per_class is not None else max(spec.n // 2, 2)
-    if spec.model == "cshape":
-        return gen_cshape(per_class, spec.seed, standardize=standardize)
-    return gen_svm3d(per_class, spec.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from potd.harness import (
     save_csv_dataset,
     stratified_split,
 )
+from potd.synthetic import gen_cshape, gen_svm3d
 
 
 def run_cli(*argv):
@@ -182,6 +183,25 @@ class TestEmbed:
         ) == 2
 
 
+class TestGen:
+    @pytest.mark.parametrize(
+        "model, draw",
+        [
+            ("svm3d", lambda: gen_svm3d(20, 4)),
+            ("cshape", lambda: gen_cshape(20, 4, standardize="pooled")),
+        ],
+    )
+    def test_writes_the_generator_draw(self, model, draw, tmp_path):
+        out, ref = tmp_path / "cli.csv", tmp_path / "ref.csv"
+        # --n sizes only the sign models; the per-class generators ignore it
+        assert run_cli(
+            "gen", "--model", model, "--n", "1", "--n-per-class", "20",
+            "--standardize", "pooled", "--seed", "4", "--dump", str(out),
+        ) == 0
+        save_csv_dataset(draw()[0], str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+
+
 class TestBenchSynthetic:
     def test_report_contains_requested_rows(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -205,6 +225,17 @@ class TestBenchSynthetic:
         )
         assert code == 2
         assert "POTD, SIR, SAVE, PCA" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_nonpositive_replications_exit_2(self, reps, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run_cli(
+            "bench-synthetic", "--models", "I", "--methods", "PCA",
+            "--replications", reps, "--output", str(out),
+        )
+        assert code == 2
+        assert "replications must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_modulo_timestamp(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -3,6 +3,8 @@ invariants."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from potd.core import (
     Basis,
@@ -303,11 +305,82 @@ class TestPotdFitContinuous:
             potd_fit_continuous(data, 1, cuts=[5.0], solver=EXACT)
 
 
+    def test_non_numeric_response_rejected(self, rng):
+        data = LabeledDataset(rng.normal(size=(30, 3)), np.repeat(["a", "b"], 15))
+        with pytest.raises(InvalidInputError, match="numeric response"):
+            potd_fit_continuous(data, 1, solver=EXACT)
+
     def test_identical_cut_sides_rejected(self, rng):
         cloud = rng.normal(size=(20, 3))
         data = LabeledDataset(np.vstack([cloud, cloud]), np.repeat([0.0, 1.0], 20))
         with pytest.raises(DegenerateInputError, match="singular values are zero"):
             potd_fit_continuous(data, 1, cuts=[0.5], solver=EXACT)
+
+
+def fit_kind(kind, X, labels, r, whiten_flag):
+    """Fit integer ``labels`` as classes, or as a continuous response cut
+    midway between consecutive labels (one labelling per cut)."""
+    if kind == "categorical":
+        return potd_fit(LabeledDataset(X, labels), r, EXACT, whiten_flag)
+    y = labels.astype(np.float64)
+    present = np.unique(y)
+    cuts = (present[:-1] + present[1:]) / 2
+    return potd_fit_continuous(LabeledDataset(X, y), r, cuts, EXACT, whiten_flag)
+
+
+FIT_PROPERTY_SETTINGS = settings(
+    max_examples=30, deadline=None, derandomize=True, database=None
+)
+
+
+@pytest.mark.parametrize("kind", ["categorical", "continuous"])
+class TestFitProperties:
+    """Properties of the one fit pipeline behind both fit kinds, on small
+    exact-solver instances: two or three classes (one or two cuts), equal
+    sizes on the assignment path and unequal ones on the LP."""
+
+    @FIT_PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(10, 40),
+        p=st.integers(2, 4),
+        k=st.integers(2, 3),
+        r=st.integers(1, 3),
+        whiten_flag=st.booleans(),
+    )
+    def test_row_permutation_keeps_the_subspace(
+        self, kind, seed, n, p, k, r, whiten_flag
+    ):
+        rng = np.random.default_rng(seed)
+        r = min(r, p - 1)
+        X = rng.normal(size=(n, p))
+        labels = rng.permutation(np.arange(n) % k)
+        base = fit_kind(kind, X, labels, r, whiten_flag)
+        sv = base.singular_values
+        # the span of the leading r vectors is defined only across a gap
+        assume(sv[r - 1] - sv[r] > 1e-6 * sv[0])
+        perm = rng.permutation(n)
+        refit = fit_kind(kind, X[perm], labels[perm], r, whiten_flag)
+        assert subspace_distance(base, refit.vectors) <= 1e-8
+        assert np.allclose(refit.singular_values, sv, rtol=1e-9, atol=1e-12 * sv[0])
+
+    @FIT_PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 4),
+        extra=st.integers(1, 8),
+        k=st.integers(2, 3),
+        whiten_flag=st.booleans(),
+    )
+    def test_coincident_class_clouds_are_degenerate(
+        self, kind, seed, p, extra, k, whiten_flag
+    ):
+        rng = np.random.default_rng(seed)
+        cloud = rng.normal(size=(p + extra, p))
+        X = np.vstack([cloud] * k)
+        labels = np.repeat(np.arange(k), cloud.shape[0])
+        with pytest.raises(DegenerateInputError, match="singular values are zero"):
+            fit_kind(kind, X, labels, 1, whiten_flag)
 
 
 class TestEstimateDimension:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from potd.core import LabeledDataset
+from potd.core import LabeledDataset, potd_fit
 from potd.errors import (
     DatasetParseError,
     DatasetSchemaError,
@@ -14,6 +14,7 @@ from potd.errors import (
 )
 from potd.harness import (
     SplitConfig,
+    _replication_seed,
     accuracy,
     evaluate_split,
     fit_method,
@@ -26,6 +27,7 @@ from potd.harness import (
     stratified_split,
 )
 from potd.ot import SolverConfig
+from potd.synthetic import SyntheticSpec, gen_model, subspace_distance
 
 EXACT = SolverConfig(mode="exact")
 
@@ -264,6 +266,18 @@ class TestSyntheticBenchmark:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidInputError):
             run_synthetic_benchmark(["I"], [5], ["LDA"], n=50, replications=1, seed=0)
+
+    @pytest.mark.parametrize("model, code", [("I", 1), ("II", 2), ("III", 3), ("IV", 4)])
+    def test_replication_draws_are_pinned(self, model, code):
+        # every synthetic report derives its draws from these model codes
+        report = run_synthetic_benchmark(
+            [model], [5], ["POTD"], n=60, replications=1, seed=9, solver=EXACT
+        )
+        spec = SyntheticSpec(model, 60, 5, _replication_seed(9, code, 5, 0))
+        data, truth = gen_model(spec)
+        (row,) = report.rows
+        assert row.r == truth.dim
+        assert row.values == [subspace_distance(potd_fit(data, truth.dim, EXACT), truth)]
 
     def test_workers_do_not_change_results(self):
         kwargs = dict(

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from potd import harness, ot
+from potd import baselines, core, harness, ot
 from potd.core import LabeledDataset
 from potd.ot import SolverConfig, pairwise_sqdist, sinkhorn_scaling, solve_coupling
 
@@ -203,7 +203,8 @@ class TestSinkhornScaling:
 
 def test_traced_kernel_sites_are_called(monkeypatch, rng):
     """The benchmark tracer wraps these module attributes; a refactor that
-    bypasses them would silently drop their spans."""
+    bypasses them (say, a method table bound to the functions at import)
+    would silently drop their spans."""
     calls = Counter()
 
     def counting(name, fn):
@@ -213,8 +214,13 @@ def test_traced_kernel_sites_are_called(monkeypatch, rng):
 
         return wrapped
 
-    for module, attr in ((ot, "sinkhorn_scaling"), (ot, "pairwise_sqdist"),
-                         (harness, "pairwise_sqdist")):
+    sites = (
+        (ot, "sinkhorn_scaling"), (ot, "pairwise_sqdist"), (harness, "pairwise_sqdist"),
+        (harness, "potd_fit"), (harness, "sir_fit"), (harness, "save_fit"),
+        (harness, "pca_fit"), (core, "potd_fit"), (core, "solve_coupling"),
+        (core, "whiten"), (baselines, "whiten"),
+    )
+    for module, attr in sites:
         name = f"{module.__name__}.{attr}"
         monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
     mu, nu = random_instance(rng, 6, 5)
@@ -225,4 +231,26 @@ def test_traced_kernel_sites_are_called(monkeypatch, rng):
         "potd.ot.sinkhorn_scaling": 1,
         "potd.ot.pairwise_sqdist": 1,
         "potd.harness.pairwise_sqdist": 1,
+    }
+
+    calls.clear()
+    exact = SolverConfig(mode="exact")
+    data = LabeledDataset(rng.normal(size=(12, 3)), np.arange(12) % 2)
+    for method in harness.METHODS:
+        harness.fit_method(method, data, 1, solver=exact)
+    y = rng.normal(size=12)
+    core.potd_fit_continuous(
+        LabeledDataset(data.X, y), 1, cuts=[float(np.median(y))], solver=exact
+    )
+    # one whitening and one coupling per POTD fit (two classes, one cut);
+    # neither fit goes through the public core.potd_fit attribute
+    assert calls == {
+        "potd.harness.potd_fit": 1,
+        "potd.harness.sir_fit": 1,
+        "potd.harness.save_fit": 1,
+        "potd.harness.pca_fit": 1,
+        "potd.core.whiten": 2,
+        "potd.core.solve_coupling": 2,
+        "potd.baselines.whiten": 2,
+        "potd.ot.pairwise_sqdist": 2,
     }
