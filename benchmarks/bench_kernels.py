@@ -9,7 +9,10 @@ and on table-shaped instances: the whitened sign-label classes of model
 I at p=10 and model III at p=30, n=400, over the first 12 seeds whose
 classes differ in size, reporting the median time and the median number
 of HiGHS runs (pricing rounds) per solve. Each timing is the best of a
-few repeats. BLAS runs on one thread.
+few repeats. BLAS runs on one thread. ``knn_predict`` is timed at K=10 on
+200 test against 200 training points (the shape of one ``bench-real``
+split of the bundled blobs data), projected to r=2 and r=8 with two
+labels, and on a tie-heavy integer grid in the plane with three labels.
 
 Every run appends one record, its rows plus provenance (git SHA of the
 measured ``potd`` checkout, suffixed ``-dirty`` when it has uncommitted
@@ -39,7 +42,8 @@ import scipy  # noqa: E402
 
 import potd  # noqa: E402
 from potd import ot  # noqa: E402
-from potd.core import whiten  # noqa: E402
+from potd.core import LabeledDataset, whiten  # noqa: E402
+from potd.harness import knn_predict  # noqa: E402
 from potd.ot import DiscreteMeasure, exact_ot, pairwise_sqdist, sinkhorn_scaling  # noqa: E402
 from potd.synthetic import SyntheticSpec, gen_model  # noqa: E402
 
@@ -166,6 +170,26 @@ def bench_table_lp():
     return rows
 
 
+def bench_knn(rng):
+    print("\nKNN prediction (200 test x 200 train points, K=10)")
+    print(f"{'points':>8} {'r':>3} {'labels':>7} {'ms':>10}")
+    rows = []
+    for points, r, n_labels in (("normal", 2, 2), ("normal", 8, 2), ("grid", 2, 3)):
+        if points == "grid":
+            # coordinates in -3..3: most rows tie at their K-th distance
+            train_x = rng.integers(-3, 4, size=(200, r)).astype(np.float64)
+            test_x = rng.integers(-3, 4, size=(200, r)).astype(np.float64)
+        else:
+            train_x = rng.normal(size=(200, r))
+            test_x = rng.normal(size=(200, r))
+        train = LabeledDataset(train_x, rng.integers(0, n_labels, size=200))
+        ms = best_of(knn_predict, train, test_x, 10, repeats=20) * 1e3
+        print(f"{points:>8} {r:>3} {n_labels:>7} {ms:>10.3f}")
+        rows.append({"bench": "knn_predict", "points": points, "n_train": 200,
+                     "n_test": 200, "r": r, "labels": n_labels, "K": 10, "ms": ms})
+    return rows
+
+
 def provenance():
     """Where the measured library comes from and what it ran on."""
     src = Path(potd.__file__).resolve().parent
@@ -194,7 +218,8 @@ def provenance():
 
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([123]))
-    rows = bench_pairwise(rng) + bench_sinkhorn(rng) + bench_exact_lp(rng) + bench_table_lp()
+    rows = (bench_pairwise(rng) + bench_sinkhorn(rng) + bench_exact_lp(rng)
+            + bench_table_lp() + bench_knn(rng))
     record = {"provenance": provenance(), "rows": rows}
     runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
     runs.append(record)

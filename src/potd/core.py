@@ -323,7 +323,14 @@ def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):
     displacement rows of all cuts are pooled before the SVD. Default cuts
     are the 1/3 and 2/3 quantiles of ``y``. An all-zero displacement
     spectrum raises :class:`DegenerateInputError`, as in :func:`potd_fit`.
+    ``class_weights`` are keyed by class label, which a cut side is not, so
+    a dataset that carries them is rejected.
     """
+    if data.class_weights is not None:
+        raise InvalidInputError(
+            "class_weights are keyed by class label and have no meaning for "
+            "the cut sides of a continuous fit"
+        )
     try:
         y = np.asarray(data.y, dtype=np.float64)
     except (TypeError, ValueError):

@@ -274,7 +274,9 @@ def knn_predict(train, test_points, K):
     """Majority vote among the K nearest training points.
 
     Deterministic tie handling: equal distances prefer the lower training
-    row index, tied votes prefer the smallest class label.
+    row index, tied votes prefer the smallest class label. K outside
+    ``[1, train.n]``, a test matrix without rows and non-finite test points
+    raise :class:`InvalidInputError`.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
@@ -285,14 +287,28 @@ def knn_predict(train, test_points, K):
         raise InvalidInputError(
             f"test points must be a matrix with {train.p} columns"
         )
+    if test_points.shape[0] == 0:
+        raise InvalidInputError("no test points to classify")
+    if not np.all(np.isfinite(test_points)):
+        raise InvalidInputError("test points contain non-finite entries")
     labels, codes = np.unique(train.y, return_inverse=True)
     dists = pairwise_sqdist(test_points, train.X)
-    # stable argsort keeps the lower row index first among equal distances
-    nearest = np.argsort(dists, axis=1, kind="stable")[:, :K]
-    votes = codes[nearest]
-    counts = np.apply_along_axis(np.bincount, 1, votes, minlength=labels.shape[0])
+    # every point within a row's K-th smallest distance is a candidate; the
+    # index list copies the column out, so the partitioned matrix is freed
+    kth = np.partition(dists, K - 1, axis=1)[:, [K - 1]]
+    chosen = dists <= kth
+    # rows with ties at the K-th distance keep the tied points of lowest row
+    # index, as a stable sort by distance would
+    counts = np.count_nonzero(chosen, axis=1)
+    over = np.flatnonzero(counts > K)
+    if over.size:
+        tied = dists[over] == kth[over]
+        keep = K - counts[over] + np.count_nonzero(tied, axis=1)
+        chosen[over] &= ~tied | (np.cumsum(tied, axis=1) <= keep[:, None])
+    # one-hot label columns turn the K selected points into votes per label
+    votes = chosen @ np.eye(labels.shape[0])[codes]
     # argmax picks the first maximum, i.e. the smallest label on vote ties
-    return labels[np.argmax(counts, axis=1)]
+    return labels[np.argmax(votes, axis=1)]
 
 
 def accuracy(predicted, truth):

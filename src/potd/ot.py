@@ -185,8 +185,12 @@ def pairwise_sqdist(x, y):
     """All-pairs squared Euclidean distances, shape (len(x), len(y))."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
-    sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
-    d = sq - 2.0 * (x @ y.T)
+    d = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
+    # |x|^2 + |y|^2 - 2 x.y in place: two n-by-m buffers, and the same bits
+    # as the out-of-place expression since doubling is exact
+    g = x @ y.T
+    g *= 2.0
+    d -= g
     # the dot-product expansion can go slightly negative for near-coincident
     # points; squared distances are nonnegative by definition
     np.maximum(d, 0.0, out=d)

@@ -305,6 +305,15 @@ class TestPotdFitContinuous:
             potd_fit_continuous(data, 1, cuts=[5.0], solver=EXACT)
 
 
+    def test_class_weights_rejected(self, rng):
+        # the weights are keyed by response value 0.0, which is also the
+        # 0/1 label of the lower side of every cut
+        data = LabeledDataset(
+            rng.normal(size=(30, 3)), np.arange(30.0), class_weights={0.0: np.ones(15)}
+        )
+        with pytest.raises(InvalidInputError, match="class_weights"):
+            potd_fit_continuous(data, 1, cuts=[15.0], solver=EXACT)
+
     def test_non_numeric_response_rejected(self, rng):
         data = LabeledDataset(rng.normal(size=(30, 3)), np.repeat(["a", "b"], 15))
         with pytest.raises(InvalidInputError, match="numeric response"):

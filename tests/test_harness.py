@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potd.core import LabeledDataset, potd_fit
 from potd.errors import (
@@ -30,6 +32,33 @@ from potd.ot import SolverConfig
 from potd.synthetic import SyntheticSpec, gen_model, subspace_distance
 
 EXACT = SolverConfig(mode="exact")
+
+
+def reference_knn_predict(train, test_points, K):
+    """Oracle: a stable argsort by distance, then one bincount per test row."""
+    labels, codes = np.unique(train.y, return_inverse=True)
+    dists = ((test_points[:, None, :] - train.X[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argsort(dists, axis=1, kind="stable")[:, :K]
+    counts = np.apply_along_axis(np.bincount, 1, codes[nearest], minlength=labels.shape[0])
+    return labels[np.argmax(counts, axis=1)]
+
+
+@st.composite
+def grid_knn_instances(draw):
+    """Integer-grid points, where distance ties are common; 1-4 labels,
+    integer or string; test sets that include copies of training rows."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 25))
+    coord = st.integers(-2, 2)
+    train_x = np.array(draw(st.lists(st.lists(coord, min_size=p, max_size=p),
+                                     min_size=n, max_size=n)), dtype=np.float64)
+    codes = draw(st.lists(st.integers(0, draw(st.integers(0, 3))), min_size=n, max_size=n))
+    y = np.array([f"c{c}" for c in codes]) if draw(st.booleans()) else np.array(codes)
+    fresh = draw(st.lists(st.lists(coord, min_size=p, max_size=p), min_size=1, max_size=8))
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    test_x = np.vstack([np.array(fresh, dtype=np.float64), train_x[copies]])
+    K = draw(st.integers(1, n))
+    return LabeledDataset(train_x, y), test_x, K
 
 
 def write_csv(path, text):
@@ -142,6 +171,24 @@ class TestKnn:
             knn_predict(train, np.zeros((1, 2)), 0)
         with pytest.raises(InvalidInputError):
             knn_predict(train, np.zeros((1, 2)), 6)
+
+    @pytest.mark.parametrize(
+        "points, match",
+        [(np.zeros((0, 2)), "no test points"), (np.array([[0.0, np.nan]]), "non-finite")],
+    )
+    def test_rejected_test_points(self, rng, points, match):
+        train = LabeledDataset(rng.normal(size=(5, 2)), np.array([1, 1, 2, 2, 2]))
+        with pytest.raises(InvalidInputError, match=match):
+            knn_predict(train, points, 3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(grid_knn_instances())
+    def test_matches_stable_sort_reference(self, instance):
+        train, test_x, K = instance
+        pred = knn_predict(train, test_x, K)
+        ref = reference_knn_predict(train, test_x, K)
+        assert pred.dtype == ref.dtype
+        assert np.array_equal(pred, ref)
 
 
 class TestAccuracy:

@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -86,6 +86,18 @@ def scaling_instances(draw):
 
 
 class TestPairwiseSqdist:
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_bitwise_equal_to_the_out_of_place_expansion(self, n, m, p, seed):
+        # points at scales from 1e-4 to 1e4, some shifted far from the origin
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-4, 4, size=(n, 1))
+        y = rng.normal(size=(m, p)) * 10.0 ** rng.uniform(-4, 4, size=(m, 1))
+        y[rng.random(m) < 0.3] += 10.0 ** rng.uniform(-4, 4)
+        sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
+        expected = np.maximum(sq - 2.0 * (x @ y.T), 0.0)
+        assert np.array_equal(pairwise_sqdist(x, y), expected)
+
     def test_numpy_matches_reference(self, rng):
         x = rng.normal(size=(7, 4))
         y = rng.normal(size=(5, 4))
@@ -131,10 +143,13 @@ class TestSinkhornScaling:
     def test_matches_log_domain_reference(self, instance):
         neg_cost, log_a, log_b, u0, v0 = instance
         budget, tol = 20_000, 1e-9
-        u, v, sweeps, err = sinkhorn_scaling(neg_cost, log_a, log_b, budget, tol, u0, v0)
-        ref_u, ref_v, ref_sweeps, _ = reference_scaling(
+        ref_u, ref_v, ref_sweeps, ref_err = reference_scaling(
             neg_cost, log_a, log_b, budget, tol, u0, v0
         )
+        # an instance the reference cannot solve within the budget says
+        # nothing about the kernel; skip it rather than fail and shrink it
+        assume(ref_err <= tol)
+        u, v, sweeps, err = sinkhorn_scaling(neg_cost, log_a, log_b, budget, tol, u0, v0)
         assert abs(sweeps - ref_sweeps) <= 1
         plan = plan_of(neg_cost, u, v)
         assert np.max(np.abs(plan - plan_of(neg_cost, ref_u, ref_v))) <= 1e-12
