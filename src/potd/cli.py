@@ -5,7 +5,8 @@ and ``oracle-check``. Exit codes: 0 on success, 1 on numeric or internal
 failure, 2 on usage or input errors. Every command is deterministic for
 fixed flags and seed; timestamps appear only in ``.meta.json`` sidecars
 or the report ``meta`` block. A JSON file passed via ``--config``
-overrides the parsed flags (keys are flag names with underscores).
+overrides the parsed flags (keys are flag names with underscores; values
+are converted and checked as the flag's text would be).
 """
 
 import argparse
@@ -95,19 +96,48 @@ def _resolved_config(args):
     return out
 
 
-def _apply_config_file(args):
+def _config_value(action, key, value):
+    """A ``--config`` value converted and checked as the flag's text would be.
+
+    Lists are joined with commas, as the list flags are written; on/off
+    flags take JSON booleans, and flags without a default take null.
+    """
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise InvalidInputError(f"config key {key!r} must be true or false")
+        return value
+    if value is None and action.default is None:
+        return None
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        value = action.type(text) if action.type else text
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise InvalidInputError(f"config key {key!r} has invalid value {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise InvalidInputError(
+            f"config key {key!r} has invalid choice {value!r}; "
+            f"choose from {', '.join(map(str, action.choices))}"
+        )
+    return value
+
+
+def _apply_config_file(parser, args):
     if not getattr(args, "config", None):
         return
     with open(args.config, encoding="utf-8") as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise InvalidInputError("config file must contain a JSON object")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {
+        a.dest: a for p in (parser, commands.choices[args.command]) for a in p._actions
+    }
     known = vars(args)
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if attr not in known or attr in ("func", "config"):
             raise InvalidInputError(f"unknown config key {key!r}")
-        setattr(args, attr, value)
+        setattr(args, attr, _config_value(actions[attr], key, value))
 
 
 def _write_meta(path, config, extra=None):
@@ -195,6 +225,8 @@ def _add_dataset_flags(parser):
 def _cmd_fit(args):
     data = load_csv_dataset(args.data, args.label_column, args.delimiter)
     solver = _solver_from_args(args)
+    if args.r is None and args.auto_dim is None:
+        raise InvalidInputError("fit needs --r or --auto-dim")
     if args.auto_dim is not None:
         full_r = min(data.p, data.n * (data.classes().shape[0] - 1))
         basis = potd_fit(data, full_r, solver=solver, whiten_flag=args.whiten)
@@ -632,7 +664,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if not exc.code else int(exc.code)
     try:
-        _apply_config_file(args)
+        _apply_config_file(parser, args)
         logging.basicConfig(level=getattr(logging, args.log_level.upper()))
         if getattr(args, "setting", "unset") is None:
             args.setting = os.path.splitext(os.path.basename(args.data))[0]

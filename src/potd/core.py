@@ -18,7 +18,9 @@ ORTHONORMAL_TOL = 1e-10
 RANK_REL_TOL = 1e-10
 
 # ratio of stacked rows to columns above which the SVD is taken through the
-# p-by-p Gram matrix instead of the full row matrix
+# p-by-p Gram matrix instead of the full row matrix; short stacks keep the
+# SVD because squaring in the Gram matrix loses the trailing singular values
+# (test_two_point_degenerate_spans_displacement pins them to 1e-12)
 GRAM_PATH_ROW_FACTOR = 4
 
 
@@ -51,7 +53,6 @@ class Basis:
 
     vectors: np.ndarray
     singular_values: np.ndarray
-    whitening_applied: bool = False
 
     def __post_init__(self):
         vecs = np.asarray(self.vectors, dtype=np.float64)
@@ -79,20 +80,15 @@ class Basis:
         """Basis of the leading ``r`` columns."""
         if not 1 <= r <= self.dim:
             raise InvalidInputError(f"r must be in [1, {self.dim}], got {r}")
-        return Basis(self.vectors[:, :r], self.singular_values, self.whitening_applied)
+        return Basis(self.vectors[:, :r], self.singular_values)
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Predictor matrix with a response vector (categorical or real).
-
-    ``class_weights`` optionally maps a label to per-point masses for that
-    class, in row order; they are L1-normalized before use.
-    """
+    """Predictor matrix with a response vector (categorical or real)."""
 
     X: np.ndarray
     y: np.ndarray
-    class_weights: dict | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
@@ -126,31 +122,6 @@ class LabeledDataset:
     def class_counts(self):
         labels, counts = np.unique(self.y, return_counts=True)
         return dict(zip(labels.tolist(), counts.tolist()))
-
-    def weights_for(self, label, size):
-        if self.class_weights is not None and label in self.class_weights:
-            w = np.asarray(self.class_weights[label], dtype=np.float64).ravel()
-            if w.shape[0] != size:
-                raise InvalidInputError(
-                    f"class_weights for label {label!r} has length {w.shape[0]}, "
-                    f"expected {size}"
-                )
-            if np.any(w < 0) or w.sum() <= 0:
-                raise InvalidInputError(
-                    f"class_weights for label {label!r} must be nonnegative "
-                    "with positive sum"
-                )
-            return w / w.sum()
-        return np.full(size, 1.0 / size)
-
-
-@dataclass(frozen=True)
-class DisplacementMatrix:
-    """Mass-weighted displacement rows for one ordered class pair."""
-
-    rows: np.ndarray
-    source_class: object = None
-    target_class: object = None
 
 
 @dataclass(frozen=True)
@@ -196,8 +167,8 @@ def whiten(X):
     return Xc @ W, W
 
 
-def displacement_matrix(source, target, coupling, source_class=None, target_class=None):
-    """Weighted displacements ``diag(a_i) X_(i) - G_ij X_(j)``.
+def displacement_matrix(source, target, coupling):
+    """Weighted displacement rows ``diag(a_i) X_(i) - G_ij X_(j)``.
 
     The column sums equal the difference of the two weighted class means.
     """
@@ -208,21 +179,18 @@ def displacement_matrix(source, target, coupling, source_class=None, target_clas
         )
     if source.dim != target.dim:
         raise InvalidInputError("source and target point dimensions differ")
-    rows = source.weights[:, None] * source.points - coupling.plan @ target.points
-    return DisplacementMatrix(rows, source_class, target_class)
+    return source.weights[:, None] * source.points - coupling.plan @ target.points
 
 
-def _stacked_displacements(Z, y, data, solver):
+def _stacked_displacements(Z, y, solver):
     """Displacement blocks for every ordered class pair, in label order.
 
-    The coupling for (j, i) is the transpose of the one for (i, j) — the
-    cost matrix transposes — so each unordered pair is solved once.
+    Each class is the empirical measure of its rows, mass 1/n_class per
+    point. The coupling for (j, i) is the transpose of the one for (i, j) —
+    the cost matrix transposes — so each unordered pair is solved once.
     """
     labels = np.unique(y)
-    measures = {}
-    for label in labels:
-        pts = Z[y == label]
-        measures[label] = DiscreteMeasure(pts, data.weights_for(label, pts.shape[0]))
+    measures = {label: DiscreteMeasure.uniform(Z[y == label]) for label in labels}
     plans = {}
     blocks = []
     for ci in labels:
@@ -233,9 +201,7 @@ def _stacked_displacements(Z, y, data, solver):
                 coupling = solve_coupling(measures[ci], measures[cj], config=solver)
                 plans[(ci, cj)] = coupling
                 plans[(cj, ci)] = transpose_coupling(coupling)
-            blocks.append(
-                displacement_matrix(measures[ci], measures[cj], plans[(ci, cj)], ci, cj)
-            )
+            blocks.append(displacement_matrix(measures[ci], measures[cj], plans[(ci, cj)]))
     return blocks
 
 
@@ -266,7 +232,7 @@ def back_mapped_basis(vectors, spectrum, W):
     coordinates; ``W is None`` means the fit ran on the raw predictors."""
     if W is not None:
         vectors = orthonormalize(W @ vectors)
-    return Basis(vectors, spectrum, whitening_applied=W is not None)
+    return Basis(vectors, spectrum)
 
 
 def _fit(data, labelings, r, solver, whiten_flag):
@@ -285,9 +251,7 @@ def _fit(data, labelings, r, solver, whiten_flag):
     if solver is None:
         solver = SolverConfig()
     Z, W = whiten(data.X) if whiten_flag else (data.X, None)
-    stacked = np.vstack(
-        [b.rows for y in labelings for b in _stacked_displacements(Z, y, data, solver)]
-    )
+    stacked = np.vstack([b for y in labelings for b in _stacked_displacements(Z, y, solver)])
     if stacked.shape[0] > GRAM_PATH_ROW_FACTOR * data.p:
         evals, vecs = descending_eigh(stacked.T @ stacked)
         svals = np.sqrt(np.maximum(evals, 0.0))
@@ -323,14 +287,7 @@ def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):
     displacement rows of all cuts are pooled before the SVD. Default cuts
     are the 1/3 and 2/3 quantiles of ``y``. An all-zero displacement
     spectrum raises :class:`DegenerateInputError`, as in :func:`potd_fit`.
-    ``class_weights`` are keyed by class label, which a cut side is not, so
-    a dataset that carries them is rejected.
     """
-    if data.class_weights is not None:
-        raise InvalidInputError(
-            "class_weights are keyed by class label and have no meaning for "
-            "the cut sides of a continuous fit"
-        )
     try:
         y = np.asarray(data.y, dtype=np.float64)
     except (TypeError, ValueError):

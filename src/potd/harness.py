@@ -13,6 +13,7 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -275,8 +276,8 @@ def knn_predict(train, test_points, K):
 
     Deterministic tie handling: equal distances prefer the lower training
     row index, tied votes prefer the smallest class label. K outside
-    ``[1, train.n]``, a test matrix without rows and non-finite test points
-    raise :class:`InvalidInputError`.
+    ``[1, train.n]``, a test matrix without rows, non-finite test points
+    and squared distances that overflow raise :class:`InvalidInputError`.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
@@ -293,6 +294,11 @@ def knn_predict(train, test_points, K):
         raise InvalidInputError("test points contain non-finite entries")
     labels, codes = np.unique(train.y, return_inverse=True)
     dists = pairwise_sqdist(test_points, train.X)
+    # an overflowed distance would rank as the largest or tie at inf
+    if not np.all(np.isfinite(dists)):
+        raise InvalidInputError(
+            "squared distances overflow float64; rescale the points"
+        )
     # every point within a row's K-th smallest distance is a candidate; the
     # index list copies the column out, so the partitioned matrix is freed
     kth = np.partition(dists, K - 1, axis=1)[:, [K - 1]]
@@ -354,14 +360,15 @@ def random_split(y, test_fraction, rng):
 # method dispatch
 
 
-def fit_method(method, dataset, r, solver=None, whiten_flag=True):
+def fit_method(method, dataset, r, solver=None):
     """Fit one of the benchmark methods; returns a Basis.
 
-    SIR may return fewer columns than requested (clamped to k-1).
+    POTD fits on whitened predictors, as the benchmark protocol does. SIR
+    may return fewer columns than requested (clamped to k-1).
     """
     _check_known("method", [method], METHODS)
     if method == "POTD":
-        return potd_fit(dataset, r, solver=solver, whiten_flag=whiten_flag)
+        return potd_fit(dataset, r, solver=solver)
     if method == "SIR":
         return sir_fit(dataset, r)
     if method == "SAVE":
@@ -392,29 +399,37 @@ def _replication_seed(seed, *key):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _synthetic_rep(task):
-    model, p, n, rep_seed, methods, solver, whiten_flag, noise_scale = task
+def _synthetic_rep(model, p, n, methods, solver, noise_scale, rep_seed):
     spec = SyntheticSpec(model=model, n=n, p=p, seed=rep_seed, noise_scale=noise_scale)
     data, truth = gen_model(spec)
     r0 = truth.dim
     out = {}
     for method in methods:
         try:
-            basis = fit_method(method, data, r0, solver=solver, whiten_flag=whiten_flag)
+            basis = fit_method(method, data, r0, solver=solver)
             out[method] = ("ok", subspace_distance(basis, truth), basis.dim)
         except (PotdError, np.linalg.LinAlgError) as exc:
             out[method] = ("error", f"{type(exc).__name__}: {exc}", r0)
     return out
 
 
-def _run_tasks(func, tasks, workers):
+def _run_tasks(func, seeds, workers):
+    """``[func(seed) for seed in seeds]``, over ``workers`` processes
+    (capped by the ``POTD_MAX_THREADS`` environment variable)."""
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, got {workers}")
     cap = os.environ.get("POTD_MAX_THREADS")
     if cap:
-        workers = min(workers, max(int(cap), 1))
-    if workers > 1 and len(tasks) > 1:
+        try:
+            workers = min(workers, max(int(cap), 1))
+        except ValueError:
+            raise InvalidInputError(
+                f"POTD_MAX_THREADS must be an integer, got {cap!r}"
+            ) from None
+    if workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(func, tasks))
-    return [func(t) for t in tasks]
+            return list(pool.map(func, seeds))
+    return [func(seed) for seed in seeds]
 
 
 def run_synthetic_benchmark(
@@ -425,7 +440,6 @@ def run_synthetic_benchmark(
     replications=100,
     seed=42,
     solver=None,
-    whiten_flag=True,
     noise_scale=0.2,
     workers=1,
 ):
@@ -452,27 +466,17 @@ def run_synthetic_benchmark(
         "seed": seed,
         "noise_scale": noise_scale,
         "solver": None if solver is None else asdict(solver),
-        "whiten": whiten_flag,
+        "whiten": True,
         "rng": "PCG64",
     }
     rows = []
     for model in models:
         for p in p_values:
-            tasks = [
-                (
-                    model,
-                    p,
-                    n,
-                    # a model's seed code is its 1-based position in MODELS
-                    _replication_seed(seed, MODELS.index(model) + 1, p, rep),
-                    methods,
-                    solver,
-                    whiten_flag,
-                    noise_scale,
-                )
-                for rep in range(replications)
-            ]
-            results = _run_tasks(_synthetic_rep, tasks, workers)
+            # a model's seed code is its 1-based position in MODELS
+            code = MODELS.index(model) + 1
+            seeds = [_replication_seed(seed, code, p, rep) for rep in range(replications)]
+            task = partial(_synthetic_rep, model, p, n, methods, solver, noise_scale)
+            results = _run_tasks(task, seeds, workers)
             r0 = MODEL_SUBSPACE_DIM[model]
             rows += [
                 _report_row(results, m, m, f"{model}-{p}", r0, "subspace_distance")
@@ -485,12 +489,10 @@ def run_synthetic_benchmark(
 # real-data benchmark
 
 
-def _real_rep(task):
-    X, y, rep_seed, methods, dims, test_fraction, stratified, K, solver = task
-    dataset = LabeledDataset(X, y)
+def _real_rep(dataset, methods, dims, split, K, solver, rep_seed):
     rng = np.random.default_rng(np.random.SeedSequence(rep_seed))
-    splitter = stratified_split if stratified else random_split
-    train_idx, test_idx = splitter(dataset.y, test_fraction, rng)
+    splitter = stratified_split if split.stratified else random_split
+    train_idx, test_idx = splitter(dataset.y, split.test_fraction, rng)
     out = {}
     for method in methods:
         for r in dims:
@@ -542,21 +544,10 @@ def run_real_benchmark(
         "solver": None if solver is None else asdict(solver),
         "rng": "PCG64",
     }
-    tasks = [
-        (
-            dataset.X,
-            dataset.y,
-            _replication_seed(split.seed, rep),
-            methods,
-            dims,
-            split.test_fraction,
-            split.stratified,
-            K,
-            solver,
-        )
-        for rep in range(split.replications)
-    ]
-    results = _run_tasks(_real_rep, tasks, workers)
+    seeds = [_replication_seed(split.seed, rep) for rep in range(split.replications)]
+    results = _run_tasks(
+        partial(_real_rep, dataset, methods, dims, split, K, solver), seeds, workers
+    )
     rows = [
         _report_row(results, (method, r), method, setting, r, "accuracy")
         for method in methods

@@ -27,7 +27,7 @@ def make_rng(seed, *key):
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters of one synthetic draw."""
+    """Parameters of one draw from a sign model in ``MODELS``."""
 
     model: str
     n: int
@@ -36,12 +36,11 @@ class SyntheticSpec:
     noise_scale: float = 0.2
 
     def __post_init__(self):
-        if self.model not in MODELS + ("cshape", "svm3d"):
+        if self.model not in MODELS:
             raise InvalidInputError(
-                f"unknown model {self.model!r}; valid: {', '.join(MODELS)}, "
-                "cshape, svm3d"
+                f"unknown model {self.model!r}; valid: {', '.join(MODELS)}"
             )
-        if self.model in MODELS and self.p < MODEL_SUBSPACE_DIM[self.model]:
+        if self.p < MODEL_SUBSPACE_DIM[self.model]:
             raise InvalidInputError(
                 f"model {self.model} requires p >= {MODEL_SUBSPACE_DIM[self.model]}"
             )
@@ -109,10 +108,6 @@ def gen_model(spec):
     model signal plus ``noise_scale`` times standard normal noise, with
     sign(0) mapped to +1. Returns the dataset and the true subspace.
     """
-    if spec.model not in MODELS:
-        raise InvalidInputError(
-            f"gen_model handles models {', '.join(MODELS)}; got {spec.model!r}"
-        )
     rng = make_rng(spec.seed)
     X = rng.uniform(-2.0, 2.0, (spec.n, spec.p))
     bad = _degenerate_rows(spec.model, X)

@@ -261,7 +261,7 @@ def test_criterion_7_invariant_suite():
     delta = potd.displacement_matrix(src, tgt, coupling)
     mean_diff = src.weights @ src.points - tgt.weights @ tgt.points
     checks["column-sum-identity<=1e-8"] = bool(
-        np.allclose(delta.rows.sum(axis=0), mean_diff, atol=1e-8)
+        np.allclose(delta.sum(axis=0), mean_diff, atol=1e-8)
     )
 
     perm = rng.permutation(data.n)

@@ -146,6 +146,29 @@ class TestFit:
         ) == 2
 
 
+    def test_config_string_converted_like_flag_text(self, model_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": "3"}))
+        out = tmp_path / "basis.csv"
+        assert run_cli(
+            "fit", "--data", model_csv, "--r", "2", "--output", str(out),
+            "--config", str(cfg),
+        ) == 0
+        assert out.read_text().splitlines()[0] == "v1,v2,v3"
+
+    @pytest.mark.parametrize("value, match", [("two", "'r'"), (None, "--r or --auto-dim")])
+    def test_config_bad_value_exit_2(self, value, match, model_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": value}))
+        assert run_cli(
+            "fit", "--data", model_csv, "--r", "2",
+            "--output", str(tmp_path / "b.csv"), "--config", str(cfg),
+        ) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("potd: error: invalid-input: ")
+        assert match in line
+
+
 class TestEmbed:
     def test_pca_embedding_columns(self, model_csv, tmp_path):
         out = tmp_path / "emb.csv"
@@ -237,6 +260,37 @@ class TestBenchSynthetic:
         assert "replications must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_list_parsed_like_flag_text(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": "POTD,PCA"}))
+        out = tmp_path / "rep.json"
+        assert run_cli(
+            "bench-synthetic", "--models", "I", "--p-values", "5", "--n", "60",
+            "--replications", "1", "--output", str(out), "--config", str(cfg),
+        ) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["method"] for row in rows] == ["POTD", "PCA"]
+
+    @pytest.mark.parametrize(
+        "workers, cap, match",
+        [("-3", None, "workers must be >= 1"), ("2", "abc", "POTD_MAX_THREADS")],
+    )
+    def test_bad_worker_settings_exit_2(
+        self, workers, cap, match, tmp_path, capsys, monkeypatch
+    ):
+        if cap is not None:
+            monkeypatch.setenv("POTD_MAX_THREADS", cap)
+        out = tmp_path / "r.json"
+        code = run_cli(
+            "bench-synthetic", "--models", "I", "--methods", "PCA", "--n", "60",
+            "--replications", "2", "--workers", workers, "--output", str(out),
+        )
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("potd: error: invalid-input: ")
+        assert match in line
+        assert not out.exists()
+
     def test_deterministic_modulo_timestamp(self, tmp_path):
         out = tmp_path / "rep.json"
         outs = []
@@ -282,6 +336,21 @@ class TestBenchReal:
             "--output", str(tmp_path / "r.json"),
         )
         assert code == 2
+
+
+    def test_config_bad_choice_exit_2(self, model_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"split": "bogus"}))
+        out = tmp_path / "rep.json"
+        code = run_cli(
+            "bench-real", "--data", model_csv, "--methods", "PCA", "--dims", "2",
+            "--replications", "1", "--output", str(out), "--config", str(cfg),
+        )
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("potd: error: invalid-input: ")
+        assert "'split'" in line and "stratified, random" in line
+        assert not out.exists()
 
 
 class TestOracleCheck:

@@ -3,6 +3,8 @@ invariants."""
 
 import numpy as np
 import pytest
+
+import potd.ot
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -114,14 +116,14 @@ class TestDisplacementMatrix:
         mu = DiscreteMeasure.uniform([[1.0, 2.0]])
         coupling = CouplingMatrix([[1.0]], [1.0], [1.0])
         delta = displacement_matrix(mu, mu, coupling)
-        assert np.allclose(delta.rows, 0.0)
+        assert np.allclose(delta, 0.0)
 
     def test_single_displacement(self):
         src = DiscreteMeasure.uniform([[0.0, 0.0]])
         tgt = DiscreteMeasure.uniform([[1.0, 0.0]])
         coupling = CouplingMatrix([[1.0]], [1.0], [1.0])
         delta = displacement_matrix(src, tgt, coupling)
-        assert np.allclose(delta.rows, [[-1.0, 0.0]])
+        assert np.allclose(delta, [[-1.0, 0.0]])
 
     def test_two_point_permutation(self):
         src = DiscreteMeasure.uniform([[0.0, 0.0], [4.0, 0.0]])
@@ -129,7 +131,7 @@ class TestDisplacementMatrix:
         coupling = CouplingMatrix(np.eye(2) / 2, [0.5, 0.5], [0.5, 0.5])
         delta = displacement_matrix(src, tgt, coupling)
         expected = 0.5 * (src.points - tgt.points)
-        assert np.allclose(delta.rows, expected)
+        assert np.allclose(delta, expected)
 
     def test_column_sum_identity(self, rng):
         src = DiscreteMeasure.uniform(rng.normal(size=(9, 4)))
@@ -138,7 +140,7 @@ class TestDisplacementMatrix:
         coupling = solve_coupling(src, tgt, config=EXACT)
         delta = displacement_matrix(src, tgt, coupling)
         mean_diff = src.weights @ src.points - tgt.weights @ tgt.points
-        assert np.allclose(delta.rows.sum(axis=0), mean_diff, atol=1e-8)
+        assert np.allclose(delta.sum(axis=0), mean_diff, atol=1e-8)
 
     def test_shape_mismatch(self):
         mu = DiscreteMeasure.uniform([[0.0], [1.0]])
@@ -177,33 +179,6 @@ class TestPotdFit:
         with pytest.raises(InvalidInputError):
             potd_fit(data, 1, solver=EXACT, whiten_flag=False)
 
-    def test_class_weights_are_renormalized(self, rng):
-        X = rng.normal(size=(20, 3))
-        y = np.repeat([1, 2], 10)
-        raw = rng.uniform(1.0, 3.0, 10)  # deliberately not summing to one
-        weighted = potd_fit(
-            LabeledDataset(X, y, class_weights={1: raw, 2: raw[::-1]}),
-            1,
-            solver=EXACT,
-            whiten_flag=False,
-        )
-        rescaled = potd_fit(
-            LabeledDataset(X, y, class_weights={1: 5 * raw, 2: 5 * raw[::-1]}),
-            1,
-            solver=EXACT,
-            whiten_flag=False,
-        )
-        assert np.allclose(weighted.vectors, rescaled.vectors, atol=1e-12)
-        uniform = potd_fit(LabeledDataset(X, y), 1, solver=EXACT, whiten_flag=False)
-        assert not np.allclose(weighted.vectors, uniform.vectors, atol=1e-6)
-
-    def test_bad_class_weight_length_rejected(self, rng):
-        X = rng.normal(size=(10, 2))
-        y = np.repeat([1, 2], 5)
-        data = LabeledDataset(X, y, class_weights={1: np.ones(3)})
-        with pytest.raises(InvalidInputError):
-            potd_fit(data, 1, solver=EXACT, whiten_flag=False)
-
     def test_permutation_invariance(self, rng):
         spec = SyntheticSpec("I", 120, 5, seed=11)
         data, _ = gen_model(spec)
@@ -237,9 +212,7 @@ class TestPotdFit:
                 if ci == cj:
                     continue
                 coupling = solve_coupling(measures[ci], measures[cj], config=EXACT)
-                blocks.append(
-                    displacement_matrix(measures[ci], measures[cj], coupling).rows
-                )
+                blocks.append(displacement_matrix(measures[ci], measures[cj], coupling))
         stacked = np.vstack(blocks)
         gram_evals = np.sort(np.linalg.eigvalsh(stacked.T @ stacked))[::-1]
         assert np.allclose(
@@ -256,16 +229,26 @@ class TestPotdFit:
         assert basis.singular_values[1:] == pytest.approx(0.0, abs=1e-12)
 
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_identical_class_clouds_rejected(self, rng, weighted):
-        # uniform weights take the assignment path, unequal ones the LP
+    @pytest.mark.parametrize("unequal", [False, True])
+    def test_identical_class_clouds_rejected(self, rng, monkeypatch, unequal):
+        # equal-size clouds take the assignment path; a cloud against itself
+        # stacked twice is the same measure at unequal sizes, so it takes the LP
         cloud = rng.normal(size=(20, 3))
-        w = rng.uniform(1.0, 2.0, 20) if weighted else np.ones(20)
+        copies = 2 if unequal else 1
         data = LabeledDataset(
-            np.vstack([cloud, cloud]), np.repeat([1, 2], 20), class_weights={1: w, 2: w}
+            np.vstack([cloud] * (1 + copies)), np.repeat([1, 2], [20, 20 * copies])
         )
+        lp_calls = []
+        transportation_lp = potd.ot._transportation_lp
+
+        def counted_lp(*args):
+            lp_calls.append(args)
+            return transportation_lp(*args)
+
+        monkeypatch.setattr(potd.ot, "_transportation_lp", counted_lp)
         with pytest.raises(DegenerateInputError, match="singular values are zero"):
             potd_fit(data, 1, solver=EXACT)
+        assert len(lp_calls) == int(unequal)
 
 
 class TestPotdFitContinuous:
@@ -303,16 +286,6 @@ class TestPotdFitContinuous:
         data = LabeledDataset(X, y)
         with pytest.raises(InvalidInputError, match="5.0"):
             potd_fit_continuous(data, 1, cuts=[5.0], solver=EXACT)
-
-
-    def test_class_weights_rejected(self, rng):
-        # the weights are keyed by response value 0.0, which is also the
-        # 0/1 label of the lower side of every cut
-        data = LabeledDataset(
-            rng.normal(size=(30, 3)), np.arange(30.0), class_weights={0.0: np.ones(15)}
-        )
-        with pytest.raises(InvalidInputError, match="class_weights"):
-            potd_fit_continuous(data, 1, cuts=[15.0], solver=EXACT)
 
     def test_non_numeric_response_rejected(self, rng):
         data = LabeledDataset(rng.normal(size=(30, 3)), np.repeat(["a", "b"], 15))

@@ -181,6 +181,14 @@ class TestKnn:
         with pytest.raises(InvalidInputError, match=match):
             knn_predict(train, points, 3)
 
+    def test_overflowed_distances_rejected(self):
+        # the squared distances to the coincident row overflow to inf - inf;
+        # voting on them would pick row 0, not the coincident row 2
+        train = LabeledDataset(np.array([[0.0], [1.0], [1e200], [2.0]]), np.arange(4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="overflow"):
+                knn_predict(train, np.array([[1e200]]), 1)
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(grid_knn_instances())
     def test_matches_stable_sort_reference(self, instance):

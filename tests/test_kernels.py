@@ -4,7 +4,10 @@ The scaling solver is checked against a plain log-domain Sinkhorn kept in
 this file, which runs the same iterates with log-sum-exp passes.
 """
 
+import importlib
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,3 +272,18 @@ def test_traced_kernel_sites_are_called(monkeypatch, rng):
         "potd.baselines.whiten": 2,
         "potd.ot.pairwise_sqdist": 2,
     }
+
+
+def test_benchmark_tracer_sites_resolve():
+    """Every site the benchmark tracer wraps names an attribute that exists;
+    a missing one is skipped there and only shows as ``trace.sites_missing``."""
+    path = Path(__file__).resolve().parents[1] / "potdbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("potdbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in spans.SITES
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert spans.SITES and missing == []
