@@ -7,8 +7,9 @@ n-by-n point clouds; ``exact_ot`` is timed on uniform unequal splits
 (the shortlist transportation LP), reporting the nonzeros of the plan,
 and on table-shaped instances: the whitened sign-label classes of model
 I at p=10 and model III at p=30, n=400, over the first 12 seeds whose
-classes differ in size, reporting the median time and the median number
-of HiGHS runs (pricing rounds) per solve. Each timing is the best of a
+classes differ in size, reporting the median time, the median number
+of HiGHS runs (pricing rounds) per solve and the median number of
+simplex iterations per solve, summed over its runs. Each timing is the best of a
 few repeats. BLAS runs on one thread. ``knn_predict`` is timed at K=10 on
 200 test against 200 training points (the shape of one ``bench-real``
 split of the bundled blobs data), projected to r=2 and r=8 with two
@@ -129,44 +130,51 @@ def table_instances(model, p):
         seed += 1
 
 
-def highs_runs(mu, nu, cost):
-    """HiGHS runs of one solve, counted on a stand-in model class."""
-    runs = 0
+def highs_work(mu, nu, cost):
+    """HiGHS runs and simplex iterations of one solve.
+
+    Counted on a stand-in model class; HiGHS reports the iterations of
+    each run, so they are summed.
+    """
+    iterations = []
     highs = ot._Highs
 
     class CountingHighs(highs):
         def run(self):
-            nonlocal runs
-            runs += 1
-            return super().run()
+            status = super().run()
+            iterations.append(self.getInfo().simplex_iteration_count)
+            return status
 
     ot._Highs = CountingHighs
     try:
         exact_ot(mu, nu, cost)
     finally:
         ot._Highs = highs
-    return runs
+    return len(iterations), sum(iterations)
 
 
 def bench_table_lp():
     print(f"\nexact coupling on table cells (whitened sign classes, n={TABLE_N}, "
           f"{TABLE_SEEDS} seeds)")
-    print(f"{'cell':>7} {'ms':>8} {'runs':>5} {'seeds':>10}")
+    print(f"{'cell':>7} {'ms':>8} {'runs':>5} {'iters':>7} {'seeds':>10}")
     rows = []
     for model, p in TABLE_CELLS:
-        ms, runs, seeds = [], [], []
+        ms, runs, iterations, seeds = [], [], [], []
         for seed, mu, nu in table_instances(model, p):
             cost = pairwise_sqdist(mu.points, nu.points)
-            runs.append(highs_runs(mu, nu, cost))
+            solve_runs, solve_iterations = highs_work(mu, nu, cost)
+            runs.append(solve_runs)
+            iterations.append(solve_iterations)
             ms.append(best_of(exact_ot, mu, nu, cost, repeats=3) * 1e3)
             seeds.append(seed)
         cell = f"{model}-{p}"
         print(f"{cell:>7} {np.median(ms):>8.1f} {np.median(runs):>5.1f} "
-              f"{seeds[0]:>4}..{seeds[-1]:<4}")
+              f"{np.median(iterations):>7.1f} {seeds[0]:>4}..{seeds[-1]:<4}")
         rows.append({"bench": "exact_ot_table", "cell": cell, "n": TABLE_N,
                      "seeds": seeds, "median_ms": float(np.median(ms)),
-                     "median_highs_runs": float(np.median(runs)), "ms": ms,
-                     "highs_runs": runs})
+                     "median_highs_runs": float(np.median(runs)),
+                     "median_simplex_iterations": float(np.median(iterations)),
+                     "ms": ms, "highs_runs": runs, "simplex_iterations": iterations})
     return rows
 
 

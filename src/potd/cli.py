@@ -137,6 +137,13 @@ def _apply_config_file(parser, args):
         attr = key.replace("-", "_")
         if attr not in known or attr in ("func", "config"):
             raise InvalidInputError(f"unknown config key {key!r}")
+        if attr == "command":
+            # sidecars record the command; a config fed back must name this one
+            if value != args.command:
+                raise InvalidInputError(
+                    f"config key {key!r} is {value!r} but the command is {args.command!r}"
+                )
+            continue
         setattr(args, attr, _config_value(actions[attr], key, value))
 
 

@@ -6,9 +6,12 @@ shortlist transportation LP solved by a warm-started dual simplex grown by
 pricing and certified by its dual potentials) and an entropic-regularized
 solver using log-stabilized scaling iterations. The LP's starting
 shortlist is seeded by a loose run of the same scaling kernel (a crash
-start); those entropic duals only choose where the LP starts, never
-whether its result is optimal. The exact route doubles as the oracle for
-the regularized one in the verification suite.
+start), and the dual simplex starts at those entropic duals: the LP runs
+on costs shifted by them (which moves every feasible plan's objective by
+the same constant) from a dual-feasible star basis. The crash only
+chooses where the LP starts, never whether its result is optimal. The
+exact route doubles as the oracle for the regularized one in the
+verification suite.
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +23,13 @@ from scipy.optimize import linear_sum_assignment
 # ``linprog`` cannot warm-start: it builds a fresh model on every call and
 # loops in Python over every column to fill bound marginals, so each pricing
 # round of the shortlist LP would pay a cold solve plus that loop.
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import (
+    HighsBasis,
+    HighsBasisStatus,
+    HighsModelStatus,
+    HighsStatus,
+    _Highs,
+)
 
 from .errors import ConvergenceError, InvalidInputError, NumericError
 
@@ -185,12 +194,16 @@ def pairwise_sqdist(x, y):
     """All-pairs squared Euclidean distances, shape (len(x), len(y))."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
-    d = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
-    # |x|^2 + |y|^2 - 2 x.y in place: two n-by-m buffers, and the same bits
-    # as the out-of-place expression since doubling is exact
-    g = x @ y.T
-    g *= 2.0
-    d -= g
+    # coordinates near the float range overflow the expansion to inf or
+    # NaN; knn_predict and the coupling solvers reject such distances with
+    # one error, so numpy's warnings would only add noise to it
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
+        # |x|^2 + |y|^2 - 2 x.y in place: two n-by-m buffers, and the same
+        # bits as the out-of-place expression since doubling is exact
+        g = x @ y.T
+        g *= 2.0
+        d -= g
     # the dot-product expansion can go slightly negative for near-coincident
     # points; squared distances are nonnegative by definition
     np.maximum(d, 0.0, out=d)
@@ -521,44 +534,59 @@ def _northwest_corner_support(a, b):
 
 
 def _crash_reduced_cost(unit, a, b):
-    """Reduced costs ``unit - eps*u - eps*v`` of loose entropic duals.
+    """Reduced costs ``unit - u - v`` of loose entropic duals, with ``u, v``.
 
     Scaling sweeps at the default epsilon, stopped at the column tolerance
     ``CRASH_TOL`` or after ``CRASH_SWEEPS`` sweeps, already locate the
     sparse optimal support (Schmitzer, SIAM J. Sci. Comput. 2019), which
-    raw costs miss. Non-finite potentials (zero-mass atoms carry ``-inf``)
-    count as zero, so those lines fall back to raw cost.
+    raw costs miss. The potentials are returned in the units of ``unit``
+    (epsilon times the log-domain ones). Non-finite potentials (zero-mass
+    atoms carry ``-inf``) count as zero, so those lines fall back to raw
+    cost. An all-zero cost has nothing to rank and zero is its exact dual,
+    so it gets zero potentials without a crash: its certificate tolerance
+    is zero, and any rounding in nonzero duals would fail it.
     """
+    n, m = unit.shape
+    if not unit.any():
+        return unit.copy(), np.zeros(n), np.zeros(m)
     eps = default_epsilon(unit)
     with np.errstate(divide="ignore"):
         log_a, log_b = np.log(a), np.log(b)
     u, v = _crash_scaling(np.divide(unit, -eps), log_a, log_b, CRASH_SWEEPS, CRASH_TOL)[:2]
     u = np.where(np.isfinite(u), eps * u, 0.0)
     v = np.where(np.isfinite(v), eps * v, 0.0)
-    return unit - u[:, None] - v[None, :]
+    return unit - u[:, None] - v[None, :], u, v
 
 
 def _shortlist_mask(reduced, a, b):
-    """Initial support: smallest reduced costs per row and column plus a feasible plan."""
+    """Initial support: smallest reduced costs per row and column plus a feasible plan.
+
+    An entry is kept when it is at most the ``SHORTLIST_K``-th smallest
+    reduced cost of its row or of its column. On tied reduced costs that
+    keeps every entry of the tie, so a line may hold more than
+    ``SHORTLIST_K`` entries; a larger support is still a valid start, since
+    pricing and the certificate decide optimality.
+    """
     n, m = reduced.shape
-    mask = np.zeros((n, m), dtype=bool)
     k_col = min(SHORTLIST_K, m)
     k_row = min(SHORTLIST_K, n)
-    mask[np.arange(n)[:, None], np.argpartition(reduced, k_col - 1, axis=1)[:, :k_col]] = True
-    mask[np.argpartition(reduced, k_row - 1, axis=0)[:k_row], np.arange(m)[None, :]] = True
+    row_kth = np.partition(reduced, k_col - 1, axis=1)[:, k_col - 1]
+    col_kth = np.partition(reduced, k_row - 1, axis=0)[k_row - 1]
+    mask = reduced <= row_kth[:, None]
+    mask |= reduced <= col_kth[None, :]
     mask[_northwest_corner_support(a, b)] = True
     return mask
 
 
-def _add_lp_columns(highs, unit, rows, cols):
+def _add_lp_columns(highs, costs, rows, cols):
     """Append the plan entries ``(rows[k], cols[k])`` as LP columns.
 
-    Each entry has a unit coefficient in the row-sum constraint of its
-    source atom and, unless it lies in the last target column (whose
-    constraint is implied by mass balance), in the column-sum constraint of
-    its target atom.
+    Each entry costs ``costs[rows[k], cols[k]]`` and has a unit coefficient
+    in the row-sum constraint of its source atom and, unless it lies in the
+    last target column (whose constraint is implied by mass balance), in the
+    column-sum constraint of its target atom.
     """
-    n, m = unit.shape
+    n, m = costs.shape
     k = rows.shape[0]
     in_col = cols < m - 1
     nnz = 1 + in_col
@@ -568,9 +596,32 @@ def _add_lp_columns(highs, unit, rows, cols):
     index[starts] = rows
     index[starts[in_col] + 1] = n + cols[in_col]
     highs.addCols(
-        k, unit[rows, cols], np.zeros(k), np.full(k, np.inf),
+        k, costs[rows, cols], np.zeros(k), np.full(k, np.inf),
         index.shape[0], starts, index, np.ones(index.shape[0]),
     )
+
+
+def _star_basis(n, m, flat, star):
+    """Basis of the LP columns ``flat`` (row-major entry indices, sorted).
+
+    Basic: the entry ``(i, star[i])`` of each source row and the slacks of
+    the ``m - 1`` column-sum constraints, ``n + m - 1`` variables in all.
+    Each row-sum constraint holds exactly one basic entry and each other
+    basic variable is a slack, so the basis matrix is a permuted triangle
+    and nonsingular. All other columns and the row-sum slacks are
+    nonbasic at their lower bounds.
+    """
+    status = np.full(flat.shape[0], HighsBasisStatus.kLower, dtype=object)
+    status[np.searchsorted(flat, np.arange(n) * m + star)] = HighsBasisStatus.kBasic
+    basis = HighsBasis()
+    basis.col_status = status.tolist()
+    basis.row_status = (
+        [HighsBasisStatus.kLower] * n + [HighsBasisStatus.kBasic] * (m - 1)
+    )
+    # one basic variable per constraint by construction, so HiGHS takes the
+    # basis as it is instead of repairing it as an alien one
+    basis.alien = False
+    return basis
 
 
 def _transportation_lp(a, b, cost):
@@ -585,10 +636,21 @@ def _transportation_lp(a, b, cost):
     a crash start's loose entropic duals (see :func:`_crash_reduced_cost`)
     plus a north-west-corner plan; the crash only chooses where the LP
     starts, while pricing and the caller's certificate decide optimality.
-    One HiGHS model holds the LP for the whole solve: each pricing round
-    appends only the entering columns, so the dual simplex restarts from
-    the basis of the previous round. Costs are scaled to a unit maximum so
-    the solver tolerances are relative to the cost range.
+
+    The LP runs on shifted costs: each entry costs its crash reduced cost
+    minus the smallest one of its row, so every cost is nonnegative and
+    each row has a zero. On a feasible plan the shift changes the
+    objective by a constant, so the optimal plans are those of the
+    original costs, and the true duals are the LP's plus the shifts. The
+    first run starts from a star basis (:func:`_star_basis`): the zero
+    entry of each row and the column-sum slacks. Its duals are zero and
+    every shifted cost is nonnegative, so it is dual feasible and the dual
+    simplex (Huangfu & Hall, Math. Prog. Comp. 2018) starts at the crash
+    duals instead of at zero. One HiGHS model holds the LP for the whole
+    solve: each pricing round appends only the entering columns, so the
+    dual simplex restarts from the basis of the previous round. Costs are
+    scaled to a unit maximum so the solver tolerances are relative to the
+    cost range.
 
     Returns ``(plan, u, v)`` with dual potentials in cost units.
     """
@@ -597,7 +659,13 @@ def _transportation_lp(a, b, cost):
     if scale <= 0.0:
         scale = 1.0
     unit = cost / scale
-    mask = _shortlist_mask(_crash_reduced_cost(unit, a, b), a, b)
+    shifted, u_shift, v_shift = _crash_reduced_cost(unit, a, b)
+    mask = _shortlist_mask(shifted, a, b)
+    star = shifted.argmin(axis=1)
+    row_min = shifted[np.arange(n), star]
+    shifted -= row_min[:, None]
+    u_shift += row_min
+    mask[np.arange(n), star] = True
     highs = _Highs()
     for option, value in HIGHS_OPTIONS.items():
         highs.setOptionValue(option, value)
@@ -606,10 +674,12 @@ def _transportation_lp(a, b, cost):
     b_eq = np.concatenate([a, b[:-1]])
     no_entries = np.zeros(0, dtype=np.int32)
     highs.addRows(n + m - 1, b_eq, b_eq, 0, no_entries, no_entries, np.zeros(0))
-    rows, cols = np.nonzero(mask)
-    entering_rows, entering_cols = rows, cols
+    flat = np.flatnonzero(mask)
+    rows, cols = np.divmod(flat, m)
+    _add_lp_columns(highs, shifted, rows, cols)
+    if highs.setBasis(_star_basis(n, m, flat, star)) != HighsStatus.kOk:
+        raise NumericError("transportation LP rejected its star basis")
     while True:
-        _add_lp_columns(highs, unit, entering_rows, entering_cols)
         highs.run()
         status = highs.getModelStatus()
         if status != HighsModelStatus.kOptimal:
@@ -617,16 +687,18 @@ def _transportation_lp(a, b, cost):
                 f"transportation LP failed: {highs.modelStatusToString(status)}"
             )
         solution = highs.getSolution()
-        # row duals price entry (i, j) at unit[i, j] - u[i] - v[j]; the
-        # dropped last column constraint has dual zero
+        # row duals price entry (i, j) at unit[i, j] - u[i] - v[j] once the
+        # shifts are added back; the dropped last column constraint has
+        # dual zero
         duals = np.asarray(solution.row_dual)
-        u = duals[:n]
-        v = np.append(duals[n:], 0.0)
+        u = duals[:n] + u_shift
+        v = np.append(duals[n:], 0.0) + v_shift
         entering = (unit - u[:, None] - v[None, :] < -LP_TOL) & ~mask
         if not entering.any():
             break
         mask |= entering
         entering_rows, entering_cols = np.nonzero(entering)
+        _add_lp_columns(highs, shifted, entering_rows, entering_cols)
         rows = np.concatenate([rows, entering_rows])
         cols = np.concatenate([cols, entering_cols])
     plan = np.zeros((n, m))

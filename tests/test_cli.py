@@ -1,6 +1,7 @@
 """Command-line surface tests (run in-process through main)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,38 @@ class TestFit:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("potd: error: invalid-input: ")
         assert match in line
+
+
+    def test_sidecar_config_fed_back(self, model_csv, tmp_path):
+        out = tmp_path / "basis.csv"
+        assert run_cli(
+            "fit", "--data", model_csv, "--r", "2", "--output", str(out)
+        ) == 0
+        config = json.loads((tmp_path / "basis.csv.meta.json").read_text())["config"]
+        assert config["command"] == "fit"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        again = tmp_path / "again.csv"
+        assert run_cli(
+            "fit", "--data", model_csv, "--r", "2", "--output", str(again),
+            "--config", str(cfg),
+        ) == 0
+        # the sidecar's output path wins, as any config key over its flag
+        assert not again.exists()
+        assert json.loads((tmp_path / "basis.csv.meta.json").read_text())["config"] == config
+
+    def test_config_naming_another_command_exit_2(self, model_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "embed"}))
+        out = tmp_path / "b.csv"
+        assert run_cli(
+            "fit", "--data", model_csv, "--r", "2", "--output", str(out),
+            "--config", str(cfg),
+        ) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("potd: error: invalid-input: ")
+        assert "'command'" in line and "'embed'" in line
+        assert not out.exists()
 
 
 class TestEmbed:
@@ -351,6 +384,30 @@ class TestBenchReal:
         assert line.startswith("potd: error: invalid-input: ")
         assert "'split'" in line and "stratified, random" in line
         assert not out.exists()
+
+
+    def test_overflowed_distances_leave_stderr_quiet(self, tmp_path, capsys):
+        # one coordinate near 1e160: the covariance stays finite, but the
+        # projected points' squared distances overflow inside KNN
+        rng = np.random.default_rng(np.random.SeedSequence([75]))
+        path = tmp_path / "huge.csv"
+        rows = [
+            f"{1e160 * (1.0 + 1e-10 * a)!r},{b!r},{'ab'[i % 2]}"
+            for i, (a, b) in enumerate(rng.normal(size=(40, 2)).tolist())
+        ]
+        path.write_text("\n".join(["x1,x2,label", *rows]) + "\n")
+        out = tmp_path / "rep.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(
+                "bench-real", "--data", str(path), "--methods", "PCA", "--dims", "1",
+                "--replications", "1", "--output", str(out),
+            ) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["values"] == []
+        assert "overflow" in row["failures"]["0"]
 
 
 class TestOracleCheck:

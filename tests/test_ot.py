@@ -368,8 +368,53 @@ class TestExactOT:
         assert np.all(np.isneginf(v[nu.weights == 0]))
         # their lines fall back to raw cost instead of ranking at +inf
         cost = squared_euclidean_cost(mu.points, nu.points)
-        reduced = ot._crash_reduced_cost(cost / cost.max(), mu.weights, nu.weights)
+        reduced, _, _ = ot._crash_reduced_cost(cost / cost.max(), mu.weights, nu.weights)
         assert np.all(np.isfinite(reduced))
+
+    def test_lp_starts_from_a_dual_feasible_star_basis(self, monkeypatch):
+        bases, added = [], []
+
+        class RecordingHighs(ot._Highs):
+            def setBasis(self, basis):
+                status = super().setBasis(basis)
+                bases.append((basis, status))
+                return status
+
+            def addCols(self, k, costs, *args):
+                added.append(np.array(costs))
+                return super().addCols(k, costs, *args)
+
+        monkeypatch.setattr(ot, "_Highs", RecordingHighs)
+        # the smallest shortlist forces pricing rounds, whose entering
+        # columns carry shifted costs too
+        monkeypatch.setattr(ot, "SHORTLIST_K", 1)
+        rng = np.random.default_rng(np.random.SeedSequence([74]))
+        mu = DiscreteMeasure(rng.normal(size=(31, 4)), integer_weights(rng, 31, False))
+        nu = DiscreteMeasure(rng.normal(size=(36, 4)) + 0.5, integer_weights(rng, 36, False))
+        assert_exact_and_certified(mu, nu)
+        (basis, status), = bases
+        assert status == ot.HighsStatus.kOk
+        n, m = mu.size, nu.size
+        col_basic = np.array(basis.col_status) == ot.HighsBasisStatus.kBasic
+        row_basic = np.array(basis.row_status) == ot.HighsBasisStatus.kBasic
+        assert col_basic.sum() + row_basic.sum() == n + m - 1
+        # the basic slacks are those of the column-sum constraints
+        assert not row_basic[:n].any() and row_basic[n:].all()
+        # the first columns are those the basis describes; later ones entered
+        assert len(added) >= 2 and added[0].shape == col_basic.shape
+        assert all(np.all(costs >= 0.0) for costs in added)
+        assert np.all(added[0][col_basic] == 0.0)
+
+    def test_exact_on_an_all_zero_cost(self):
+        # one point against four copies of it: every cost is zero, so the
+        # certificate tolerance is zero and the duals must be exactly zero
+        mu = DiscreteMeasure.uniform([[0.3, -1.2]])
+        nu = DiscreteMeasure([[0.3, -1.2]] * 4, [0.1, 0.2, 0.3, 0.4])
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        assert not cost.any()
+        coupling = exact_ot(mu, nu, cost)
+        assert np.abs(coupling.plan - nu.weights).max() <= 1e-15
+        assert coupling.min_reduced_cost == 0.0 and coupling.duality_gap == 0.0
 
     def test_lp_makes_no_traced_sinkhorn_calls(self, monkeypatch, rng):
         # the benchmark tracer wraps these names to time entropic solves and
