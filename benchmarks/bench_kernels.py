@@ -1,14 +1,15 @@
 """Time the hot kernels of the coupling stage and record them.
 
-``sinkhorn_scaling`` is timed to a 1e-9 column-marginal error on n-by-n
+``sinkhorn_scaling`` is timed to a 1e-9 marginal error on n-by-n
 scaled costs at epsilon = 0.01 times the largest cost, reporting the
-sweep count and the time per sweep; ``pairwise_sqdist`` is timed on
-n-by-n point clouds; ``exact_ot`` is timed on uniform unequal splits
-(the shortlist transportation LP), reporting the nonzeros of the plan,
-and on table-shaped instances: the whitened sign-label classes of model
-I at p=10 and model III at p=30, n=400, over the first 12 seeds whose
-classes differ in size, reporting the median time, the median number
-of HiGHS runs (pricing rounds) per solve and the median number of
+sweep count, the over-relaxation omega of the last sweep and the time per
+sweep; ``pairwise_sqdist`` is timed on n-by-n point clouds; ``exact_ot``
+is timed on uniform unequal splits (the shortlist transportation LP),
+reporting the nonzeros of the plan, and on table-shaped instances: the
+whitened sign-label classes of model I at p=10 and model III at p=30,
+n=400, over the first 12 seeds whose classes differ in size, reporting
+the median time, the median sweeps of the LP's crash start, the median
+number of HiGHS runs (pricing rounds) per solve and the median number of
 simplex iterations per solve, summed over its runs. Each timing is the best of a
 few repeats. BLAS runs on one thread. ``knn_predict`` is timed at K=10 on
 200 test against 200 training points (the shape of one ``bench-real``
@@ -86,17 +87,41 @@ def sinkhorn_workload(rng, n, eps_factor=0.01):
     return neg_cost, log_marg
 
 
+def sweeps_and_omega(*args):
+    """Sweeps of one ``sinkhorn_scaling`` solve and the omega of its last sweep.
+
+    The omega is read off the kernel's schedule, ``ot._overrelaxation``;
+    a kernel without one runs plain sweeps, at omega = 1.
+    """
+    schedule = getattr(ot, "_overrelaxation", None)
+    if schedule is None:
+        return sinkhorn_scaling(*args)[2], 1.0
+    omegas = [1.0]
+
+    def recorded(history):
+        omegas.append(schedule(history))
+        return omegas[-1]
+
+    ot._overrelaxation = recorded
+    try:
+        sweeps = sinkhorn_scaling(*args)[2]
+    finally:
+        ot._overrelaxation = schedule
+    return sweeps, omegas[-1]
+
+
 def bench_sinkhorn(rng):
     print("\nstabilized scaling to 1e-9 marginal error (n x n, eps = 0.01 max cost)")
-    print(f"{'n':>6} {'sweeps':>7} {'ms':>10} {'ms/sweep':>10}")
+    print(f"{'n':>6} {'sweeps':>7} {'omega':>6} {'ms':>10} {'ms/sweep':>10}")
     rows = []
     for n in (200, 400, 800):
         neg_cost, log_marg = sinkhorn_workload(rng, n)
         args = (neg_cost, log_marg, log_marg, 100_000, 1e-9)
-        sweeps = sinkhorn_scaling(*args)[2]
+        sweeps, omega = sweeps_and_omega(*args)
         ms = best_of(sinkhorn_scaling, *args) * 1e3
-        print(f"{n:>6} {sweeps:>7} {ms:>10.1f} {ms / max(sweeps, 1):>10.3f}")
-        rows.append({"bench": "sinkhorn_scaling", "n": n, "sweeps": sweeps, "ms": ms})
+        print(f"{n:>6} {sweeps:>7} {omega:>6.3f} {ms:>10.1f} {ms / max(sweeps, 1):>10.3f}")
+        rows.append({"bench": "sinkhorn_scaling", "n": n, "sweeps": sweeps,
+                     "final_omega": omega, "ms": ms})
     return rows
 
 
@@ -130,14 +155,16 @@ def table_instances(model, p):
         seed += 1
 
 
-def highs_work(mu, nu, cost):
-    """HiGHS runs and simplex iterations of one solve.
+def lp_work(mu, nu, cost):
+    """Crash sweeps, HiGHS runs and simplex iterations of one solve.
 
-    Counted on a stand-in model class; HiGHS reports the iterations of
-    each run, so they are summed.
+    Counted on a stand-in model class and a wrapped crash kernel; HiGHS
+    reports the iterations of each run, so they are summed.
     """
     iterations = []
+    crash_sweeps = []
     highs = ot._Highs
+    crash = ot._crash_scaling
 
     class CountingHighs(highs):
         def run(self):
@@ -145,36 +172,47 @@ def highs_work(mu, nu, cost):
             iterations.append(self.getInfo().simplex_iteration_count)
             return status
 
+    def counted_crash(*args):
+        out = crash(*args)
+        crash_sweeps.append(out[2])
+        return out
+
     ot._Highs = CountingHighs
+    ot._crash_scaling = counted_crash
     try:
         exact_ot(mu, nu, cost)
     finally:
         ot._Highs = highs
-    return len(iterations), sum(iterations)
+        ot._crash_scaling = crash
+    return sum(crash_sweeps), len(iterations), sum(iterations)
 
 
 def bench_table_lp():
     print(f"\nexact coupling on table cells (whitened sign classes, n={TABLE_N}, "
           f"{TABLE_SEEDS} seeds)")
-    print(f"{'cell':>7} {'ms':>8} {'runs':>5} {'iters':>7} {'seeds':>10}")
+    print(f"{'cell':>7} {'ms':>8} {'crash':>6} {'runs':>5} {'iters':>7} {'seeds':>10}")
     rows = []
     for model, p in TABLE_CELLS:
-        ms, runs, iterations, seeds = [], [], [], []
+        ms, crash, runs, iterations, seeds = [], [], [], [], []
         for seed, mu, nu in table_instances(model, p):
             cost = pairwise_sqdist(mu.points, nu.points)
-            solve_runs, solve_iterations = highs_work(mu, nu, cost)
+            crash_sweeps, solve_runs, solve_iterations = lp_work(mu, nu, cost)
+            crash.append(crash_sweeps)
             runs.append(solve_runs)
             iterations.append(solve_iterations)
             ms.append(best_of(exact_ot, mu, nu, cost, repeats=3) * 1e3)
             seeds.append(seed)
         cell = f"{model}-{p}"
-        print(f"{cell:>7} {np.median(ms):>8.1f} {np.median(runs):>5.1f} "
-              f"{np.median(iterations):>7.1f} {seeds[0]:>4}..{seeds[-1]:<4}")
+        print(f"{cell:>7} {np.median(ms):>8.1f} {np.median(crash):>6.1f} "
+              f"{np.median(runs):>5.1f} {np.median(iterations):>7.1f} "
+              f"{seeds[0]:>4}..{seeds[-1]:<4}")
         rows.append({"bench": "exact_ot_table", "cell": cell, "n": TABLE_N,
                      "seeds": seeds, "median_ms": float(np.median(ms)),
+                     "median_crash_sweeps": float(np.median(crash)),
                      "median_highs_runs": float(np.median(runs)),
                      "median_simplex_iterations": float(np.median(iterations)),
-                     "ms": ms, "highs_runs": runs, "simplex_iterations": iterations})
+                     "ms": ms, "crash_sweeps": crash, "highs_runs": runs,
+                     "simplex_iterations": iterations})
     return rows
 
 

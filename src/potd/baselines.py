@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 
-from .core import back_mapped_basis, descending_eigh, whiten
+from .core import back_mapped_basis, centered_covariance, descending_eigh, whiten
 from .errors import DegenerateInputError, InvalidInputError
 
 
@@ -88,7 +88,6 @@ def pca_fit(X, r):
         raise InvalidInputError("X must be a matrix with at least 2 rows")
     if not 1 <= r <= X.shape[1]:
         raise InvalidInputError(f"r must be in [1, p={X.shape[1]}], got {r}")
-    Xc = X - X.mean(axis=0)
-    cov = Xc.T @ Xc / X.shape[0]
+    _, cov = centered_covariance(X)
     evals, evecs = descending_eigh(cov)
     return back_mapped_basis(evecs[:, :r], np.maximum(evals, 0.0), None)

@@ -140,6 +140,20 @@ class SecondOrderDisplacement:
         return Basis(self.eigenvectors[:, :r], self.eigenvalues)
 
 
+def centered_covariance(X):
+    """``(Xc, Xc.T @ Xc / n)``: the column-centered ``X`` and its covariance.
+
+    Raises :class:`InvalidInputError` when the covariance is not finite,
+    as when entries near the float range overflow it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xc = X - X.mean(axis=0)
+        cov = Xc.T @ Xc / X.shape[0]
+    if not np.all(np.isfinite(cov)):
+        raise InvalidInputError("predictor covariance is not finite; rescale the columns")
+    return Xc, cov
+
+
 def whiten(X):
     """Center and whiten: returns ``(Z, W)`` with ``Z^T Z / n = I``.
 
@@ -153,8 +167,7 @@ def whiten(X):
     n, p = X.shape
     if n <= p:
         raise InvalidInputError(f"whitening requires n > p (got n={n}, p={p})")
-    Xc = X - X.mean(axis=0)
-    cov = Xc.T @ Xc / n
+    Xc, cov = centered_covariance(X)
     evals, evecs = np.linalg.eigh(cov)
     bad = evals <= RANK_REL_TOL * max(evals.max(), 0.0)
     if np.any(bad):

@@ -4,11 +4,11 @@ The coupling between two classes can be computed two ways: an exact
 solver (assignment fast path for uniform equal-size clouds, otherwise a
 shortlist transportation LP solved by a warm-started dual simplex grown by
 pricing and certified by its dual potentials) and an entropic-regularized
-solver using log-stabilized scaling iterations. The LP's starting
-shortlist is seeded by a loose run of the same scaling kernel (a crash
-start), and the dual simplex starts at those entropic duals: the LP runs
-on costs shifted by them (which moves every feasible plan's objective by
-the same constant) from a dual-feasible star basis. The crash only
+solver using over-relaxed, log-stabilized scaling iterations. The LP's
+starting shortlist is seeded by a loose run of the same scaling kernel (a
+crash start), and the dual simplex starts at those entropic duals: the LP
+runs on costs shifted by them (which moves every feasible plan's objective
+by the same constant) from a dual-feasible star basis. The crash only
 chooses where the LP starts, never whether its result is optimal. The
 exact route doubles as the oracle for the regularized one in the
 verification suite.
@@ -42,7 +42,7 @@ LP_TOL = 1e-10
 # smallest crash reduced costs per row and per column in the initial
 # shortlist support
 SHORTLIST_K = 8
-# sweep budget and column-marginal tolerance of the entropic crash start
+# sweep budget and marginal tolerance of the entropic crash start
 # that picks the initial support; the budget bounds its cost, and whatever
 # potentials it reaches are used
 CRASH_SWEEPS = 200
@@ -61,6 +61,11 @@ HIGHS_OPTIONS = {
 # scaling factors may drift into [1/SCALING_BOUND, SCALING_BOUND] before
 # they are absorbed into the log-domain potentials
 SCALING_BOUND = 1e3
+# the over-relaxation schedule of the scaling sweeps (see _overrelaxation)
+OMEGA_MAX = 1.8
+SETTLE_RTOL = 0.1
+RISE_GRACE = 6
+STALL_RTOL = 1e-6
 
 
 def _as_points(name, arr):
@@ -127,7 +132,8 @@ class CouplingMatrix:
     over the full cost matrix: ``min_reduced_cost`` (``min C_ij - u_i - v_j``,
     never below minus the tolerance) and ``duality_gap`` (primal minus dual
     objective). Both stay ``None`` on the assignment path and for entropic
-    solves.
+    solves. ``marginal_error`` is the larger row or column L1 error of the
+    plan, for every solver.
     """
 
     plan: np.ndarray
@@ -232,34 +238,62 @@ def _in_bounds(factors):
     return 1.0 / SCALING_BOUND < factors.min() and factors.max() < SCALING_BOUND
 
 
+def _overrelaxation(history):
+    """Omega of the next scaling sweep from ``(omega, err)`` of each sweep so far.
+
+    Starts at 1. Two error ratios ``lam`` at one omega within ``SETTLE_RTOL``
+    move it up to ``2 / (1 + sqrt(1 - kappa))``, ``kappa = (lam + omega - 1)**2
+    / (lam * omega**2)`` (Thibault et al. 2021; Hageman & Young 1981), at most
+    ``OMEGA_MAX``. A rise after ``RISE_GRACE`` sweeps at one omega falls back to
+    1 (Lehmann et al. 2022); earlier ones are its transient. An error that
+    moves by less than ``STALL_RTOL`` of itself gives neither a rise nor a rate.
+    """
+    omega, err = history[-1]
+    if len(history) < 3:
+        return omega
+    (_, e2), (w1, e1) = history[-3:-1]
+    if err > e1 * (1.0 + STALL_RTOL):
+        return 1.0 if {w for w, _ in history[-RISE_GRACE:]} == {omega} else omega
+    lam1, lam = e1 / e2, err / e1
+    settled = lam < 1.0 - STALL_RTOL and abs(lam - lam1) <= SETTLE_RTOL * lam
+    if w1 != omega or not settled:
+        return omega
+    kappa = (lam + omega - 1.0) ** 2 / (lam * omega**2)
+    return min(OMEGA_MAX, 2.0 / (1.0 + (1.0 - kappa) ** 0.5)) if kappa < 1.0 else omega
+
+
+def _relaxed(old, target, omega):
+    """``(1 - omega) * old + omega * target``; ``target`` where ``old`` is not finite."""
+    return np.where(np.isfinite(old), (1.0 - omega) * old + omega * target, target)
+
+
 def sinkhorn_scaling(
     neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None, out=None
 ):
-    """Sinkhorn iterations on the scaled negative cost ``K = -C/eps``.
+    """Over-relaxed Sinkhorn iterations on the scaled negative cost ``K = -C/eps``.
 
     Returns ``(u, v, sweeps, err)``: log-domain dual potentials, the number
-    of sweeps and the L1 error of the column marginals of
+    of sweeps and the larger of the row and column L1 marginal errors of
     ``exp(K + u[:, None] + v[None, :])``, measured on the returned
-    potentials. After a row update the row marginals are exact, so the
-    column error is the stopping rule. Zero-mass atoms get ``-inf``
-    potentials. ``out``, an optional n-by-m float64 buffer, holds the
-    kernel during the sweeps and that plan on return.
+    potentials; the sweeps stop once it is at most ``tolerance``. Zero-mass
+    atoms get ``-inf`` potentials. ``out``, an optional n-by-m float64
+    buffer, holds the kernel during the sweeps and that plan on return.
 
-    The iterates are those of the log-domain updates
-    ``v = log b - LSE_i(K + u)``, ``u = log a - LSE_j(K + v)``, computed by
-    the log-stabilized scaling algorithm (Schmitzer, SIAM J. Sci. Comput.
-    2019): the potentials are absorbed into the kernel
-    ``Kt = exp(K + u[:, None] + v[None, :])`` and a sweep updates scaling
-    factors with two matrix-vector products, ``beta = b / (Kt.T @ alpha)``
-    and ``alpha = a / (Kt @ beta)``, so the live potentials are
-    ``u + log(alpha)`` and ``v + log(beta)``. When a live factor would leave
+    The iterates are those of the log-domain updates ``v = (1 - w) v +
+    w (log b - LSE_i(K + u))``, ``u = (1 - w) u + w (log a - LSE_j(K + v))``
+    at the ``w`` that :func:`_overrelaxation` picks for each sweep, computed
+    by the log-stabilized scaling algorithm (Schmitzer, SIAM J. Sci.
+    Comput. 2019): with the potentials absorbed into the kernel
+    ``Kt = exp(K + u[:, None] + v[None, :])``, a sweep takes
+    ``beta *= (b / (Kt.T @ alpha) / beta)**w``, then ``alpha *= (a / (Kt @
+    beta) / alpha)**w``; live potentials are ``u + log(alpha)`` and
+    ``v + log(beta)``. When a live factor would leave
     ``[1/SCALING_BOUND, SCALING_BOUND]`` or stop being finite (underflow at
     tiny epsilon), the factors are folded into the potentials, that sweep
     runs in the log domain and the kernel is formed again. The first sweep
     always runs in the log domain, so cold and warm starts behave alike.
-    On return the kernel is scaled in place by the live factors,
-    ``diag(alpha) Kt diag(beta)``, which is the plan, so no fresh ``exp``
-    pass forms it.
+    On return the kernel, scaled in place to ``diag(alpha) Kt diag(beta)``,
+    is the plan, so no fresh ``exp`` pass forms it.
     """
     neg_cost = np.ascontiguousarray(neg_cost, dtype=np.float64)
     n, m = neg_cost.shape
@@ -273,45 +307,53 @@ def sinkhorn_scaling(
     # zero-mass atoms keep factor 1: their kernel lines are zero
     alpha = np.ones(n)
     beta = np.ones(m)
-    absorbed = False
     # degenerate potentials (NaN, infinite) are reported by the caller
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for sweeps in range(max_iterations + 1):
+        lse_cols, col_shift = _log_sum_exp(neg_cost, u, 0, kernel)
+        col_scale = np.exp(v + col_shift)  # kernel * col_scale: the start's plan
+        row_err = np.abs(kernel @ col_scale - a).sum()
+        err = np.maximum(row_err, np.abs(np.exp(v + lse_cols) - b).sum())
+        if err <= tolerance or max_iterations == 0:
+            kernel *= col_scale[None, :]
+            return u, v, 0, err
+        omega, history, absorbed = 1.0, [], False
+        for sweeps in range(1, max_iterations + 1):
             if absorbed:
-                col = kernel.T @ alpha
-                err = np.abs(beta * col - b).sum()
-            else:
-                lse_cols, col_shift = _log_sum_exp(neg_cost, u, 0, kernel)
-                err = np.abs(np.exp(v + lse_cols) - b).sum()
-            if err <= tolerance or sweeps == max_iterations:
-                if absorbed:
-                    u += np.log(alpha)
-                    v += np.log(beta)
-                    kernel *= alpha[:, None]
-                    kernel *= beta[None, :]
-                else:
-                    # the column pass left exp(neg_cost + u - shift) there
-                    kernel *= np.exp(v + col_shift)[None, :]
-                return u, v, sweeps, err
-            if absorbed:
-                new_beta = np.divide(b, col, out=np.ones(m), where=live_b)
-                new_alpha = np.divide(a, kernel @ new_beta, out=np.ones(n), where=live_a)
+                target = np.divide(b, col, out=np.ones(m), where=live_b)
+                new_beta = beta * (target / beta) ** omega
+                row = kernel @ new_beta
+                target = np.divide(a, row, out=np.ones(n), where=live_a)
+                new_alpha = alpha * (target / alpha) ** omega
                 if _in_bounds(new_alpha) and _in_bounds(new_beta):
                     alpha, beta = new_alpha, new_beta
-                    continue
-                u += np.log(alpha)
-                v += np.log(beta)
-                lse_cols, _ = _log_sum_exp(neg_cost, u, 0, kernel)
-            v = log_b - lse_cols
-            lse_rows, shift = _log_sum_exp(neg_cost, v, 1, kernel)
-            u = log_a - lse_rows
-            # the row pass left exp(neg_cost + v - shift) in the kernel;
-            # scaling its rows by exp(u + shift) absorbs the new potentials
-            kernel *= np.exp(u + shift)[:, None]
-            alpha.fill(1.0)
-            beta.fill(1.0)
-            absorbed = True
-    raise AssertionError("unreachable")
+                    row_err = np.abs(alpha * row - a).sum()
+                else:
+                    u += np.log(alpha)
+                    v += np.log(beta)
+                    lse_cols, _ = _log_sum_exp(neg_cost, u, 0, kernel)
+                    absorbed = False
+            if not absorbed:
+                v = _relaxed(v, log_b - lse_cols, omega)
+                lse_rows, shift = _log_sum_exp(neg_cost, v, 1, kernel)
+                u = _relaxed(u, log_a - lse_rows, omega)
+                row_err = np.abs(np.exp(u + lse_rows) - a).sum()
+                # the row pass left exp(neg_cost + v - shift) in the kernel;
+                # scaling its rows by exp(u + shift) absorbs the new potentials
+                kernel *= np.exp(u + shift)[:, None]
+                alpha.fill(1.0)
+                beta.fill(1.0)
+                absorbed = True
+            col = kernel.T @ alpha
+            err = np.maximum(row_err, np.abs(beta * col - b).sum())
+            if err <= tolerance:
+                break
+            history.append((omega, float(err)))
+            omega = _overrelaxation(history)
+        u += np.log(alpha)
+        v += np.log(beta)
+        kernel *= alpha[:, None]
+        kernel *= beta[None, :]
+        return u, v, sweeps, err
 
 
 # the crash start of the exact LP runs the scaling kernel through this name,
@@ -390,7 +432,7 @@ def sinkhorn(mu, nu, cost, config, init=None):
     potentials of a previous coupling (typically one computed at a larger
     epsilon); potentials of the wrong length or with NaN entries raise
     :class:`InvalidInputError`. Raises :class:`ConvergenceError` when the
-    column-marginal L1 error is still above ``config.marginal_tolerance``
+    larger row or column L1 error is still above ``config.marginal_tolerance``
     after ``config.max_iterations`` sweeps, and :class:`NumericError` when
     the potentials degenerate (remedy: increase epsilon).
     """
@@ -536,9 +578,9 @@ def _northwest_corner_support(a, b):
 def _crash_reduced_cost(unit, a, b):
     """Reduced costs ``unit - u - v`` of loose entropic duals, with ``u, v``.
 
-    Scaling sweeps at the default epsilon, stopped at the column tolerance
-    ``CRASH_TOL`` or after ``CRASH_SWEEPS`` sweeps, already locate the
-    sparse optimal support (Schmitzer, SIAM J. Sci. Comput. 2019), which
+    Scaling sweeps at the default epsilon, stopped at the marginal
+    tolerance ``CRASH_TOL`` or after ``CRASH_SWEEPS`` sweeps, already
+    locate the sparse optimal support (Schmitzer, SIAM J. Sci. Comput. 2019), which
     raw costs miss. The potentials are returned in the units of ``unit``
     (epsilon times the log-domain ones). Non-finite potentials (zero-mass
     atoms carry ``-inf``) count as zero, so those lines fall back to raw

@@ -409,6 +409,29 @@ class TestBenchReal:
         assert row["values"] == []
         assert "overflow" in row["failures"]["0"]
 
+    def test_overflowed_covariance_records_a_failure(self, tmp_path, capsys):
+        # one column near 1e200 with a relative spread of 1e-3: its centred
+        # squares overflow the covariance of every method's first step
+        rng = np.random.default_rng(np.random.SeedSequence([76]))
+        path = tmp_path / "huge.csv"
+        rows = [
+            f"{1e200 * (1.0 + 1e-3 * a)!r},{b!r},{'ab'[i % 2]}"
+            for i, (a, b) in enumerate(rng.normal(size=(40, 2)).tolist())
+        ]
+        path.write_text("\n".join(["x1,x2,label", *rows]) + "\n")
+        out = tmp_path / "rep.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(
+                "bench-real", "--data", str(path), "--methods", "PCA,POTD",
+                "--dims", "1", "--replications", "1", "--output", str(out),
+            ) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        for row in json.loads(out.read_text())["rows"]:
+            assert row["values"] == []
+            assert "covariance is not finite" in row["failures"]["0"]
+
 
 class TestOracleCheck:
     def test_default_passes(self, capsys):

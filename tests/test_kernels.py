@@ -26,20 +26,44 @@ def reference_sqdist(x, y):
     return ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
 
 
-def reference_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None):
-    """Independent oracle: log-domain Sinkhorn, one log-sum-exp pass per update."""
-    b = np.exp(log_b)
+def reference_scaling(
+    neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None,
+    schedule=ot._overrelaxation,
+):
+    """Independent oracle: over-relaxed log-domain Sinkhorn, one log-sum-exp
+    pass per update, with the kernel's omega schedule unless another one is
+    given (``lambda history: 1.0`` runs plain sweeps)."""
+    a, b = np.exp(log_a), np.exp(log_b)
     u = np.zeros(neg_cost.shape[0]) if u0 is None else np.array(u0, dtype=np.float64)
     v = np.zeros(neg_cost.shape[1]) if v0 is None else np.array(v0, dtype=np.float64)
+
+    def relax(old, target, omega):
+        if omega == 1.0:
+            return target
+        return np.where(np.isneginf(target), -np.inf, (1 - omega) * old + omega * target)
+
+    def error():
+        row = np.abs(np.exp(u + lse_rows) - a).sum()
+        return max(row, np.abs(np.exp(v + lse_cols) - b).sum())
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        for sweeps in range(max_iterations + 1):
+        lse_rows = logsumexp(neg_cost + v[None, :], axis=1)
+        lse_cols = logsumexp(neg_cost + u[:, None], axis=0)
+        err = error()
+        if err <= tolerance or max_iterations == 0:
+            return u, v, 0, err
+        omega, history = 1.0, []
+        for sweeps in range(1, max_iterations + 1):
+            v = relax(v, log_b - lse_cols, omega)
+            lse_rows = logsumexp(neg_cost + v[None, :], axis=1)
+            u = relax(u, log_a - lse_rows, omega)
             lse_cols = logsumexp(neg_cost + u[:, None], axis=0)
-            err = np.abs(np.exp(v + lse_cols) - b).sum()
-            if err <= tolerance or sweeps == max_iterations:
-                return u, v, sweeps, err
-            v = log_b - lse_cols
-            u = log_a - logsumexp(neg_cost + v[None, :], axis=1)
-    raise AssertionError("unreachable")
+            err = error()
+            if err <= tolerance:
+                break
+            history.append((omega, err))
+            omega = schedule(history)
+    return u, v, sweeps, err
 
 
 def plan_of(neg_cost, u, v):
@@ -157,8 +181,10 @@ class TestSinkhornScaling:
         plan = plan_of(neg_cost, u, v)
         assert np.max(np.abs(plan - plan_of(neg_cost, ref_u, ref_v))) <= 1e-12
         assert err <= tol
+        row_err = np.abs(plan.sum(axis=1) - np.exp(log_a)).sum()
         col_err = np.abs(plan.sum(axis=0) - np.exp(log_b)).sum()
-        assert col_err == pytest.approx(err, abs=1e-12)
+        assert row_err <= tol and col_err <= tol
+        assert err == pytest.approx(max(row_err, col_err), abs=1e-12)
         assert np.all(np.isneginf(u[np.isneginf(log_a)]))
         assert np.all(np.isneginf(v[np.isneginf(log_b)]))
 
@@ -195,12 +221,17 @@ class TestSinkhornScaling:
             coupling.plan, -cost / eps, coupling.dual_row / eps, coupling.dual_col / eps
         )
 
-    def test_absorbs_where_the_plain_kernel_underflows(self, monkeypatch):
+    def underflow_instance(self):
+        """Epsilon 1e-3 times the largest cost: the plain kernel underflows,
+        and plain sweeps need 1828 to reach 1e-9."""
         rng = np.random.default_rng(np.random.SeedSequence([401]))
         cost = reference_sqdist(rng.normal(size=(30, 3)), rng.normal(size=(40, 3)) + 0.5)
         neg_cost = -cost / (1e-3 * cost.max())
+        return neg_cost, np.log(np.full(30, 1 / 30)), np.log(np.full(40, 1 / 40))
+
+    def test_absorbs_where_the_plain_kernel_underflows(self, monkeypatch):
+        neg_cost, log_a, log_b = self.underflow_instance()
         assert np.any(np.exp(neg_cost) == 0.0)
-        log_a, log_b = np.log(np.full(30, 1 / 30)), np.log(np.full(40, 1 / 40))
         log_sweeps = Counter()
         log_sum_exp = ot._log_sum_exp
 
@@ -217,6 +248,69 @@ class TestSinkhornScaling:
         assert err <= 1e-9
         assert abs(sweeps - ref_sweeps) <= 1
         assert np.max(np.abs(plan_of(neg_cost, u, v) - plan_of(neg_cost, ref_u, ref_v))) <= 1e-12
+
+    def test_needs_at_most_half_the_plain_sweeps(self):
+        neg_cost, log_a, log_b = self.underflow_instance()
+        *_, plain_sweeps, plain_err = reference_scaling(
+            neg_cost, log_a, log_b, 20_000, 1e-9, schedule=lambda history: 1.0
+        )
+        assert plain_err <= 1e-9
+        sweeps = sinkhorn_scaling(neg_cost, log_a, log_b, 20_000, 1e-9)[2]
+        assert sweeps <= plain_sweeps / 2
+
+
+def geometric(omega, ratio, count, start=1.0):
+    """``count`` sweeps at ``omega`` whose errors fall by ``ratio`` each."""
+    return [(omega, start * ratio**k) for k in range(1, count + 1)]
+
+
+class TestOverrelaxation:
+    def test_starts_with_plain_sweeps(self):
+        assert ot._overrelaxation([(1.0, 0.5)]) == 1.0
+        assert ot._overrelaxation([(1.0, 0.5), (1.0, 0.25)]) == 1.0
+
+    def test_settled_plain_rate_gives_the_optimal_omega(self):
+        # plain sweeps at rate kappa = 0.64: omega = 2 / (1 + sqrt(0.36))
+        assert ot._overrelaxation(geometric(1.0, 0.64, 3)) == pytest.approx(1.25)
+        assert ot._overrelaxation(geometric(1.0, 0.999, 3)) == ot.OMEGA_MAX
+
+    def test_unsettled_ratios_keep_omega(self):
+        # ratios 0.5 and then 0.8
+        assert ot._overrelaxation([(1.0, 1.0), (1.0, 0.5), (1.0, 0.4)]) == 1.0
+        # the ratio of the first sweep at a new omega says nothing of it yet
+        assert ot._overrelaxation(geometric(1.0, 0.64, 3) + [(1.25, 0.64**4)]) == 1.25
+
+    def test_the_optimum_is_a_fixed_point(self):
+        # at the optimal omega the rate is omega - 1, from which the
+        # estimate of kappa is the plain rate again
+        history = geometric(1.0, 0.64, 3) + geometric(1.25, 0.25, 3, start=0.64**3)
+        assert ot._overrelaxation(history) == pytest.approx(1.25)
+
+    def test_a_rise_falls_back_to_plain_sweeps_after_the_grace(self):
+        steady = geometric(1.5, 0.5, ot.RISE_GRACE - 1)
+        assert ot._overrelaxation(steady + [(1.5, 1.0)]) == 1.0
+        # within the first sweeps at a new omega a rise is its transient
+        assert ot._overrelaxation([(1.0, 1.0)] + steady[1:] + [(1.5, 1.0)]) == 1.5
+
+    def test_the_fallback_lasts_until_the_ratios_settle_again(self):
+        history = geometric(1.5, 0.5, ot.RISE_GRACE - 1) + [(1.5, 1.0)]
+        history += geometric(1.0, 0.64, 1)
+        assert ot._overrelaxation(history) == 1.0
+        history += [(1.0, 0.64**2)]
+        assert ot._overrelaxation(history) == pytest.approx(1.25)
+
+    def test_a_stalled_error_keeps_omega(self):
+        # errors that move only by rounding give no rate and no rise
+        stalled = [(1.0, 0.1), (1.0, 0.1 * (1 - 1e-15)), (1.0, 0.1 * (1 - 2e-15))]
+        assert ot._overrelaxation(stalled) == 1.0
+        steady = geometric(1.5, 0.5, ot.RISE_GRACE - 1)
+        assert ot._overrelaxation(steady + [(1.5, steady[-1][1] * (1 + 1e-15))]) == 1.5
+
+    def test_non_finite_errors(self):
+        # a NaN error gives no rate; an infinite one is a rise
+        steady = geometric(1.0, 0.64, 3) + geometric(1.3, 0.5, ot.RISE_GRACE - 1)
+        assert ot._overrelaxation(steady + [(1.3, np.nan)]) == 1.3
+        assert ot._overrelaxation(steady + [(1.3, np.inf)]) == 1.0
 
 
 def test_traced_kernel_sites_are_called(monkeypatch, rng):
