@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 
-from .core import back_mapped_basis, centered_covariance, descending_eigh, whiten
+from .core import back_mapped_basis, centered_covariance, check_r, descending_eigh, whiten
 from .errors import DegenerateInputError, InvalidInputError
 
 
@@ -34,8 +34,7 @@ def sir_fit(data, r):
     k = labels.shape[0]
     if k < 2:
         raise InvalidInputError("need at least 2 classes")
-    if not 1 <= r <= data.p:
-        raise InvalidInputError(f"r must be in [1, p={data.p}], got {r}")
+    check_r(r, data.p)
     effective_r = min(r, k - 1)
     if effective_r < r:
         warnings.warn(
@@ -61,8 +60,7 @@ def save_fit(data, r):
     labels = data.classes()
     if labels.shape[0] < 2:
         raise InvalidInputError("need at least 2 classes")
-    if not 1 <= r <= data.p:
-        raise InvalidInputError(f"r must be in [1, p={data.p}], got {r}")
+    check_r(r, data.p)
     Z, W = whiten(data.X)
     p = data.p
     eye = np.eye(p)
@@ -73,9 +71,7 @@ def save_fit(data, r):
                 f"class {label!r} has a single point; within-slice covariance "
                 "is undefined"
             )
-        centered = block - block.mean(axis=0)
-        cov = centered.T @ centered / block.shape[0]
-        diff = eye - cov
+        diff = eye - centered_covariance(block)[1]
         accum += weight * (diff @ diff)
     evals, evecs = descending_eigh(accum)
     return back_mapped_basis(evecs[:, :r], np.maximum(evals, 0.0), W)
@@ -86,8 +82,7 @@ def pca_fit(X, r):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise InvalidInputError("X must be a matrix with at least 2 rows")
-    if not 1 <= r <= X.shape[1]:
-        raise InvalidInputError(f"r must be in [1, p={X.shape[1]}], got {r}")
+    check_r(r, X.shape[1])
     _, cov = centered_covariance(X)
     evals, evecs = descending_eigh(cov)
     return back_mapped_basis(evecs[:, :r], np.maximum(evals, 0.0), None)

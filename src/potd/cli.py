@@ -48,7 +48,7 @@ from .ot import (
     squared_euclidean_cost,
     transport_cost,
 )
-from .synthetic import MODELS, SyntheticSpec, gen_cshape, gen_model, gen_svm3d
+from .synthetic import MODELS, SyntheticSpec, gen_cshape, gen_model, gen_svm3d, make_rng
 
 logger = logging.getLogger(__name__)
 
@@ -225,6 +225,27 @@ def _add_dataset_flags(parser):
     )
 
 
+def _add_bench_flags(parser):
+    """The flags that ``bench-synthetic`` and ``bench-real`` share."""
+    parser.add_argument(
+        "--methods",
+        type=_csv_list,
+        default=list(METHODS),
+        help="comma-separated methods (default: POTD,SIR,SAVE,PCA)",
+    )
+    parser.add_argument(
+        "--replications", type=int, default=100, help="replications (default: 100)"
+    )
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes; capped by POTD_MAX_THREADS (default: 1)",
+    )
+    _add_solver_flags(parser)
+    parser.add_argument("--output", required=True, help="JSON report output path")
+    parser.add_argument("--csv", default=None, help="optional aggregate CSV output path")
+    _add_common_flags(parser)
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -389,7 +410,7 @@ def _cmd_oracle_check(args):
 
     # exact solver against brute-force assignment enumeration
     for n in range(2, min(args.size, 7) + 1):
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, n]))
+        rng = make_rng(args.seed, n)
         mu = DiscreteMeasure.uniform(rng.normal(size=(n, 3)))
         nu = DiscreteMeasure.uniform(rng.normal(size=(n, 3)) + 0.5)
         cost = squared_euclidean_cost(mu.points, nu.points)
@@ -404,7 +425,7 @@ def _cmd_oracle_check(args):
         print(f"exact vs enumeration  n={n}: gap={gap:.3e}{marker}")
 
     # regularized solver against the exact cost on one fixed instance
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 1000 + args.size]))
+    rng = make_rng(args.seed, 1000 + args.size)
     mu = DiscreteMeasure.uniform(rng.normal(size=(args.size, 3)))
     nu = DiscreteMeasure.uniform(rng.normal(size=(args.size, 3)) + 0.5)
     cost = squared_euclidean_cost(mu.points, nu.points)
@@ -556,41 +577,17 @@ def build_parser():
         default=[10],
         help="comma-separated ambient dimensions (default: 10)",
     )
-    p_bs.add_argument(
-        "--methods",
-        type=_csv_list,
-        default=list(METHODS),
-        help="comma-separated methods (default: POTD,SIR,SAVE,PCA)",
-    )
     p_bs.add_argument("--n", type=int, default=400, help="sample size (default: 400)")
-    p_bs.add_argument(
-        "--replications", type=int, default=100, help="replications (default: 100)"
-    )
     p_bs.add_argument(
         "--noise-scale", type=float, default=0.2, help="label-noise scale (default: 0.2)"
     )
-    p_bs.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes; capped by POTD_MAX_THREADS (default: 1)",
-    )
-    _add_solver_flags(p_bs)
-    p_bs.add_argument("--output", required=True, help="JSON report output path")
-    p_bs.add_argument("--csv", default=None, help="optional aggregate CSV output path")
-    _add_common_flags(p_bs)
+    _add_bench_flags(p_bs)
     p_bs.set_defaults(func=_cmd_bench_synthetic)
 
     p_br = sub.add_parser(
         "bench-real", help="paired-split KNN accuracy benchmark on a CSV dataset"
     )
     _add_dataset_flags(p_br)
-    p_br.add_argument(
-        "--methods",
-        type=_csv_list,
-        default=list(METHODS),
-        help="comma-separated methods (default: POTD,SIR,SAVE,PCA)",
-    )
     p_br.add_argument(
         "--dims",
         type=lambda s: [int(v) for v in _csv_list(s)],
@@ -605,9 +602,6 @@ def build_parser():
         help="test split fraction (default: 0.5)",
     )
     p_br.add_argument(
-        "--replications", type=int, default=100, help="replications (default: 100)"
-    )
-    p_br.add_argument(
         "--split",
         choices=["stratified", "random"],
         default="stratified",
@@ -618,16 +612,7 @@ def build_parser():
         default=None,
         help="setting name recorded in the report (default: data file stem)",
     )
-    p_br.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes; capped by POTD_MAX_THREADS (default: 1)",
-    )
-    _add_solver_flags(p_br)
-    p_br.add_argument("--output", required=True, help="JSON report output path")
-    p_br.add_argument("--csv", default=None, help="optional aggregate CSV output path")
-    _add_common_flags(p_br)
+    _add_bench_flags(p_br)
     p_br.set_defaults(func=_cmd_bench_real)
 
     p_oc = sub.add_parser(

@@ -35,12 +35,18 @@ def apply_sign_convention(vectors):
 
 
 def orthonormalize(vectors):
-    """Orthonormal basis of the column span, preserving column order."""
-    q, r = np.linalg.qr(np.asarray(vectors, dtype=np.float64))
-    # keep each column pointing along the original direction
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    """Orthonormal basis of the column span, preserving column order.
+
+    Column signs are left as the QR factorization gives them; :class:`Basis`
+    fixes them by :func:`apply_sign_convention`.
+    """
+    return np.linalg.qr(np.asarray(vectors, dtype=np.float64))[0]
+
+
+def check_r(r, p):
+    """Raise :class:`InvalidInputError` unless a fit may keep ``r`` of ``p`` directions."""
+    if not 1 <= r <= p:
+        raise InvalidInputError(f"r must be in [1, p={p}], got {r}")
 
 
 @dataclass(frozen=True)
@@ -134,10 +140,7 @@ class SecondOrderDisplacement:
 
     def basis(self, r):
         """Leading ``r`` eigenvectors as a Basis."""
-        p = self.sigma.shape[0]
-        if not 1 <= r <= p:
-            raise InvalidInputError(f"r must be in [1, {p}], got {r}")
-        return Basis(self.eigenvectors[:, :r], self.eigenvalues)
+        return Basis(self.eigenvectors, self.eigenvalues).truncated(r)
 
 
 def centered_covariance(X):
@@ -180,16 +183,20 @@ def whiten(X):
     return Xc @ W, W
 
 
-def displacement_matrix(source, target, coupling):
-    """Weighted displacement rows ``diag(a_i) X_(i) - G_ij X_(j)``.
-
-    The column sums equal the difference of the two weighted class means.
-    """
+def _check_plan_shape(source, target, coupling):
     if coupling.plan.shape != (source.size, target.size):
         raise InvalidInputError(
             f"coupling shape {coupling.plan.shape} does not match measures "
             f"({source.size}, {target.size})"
         )
+
+
+def displacement_matrix(source, target, coupling):
+    """Weighted displacement rows ``diag(a_i) X_(i) - G_ij X_(j)``.
+
+    The column sums equal the difference of the two weighted class means.
+    """
+    _check_plan_shape(source, target, coupling)
     if source.dim != target.dim:
         raise InvalidInputError("source and target point dimensions differ")
     return source.weights[:, None] * source.points - coupling.plan @ target.points
@@ -259,8 +266,7 @@ def _fit(data, labelings, r, solver, whiten_flag):
     relative to the data scale (e.g. classes with identical point clouds),
     since any basis would then be arbitrary.
     """
-    if not 1 <= r <= data.p:
-        raise InvalidInputError(f"r must be in [1, p={data.p}], got {r}")
+    check_r(r, data.p)
     if solver is None:
         solver = SolverConfig()
     Z, W = whiten(data.X) if whiten_flag else (data.X, None)
@@ -343,11 +349,7 @@ def second_order_displacement(source, target, coupling):
     the atom masses; the result is the symmetric PSD matrix
     ``sum_l a_l (x_l - image_l)(x_l - image_l)^T`` with its spectrum.
     """
-    if coupling.plan.shape != (source.size, target.size):
-        raise InvalidInputError(
-            f"coupling shape {coupling.plan.shape} does not match measures "
-            f"({source.size}, {target.size})"
-        )
+    _check_plan_shape(source, target, coupling)
     a = source.weights
     if np.any(a == 0):
         raise DegenerateInputError(

@@ -32,6 +32,7 @@ from .synthetic import (
     MODELS,
     SyntheticSpec,
     gen_model,
+    seed_sequence,
     subspace_distance,
 )
 
@@ -395,8 +396,7 @@ def evaluate_split(dataset, train_idx, test_idx, method, r, K=10, solver=None):
 # synthetic benchmark
 
 def _replication_seed(seed, *key):
-    ss = np.random.SeedSequence([int(seed), *[int(k) for k in key]])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
 
 
 def _synthetic_rep(model, p, n, methods, solver, noise_scale, rep_seed):
@@ -496,14 +496,9 @@ def _real_rep(dataset, methods, dims, split, K, solver, rep_seed):
     out = {}
     for method in methods:
         for r in dims:
-            if r >= dataset.p:
-                out[(method, r)] = (
-                    "error",
-                    f"InvalidInputError: r={r} must be smaller than p={dataset.p}",
-                    r,
-                )
-                continue
             try:
+                if r >= dataset.p:
+                    raise InvalidInputError(f"r={r} must be smaller than p={dataset.p}")
                 _, acc, r_eff = evaluate_split(
                     dataset, train_idx, test_idx, method, r, K=K, solver=solver
                 )
@@ -535,6 +530,8 @@ def run_real_benchmark(
     dims = [int(r) for r in dims]
     if dataset.classes().shape[0] < 2:
         raise InvalidInputError("dataset must have at least 2 classes")
+    if K < 1:
+        raise InvalidInputError("K must be >= 1")
     config = {
         "methods": methods,
         "dims": dims,

@@ -162,9 +162,14 @@ class CouplingMatrix:
 
     def marginal_errors(self):
         """L1 violations of the row and column marginals."""
-        row = float(np.abs(self.plan.sum(axis=1) - self.row_marginal).sum())
-        col = float(np.abs(self.plan.sum(axis=0) - self.col_marginal).sum())
-        return row, col
+        return _marginal_errors(self.plan, self.row_marginal, self.col_marginal)
+
+
+def _marginal_errors(plan, a, b):
+    """Row and column L1 errors of ``plan`` against the marginals ``a``, ``b``."""
+    row = float(np.abs(plan.sum(axis=1) - a).sum())
+    col = float(np.abs(plan.sum(axis=0) - b).sum())
+    return row, col
 
 
 @dataclass(frozen=True)
@@ -267,17 +272,14 @@ def _relaxed(old, target, omega):
     return np.where(np.isfinite(old), (1.0 - omega) * old + omega * target, target)
 
 
-def sinkhorn_scaling(
-    neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None, out=None
-):
+def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None):
     """Over-relaxed Sinkhorn iterations on the scaled negative cost ``K = -C/eps``.
 
-    Returns ``(u, v, sweeps, err)``: log-domain dual potentials, the number
-    of sweeps and the larger of the row and column L1 marginal errors of
-    ``exp(K + u[:, None] + v[None, :])``, measured on the returned
-    potentials; the sweeps stop once it is at most ``tolerance``. Zero-mass
-    atoms get ``-inf`` potentials. ``out``, an optional n-by-m float64
-    buffer, holds the kernel during the sweeps and that plan on return.
+    Returns ``(u, v, sweeps, err, plan)``: log-domain dual potentials, the
+    number of sweeps, the larger of the row and column L1 marginal errors of
+    ``plan = exp(K + u[:, None] + v[None, :])``, measured on the returned
+    potentials, and that plan. The sweeps stop once the error is at most
+    ``tolerance``. Zero-mass atoms get ``-inf`` potentials.
 
     The iterates are those of the log-domain updates ``v = (1 - w) v +
     w (log b - LSE_i(K + u))``, ``u = (1 - w) u + w (log a - LSE_j(K + v))``
@@ -293,7 +295,7 @@ def sinkhorn_scaling(
     runs in the log domain and the kernel is formed again. The first sweep
     always runs in the log domain, so cold and warm starts behave alike.
     On return the kernel, scaled in place to ``diag(alpha) Kt diag(beta)``,
-    is the plan, so no fresh ``exp`` pass forms it.
+    is the returned plan, so no fresh ``exp`` pass forms it.
     """
     neg_cost = np.ascontiguousarray(neg_cost, dtype=np.float64)
     n, m = neg_cost.shape
@@ -303,7 +305,7 @@ def sinkhorn_scaling(
     live_b = b > 0
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
     v = np.zeros(m) if v0 is None else np.array(v0, dtype=np.float64)
-    kernel = np.empty((n, m)) if out is None else out
+    kernel = np.empty((n, m))
     # zero-mass atoms keep factor 1: their kernel lines are zero
     alpha = np.ones(n)
     beta = np.ones(m)
@@ -315,7 +317,7 @@ def sinkhorn_scaling(
         err = np.maximum(row_err, np.abs(np.exp(v + lse_cols) - b).sum())
         if err <= tolerance or max_iterations == 0:
             kernel *= col_scale[None, :]
-            return u, v, 0, err
+            return u, v, 0, err, kernel
         omega, history, absorbed = 1.0, [], False
         for sweeps in range(1, max_iterations + 1):
             if absorbed:
@@ -353,7 +355,7 @@ def sinkhorn_scaling(
         v += np.log(beta)
         kernel *= alpha[:, None]
         kernel *= beta[None, :]
-        return u, v, sweeps, err
+        return u, v, sweeps, err, kernel
 
 
 # the crash start of the exact LP runs the scaling kernel through this name,
@@ -449,11 +451,8 @@ def sinkhorn(mu, nu, cost, config, init=None):
         dual_row, dual_col = init
         u0 = _check_init("dual_row", dual_row, mu.size) / eps
         v0 = _check_init("dual_col", dual_col, nu.size) / eps
-    # the kernel's buffer, which holds the plan when the sweeps return
-    plan = np.empty_like(neg_cost)
-    u, v, iterations, err = sinkhorn_scaling(
-        neg_cost, log_a, log_b, config.max_iterations, config.marginal_tolerance,
-        u0, v0, plan,
+    u, v, iterations, err, plan = sinkhorn_scaling(
+        neg_cost, log_a, log_b, config.max_iterations, config.marginal_tolerance, u0, v0
     )
     # -inf potentials are legitimate only for zero-mass atoms; NaN, +inf or
     # astronomically large magnitudes mean the scaled costs underflowed
@@ -507,8 +506,10 @@ def exact_ot(mu, nu, cost):
     LP on a shortlist support grown by column generation. LP results carry
     a dual certificate over the full cost matrix: the minimum reduced cost
     and the duality gap. The assignment solver exposes no duals, so its
-    results carry none. Raises :class:`NumericError` when the marginals or
-    the certificate miss their tolerance.
+    results carry none. The marginal error and the certificate are measured
+    on the raw plan before the one :class:`CouplingMatrix` is built, so its
+    entry scan runs once per solve. Raises :class:`NumericError` when the
+    marginals or the certificate miss their tolerance.
     """
     cost = _check_cost(mu, nu, cost)
     a, b = mu.weights, nu.weights
@@ -524,38 +525,33 @@ def exact_ot(mu, nu, cost):
         u = v = None
     else:
         plan, u, v = _transportation_lp(a, b, cost)
-    coupling = CouplingMatrix(plan, a, b, iterations=0, marginal_error=0.0)
-    row_err, col_err = coupling.marginal_errors()
-    err = max(row_err, col_err)
+    err = max(_marginal_errors(plan, a, b))
     if err > EXACT_MARGINAL_TOL:
         raise NumericError(
             f"exact solver returned marginal error {err:.3e} above "
             f"{EXACT_MARGINAL_TOL:g}"
         )
-    coupling = replace(coupling, marginal_error=err)
-    return coupling if u is None else _certified(coupling, cost, u, v)
+    certificate = {} if u is None else _certificate(plan, a, b, cost, u, v)
+    return CouplingMatrix(plan, a, b, marginal_error=err, **certificate)
 
 
-def _certified(coupling, cost, u, v):
-    """``coupling`` with its dual certificate over the full cost matrix.
+def _certificate(plan, a, b, cost, u, v):
+    """The dual certificate of ``plan`` over the full cost matrix.
 
-    Raises :class:`NumericError` when the minimum reduced cost is below, or
-    the duality gap off zero by, more than ``CERTIFICATE_RTOL`` times the
-    largest cost.
+    Returns the :class:`CouplingMatrix` fields ``min_reduced_cost`` and
+    ``duality_gap``. Raises :class:`NumericError` when the minimum reduced
+    cost is below, or the duality gap off zero by, more than
+    ``CERTIFICATE_RTOL`` times the largest cost.
     """
     min_reduced = float((cost - u[:, None] - v[None, :]).min())
-    gap = float(
-        np.sum(coupling.plan * cost)
-        - coupling.row_marginal @ u
-        - coupling.col_marginal @ v
-    )
+    gap = float(np.sum(plan * cost) - a @ u - b @ v)
     tol = CERTIFICATE_RTOL * float(cost.max())
     if min_reduced < -tol or abs(gap) > tol:
         raise NumericError(
             f"exact solver failed its optimality certificate: minimum reduced "
             f"cost {min_reduced:.3e}, duality gap {gap:.3e}, tolerance {tol:.3e}"
         )
-    return replace(coupling, min_reduced_cost=min_reduced, duality_gap=gap)
+    return {"min_reduced_cost": min_reduced, "duality_gap": gap}
 
 
 def _northwest_corner_support(a, b):
@@ -754,8 +750,6 @@ def solve_coupling(mu, nu, cost=None, config=None):
         config = SolverConfig()
     if cost is None:
         cost = squared_euclidean_cost(mu.points, nu.points)
-    else:
-        cost = _check_cost(mu, nu, cost)
     mode = config.mode
     if mode == "auto":
         mode = "exact" if mu.size * nu.size <= config.exact_size_limit else "sinkhorn"

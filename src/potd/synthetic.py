@@ -19,10 +19,15 @@ MODELS = ("I", "II", "III", "IV")
 MODEL_SUBSPACE_DIM = {"I": 2, "II": 2, "III": 4, "IV": 4}
 
 
-def make_rng(seed, *key):
+def seed_sequence(seed, *key):
+    """``SeedSequence([seed, *key])``; a negative seed raises :class:`InvalidInputError`."""
     if int(seed) < 0:
         raise InvalidInputError("seed must be a nonnegative integer")
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
+    return np.random.SeedSequence([int(seed), *map(int, key)])
+
+
+def make_rng(seed, *key):
+    return np.random.default_rng(seed_sequence(seed, *key))
 
 
 @dataclass(frozen=True)
@@ -89,18 +94,6 @@ def model_signal(model, X):
     raise InvalidInputError(f"unknown model {model!r}")
 
 
-def _degenerate_rows(model, X):
-    # rows where the signal is undefined (division by zero, log of zero);
-    # a measure-zero event that is resampled away
-    if model == "I":
-        return X[:, 1] == 0
-    if model == "III":
-        return X[:, 0] == 0
-    if model == "IV":
-        return (X[:, 1] == 0) | (X[:, 2] == 0) | (X[:, 3] == 0)
-    return np.zeros(X.shape[0], dtype=bool)
-
-
 def gen_model(spec):
     """Binary-response draw from one of the synthetic models.
 
@@ -110,12 +103,16 @@ def gen_model(spec):
     """
     rng = make_rng(spec.seed)
     X = rng.uniform(-2.0, 2.0, (spec.n, spec.p))
-    bad = _degenerate_rows(spec.model, X)
-    while bad.any():
-        X[bad] = rng.uniform(-2.0, 2.0, (int(bad.sum()), spec.p))
-        bad = _degenerate_rows(spec.model, X)
+    # rows whose signal is not finite (a zero divisor, the log of 0) are
+    # redrawn; the uniform draws are multiples of 2**-51, so only a
+    # coordinate of exactly 0, a measure-zero event, makes one
+    with np.errstate(divide="ignore", invalid="ignore"):
+        signal = model_signal(spec.model, X)
+        while (bad := ~np.isfinite(signal)).any():
+            X[bad] = rng.uniform(-2.0, 2.0, (int(bad.sum()), spec.p))
+            signal = model_signal(spec.model, X)
     noise = rng.standard_normal(spec.n)
-    vals = model_signal(spec.model, X) + spec.noise_scale * noise
+    vals = signal + spec.noise_scale * noise
     y = np.where(vals >= 0, 1, -1)
     r0 = MODEL_SUBSPACE_DIM[spec.model]
     return LabeledDataset(X, y), _leading_axes(spec.p, r0)

@@ -58,6 +58,28 @@ class TestHelpAndUsage:
     def test_unknown_command_usage_error(self):
         assert run_cli("frobnicate") == 2
 
+    NEGATIVE_SEED = "seed must be a nonnegative integer"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("bench-synthetic --models I --methods PCA --n 60 --seed -1", NEGATIVE_SEED),
+            ("bench-real --data {data} --methods PCA --dims 2 --seed -1", NEGATIVE_SEED),
+            ("oracle-check --size 3 --seed -1", NEGATIVE_SEED),
+            ("bench-real --data {data} --methods PCA --dims 2 --k 0", "K must be >= 1"),
+        ],
+        ids=["bench-synthetic-seed", "bench-real-seed", "oracle-check-seed", "bench-real-k"],
+    )
+    def test_negative_seed_or_k_below_one_exit_2(self, argv, message, model_csv, tmp_path, capsys):
+        argv = argv.format(data=model_csv).split()
+        out = tmp_path / "r.json"
+        if argv[0] != "oracle-check":
+            argv += ["--replications", "2", "--output", str(out)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"potd: error: invalid-input: {message}\n"
+        # rejected before any replication runs, so no report is written
+        assert not out.exists()
+
 
 class TestFit:
     def test_writes_orthonormal_basis(self, model_csv, tmp_path):

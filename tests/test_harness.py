@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from potd import harness
 from potd.core import LabeledDataset, potd_fit
 from potd.errors import (
     DatasetParseError,
@@ -377,6 +378,17 @@ class TestRealBenchmark:
         )
         (row,) = report.rows
         assert row.r == 4 and row.effective_r == 1
+
+    def test_k_below_one_rejected_before_any_replication(self, monkeypatch):
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "_real_rep", no_replication)
+        with pytest.raises(InvalidInputError, match="K must be >= 1"):
+            run_real_benchmark(
+                blob_dataset(n_per=30, p=4), methods=["PCA"], dims=[2],
+                split=SplitConfig(replications=2, seed=5), K=0,
+            )
 
     def test_r_at_least_p_recorded_as_failure(self):
         data = blob_dataset(n_per=30, p=4)

@@ -78,10 +78,9 @@ def assert_plan_of_potentials(plan, neg_cost, u, v):
 
 
 def scaling_with_plan(neg_cost, log_a, log_b, max_iterations, u0=None, v0=None):
-    """``sinkhorn_scaling`` to 1e-9 with the plan it leaves in ``out``."""
-    plan = np.empty_like(neg_cost)
-    u, v, sweeps, err = sinkhorn_scaling(
-        neg_cost, log_a, log_b, max_iterations, 1e-9, u0, v0, plan
+    """``sinkhorn_scaling`` to 1e-9, with the plan it returns listed first."""
+    u, v, sweeps, err, plan = sinkhorn_scaling(
+        neg_cost, log_a, log_b, max_iterations, 1e-9, u0, v0
     )
     return plan, u, v, sweeps, err
 
@@ -149,7 +148,7 @@ class TestSinkhornScaling:
         b = np.array([0.5, 0.5, 0.0])
         with np.errstate(divide="ignore"):
             log_b = np.log(b)
-        u, v, _, err = sinkhorn_scaling(neg_cost, log_a, log_b, 10_000, 1e-10)
+        u, v, _, err, _ = sinkhorn_scaling(neg_cost, log_a, log_b, 10_000, 1e-10)
         plan = plan_of(neg_cost, u, v)
         assert np.allclose(plan[:, 2], 0.0)
         assert np.isneginf(v[2])
@@ -158,9 +157,9 @@ class TestSinkhornScaling:
     def test_warm_start_converges_faster(self, rng):
         neg_cost, log_a, log_b = self.setup_instance(rng, 10, 10)
         sharp = neg_cost * 20.0  # same instance at epsilon / 20
-        _, _, cold_iters, _ = sinkhorn_scaling(sharp, log_a, log_b, 200_000, 1e-9)
-        u, v, _, _ = sinkhorn_scaling(neg_cost, log_a, log_b, 200_000, 1e-9)
-        _, _, warm_iters, _ = sinkhorn_scaling(
+        _, _, cold_iters, _, _ = sinkhorn_scaling(sharp, log_a, log_b, 200_000, 1e-9)
+        u, v, _, _, _ = sinkhorn_scaling(neg_cost, log_a, log_b, 200_000, 1e-9)
+        _, _, warm_iters, _, _ = sinkhorn_scaling(
             sharp, log_a, log_b, 200_000, 1e-9, u0=u * 20.0, v0=v * 20.0
         )
         assert warm_iters <= cold_iters
@@ -176,7 +175,7 @@ class TestSinkhornScaling:
         # an instance the reference cannot solve within the budget says
         # nothing about the kernel; skip it rather than fail and shrink it
         assume(ref_err <= tol)
-        u, v, sweeps, err = sinkhorn_scaling(neg_cost, log_a, log_b, budget, tol, u0, v0)
+        u, v, sweeps, err, _ = sinkhorn_scaling(neg_cost, log_a, log_b, budget, tol, u0, v0)
         assert abs(sweeps - ref_sweeps) <= 1
         plan = plan_of(neg_cost, u, v)
         assert np.max(np.abs(plan - plan_of(neg_cost, ref_u, ref_v))) <= 1e-12
@@ -240,7 +239,7 @@ class TestSinkhornScaling:
             return log_sum_exp(neg_cost, pot, axis, work)
 
         monkeypatch.setattr(ot, "_log_sum_exp", counted)
-        u, v, sweeps, err = sinkhorn_scaling(neg_cost, log_a, log_b, 20_000, 1e-9)
+        u, v, sweeps, err, _ = sinkhorn_scaling(neg_cost, log_a, log_b, 20_000, 1e-9)
         # the first sweep runs in the log domain; every further log-domain
         # row update is an absorption
         assert log_sweeps[1] > 1

@@ -190,6 +190,25 @@ class TestCostMatrix:
 
 
 class TestExactOT:
+    @pytest.mark.parametrize("n, m, certified", [(9, 13, True), (8, 8, False)])
+    def test_builds_one_coupling_per_solve(self, monkeypatch, n, m, certified):
+        # the plan's entry scan in __post_init__ runs once, on both the LP
+        # (unequal sizes) and the assignment (uniform equal sizes) paths
+        calls = []
+        post_init = CouplingMatrix.__post_init__
+
+        def counted(self):
+            calls.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(CouplingMatrix, "__post_init__", counted)
+        rng = np.random.default_rng(np.random.SeedSequence([74, n]))
+        mu, nu = random_instance(rng, n, m)
+        coupling = exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
+        assert len(calls) == 1
+        assert (coupling.duality_gap is not None) == certified
+        assert max(coupling.marginal_errors()) == coupling.marginal_error <= 1e-10
+
     def test_single_point_forced_coupling(self):
         mu = DiscreteMeasure.uniform([[0.0]])
         nu = DiscreteMeasure.uniform([[1.0]])
@@ -350,7 +369,7 @@ class TestExactOT:
         nu = DiscreteMeasure(tgt, integer_weights(rng, 31, False))
         crashes = spy_on_crash(monkeypatch)
         assert_exact_and_certified(mu, nu)
-        (_, _, sweeps, err), = crashes
+        (_, _, sweeps, err, _), = crashes
         assert sweeps == ot.CRASH_SWEEPS and err > ot.CRASH_TOL
 
     def test_exact_with_zero_mass_atoms(self, monkeypatch):
@@ -363,7 +382,7 @@ class TestExactOT:
         nu = DiscreteMeasure(rng.normal(size=(33, 3)) + 0.5, b / b.sum())
         crashes = spy_on_crash(monkeypatch)
         assert_exact_and_certified(mu, nu)
-        (u, v, _, _), = crashes
+        (u, v, _, _, _), = crashes
         assert np.all(np.isneginf(u[mu.weights == 0]))
         assert np.all(np.isneginf(v[nu.weights == 0]))
         # their lines fall back to raw cost instead of ranking at +inf

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from potd import synthetic
 from potd.core import Basis
 from potd.errors import InvalidInputError
 from potd.synthetic import (
+    MODELS,
     SyntheticSpec,
     TrueSubspace,
     gen_cshape,
@@ -15,6 +17,27 @@ from potd.synthetic import (
     sin_distance,
     subspace_distance,
 )
+
+
+class ZeroedFirstDraw:
+    """A stand-in generator whose first uniform draw is exactly 0 in the
+    first four coordinates of ``ZERO_ROWS``; it keeps every uniform draw."""
+
+    ZERO_ROWS = [1, 4]
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def uniform(self, low, high, size):
+        draw = self.rng.uniform(low, high, size)
+        if not self.draws:
+            draw[np.ix_(self.ZERO_ROWS, range(4))] = 0.0
+        self.draws.append(draw.copy())
+        return draw
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
 
 
 class TestModelSignal:
@@ -71,6 +94,24 @@ class TestGenModel:
         for model in ("I", "II", "III", "IV"):
             data, _ = gen_model(SyntheticSpec(model, 500, 6, seed=77))
             assert np.all(np.isfinite(model_signal(model, data.X)))
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rows_with_undefined_signal_are_redrawn(self, monkeypatch, model):
+        stand_in = ZeroedFirstDraw(9)
+        monkeypatch.setattr(synthetic, "make_rng", lambda seed: stand_in)
+        data, _ = gen_model(SyntheticSpec(model, 8, 5, seed=0, noise_scale=0.0))
+        first = stand_in.draws[0]
+        zero = np.zeros(8, dtype=bool)
+        zero[ZeroedFirstDraw.ZERO_ROWS] = True
+        assert np.all(np.isfinite(model_signal(model, data.X)))
+        assert np.array_equal(data.X[~zero], first[~zero])
+        if model == "II":
+            # (x1 + 0.5) (x2 - 0.5)^2 is defined at the origin: nothing is redrawn
+            assert len(stand_in.draws) == 1
+            assert np.array_equal(data.X, first)
+        else:
+            assert len(stand_in.draws) == 2
+            assert np.array_equal(data.X[zero], stand_in.draws[1])
 
     def test_noise_scale_zero_is_signal_sign(self):
         data, _ = gen_model(SyntheticSpec("II", 200, 4, seed=3, noise_scale=0.0))
