@@ -24,11 +24,9 @@ import numpy as np
 from . import __version__
 from .core import LabeledDataset, estimate_dimension, potd_fit, project
 from .errors import (
-    ConvergenceError,
     DatasetError,
     DegenerateInputError,
     InvalidInputError,
-    NumericError,
     PotdError,
 )
 from .harness import (
@@ -667,7 +665,7 @@ def main(argv=None):
     except _USAGE_ERRORS as exc:
         _print_error(exc)
         return EXIT_USAGE
-    except (ConvergenceError, NumericError, PotdError, np.linalg.LinAlgError) as exc:
+    except (PotdError, np.linalg.LinAlgError) as exc:
         _print_error(exc)
         return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - defensive catch-all

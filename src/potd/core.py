@@ -7,12 +7,12 @@ reduction subspace. Fits run in whitened coordinates by default and the
 basis is mapped back to the original predictor scale.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .ot import DiscreteMeasure, SolverConfig, solve_coupling
+from .ot import DiscreteMeasure, solve_coupling
 
 ORTHONORMAL_TOL = 1e-10
 RANK_REL_TOL = 1e-10
@@ -206,8 +206,9 @@ def _stacked_displacements(Z, y, solver):
     """Displacement blocks for every ordered class pair, in label order.
 
     Each class is the empirical measure of its rows, mass 1/n_class per
-    point. The coupling for (j, i) is the transpose of the one for (i, j) —
-    the cost matrix transposes — so each unordered pair is solved once.
+    point. The plan for (j, i) is the transpose of the one for (i, j) —
+    the cost matrix transposes — so each unordered pair is solved once and
+    its plan gives both blocks.
     """
     labels = np.unique(y)
     measures = {label: DiscreteMeasure.uniform(Z[y == label]) for label in labels}
@@ -217,27 +218,13 @@ def _stacked_displacements(Z, y, solver):
         for cj in labels:
             if ci == cj:
                 continue
-            if (ci, cj) not in plans:
-                coupling = solve_coupling(measures[ci], measures[cj], config=solver)
-                plans[(ci, cj)] = coupling
-                plans[(cj, ci)] = transpose_coupling(coupling)
-            blocks.append(displacement_matrix(measures[ci], measures[cj], plans[(ci, cj)]))
+            source, target = measures[ci], measures[cj]
+            if (cj, ci) in plans:
+                plan = plans[(cj, ci)].T
+            else:
+                plan = plans[(ci, cj)] = solve_coupling(source, target, config=solver).plan
+            blocks.append(source.weights[:, None] * source.points - plan @ target.points)
     return blocks
-
-
-def transpose_coupling(coupling):
-    """The coupling of the reversed instance (cost matrix transposed).
-
-    Dual potentials swap sides; the certificate scalars are unchanged.
-    """
-    return replace(
-        coupling,
-        plan=coupling.plan.T,
-        row_marginal=coupling.col_marginal,
-        col_marginal=coupling.row_marginal,
-        dual_row=coupling.dual_col,
-        dual_col=coupling.dual_row,
-    )
 
 
 def descending_eigh(matrix):
@@ -267,8 +254,6 @@ def _fit(data, labelings, r, solver, whiten_flag):
     since any basis would then be arbitrary.
     """
     check_r(r, data.p)
-    if solver is None:
-        solver = SolverConfig()
     Z, W = whiten(data.X) if whiten_flag else (data.X, None)
     stacked = np.vstack([b for y in labelings for b in _stacked_displacements(Z, y, solver)])
     if stacked.shape[0] > GRAM_PATH_ROW_FACTOR * data.p:

@@ -96,11 +96,10 @@ class BenchmarkReport:
     kind: str
     rows: list
     config: dict
-    schema_version: int = SCHEMA_VERSION
 
     def to_dict(self):
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "config": self.config,
             "rows": [asdict(row) for row in self.rows],
@@ -121,7 +120,7 @@ class BenchmarkReport:
             for row in self.rows:
                 writer.writerow(
                     [
-                        self.schema_version,
+                        SCHEMA_VERSION,
                         row.method,
                         row.setting,
                         row.r,
@@ -259,10 +258,11 @@ def load_csv_dataset(path, label_column, delimiter=","):
     return dataset
 
 
-def save_csv_dataset(dataset, path, delimiter=","):
-    """Write a LabeledDataset in the schema load_csv_dataset reads."""
+def save_csv_dataset(dataset, path):
+    """Write a LabeledDataset, comma-separated, in the schema load_csv_dataset
+    reads."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow([f"x{j + 1}" for j in range(dataset.p)] + ["label"])
         for row, label in zip(dataset.X, dataset.y):
             writer.writerow([repr(float(v)) for v in row] + [label])
@@ -489,10 +489,15 @@ def run_synthetic_benchmark(
 # real-data benchmark
 
 
+def _split(split, y, rng):
+    """Train and test indices of ``y`` under the protocol ``split``."""
+    splitter = stratified_split if split.stratified else random_split
+    return splitter(y, split.test_fraction, rng)
+
+
 def _real_rep(dataset, methods, dims, split, K, solver, rep_seed):
     rng = np.random.default_rng(np.random.SeedSequence(rep_seed))
-    splitter = stratified_split if split.stratified else random_split
-    train_idx, test_idx = splitter(dataset.y, split.test_fraction, rng)
+    train_idx, test_idx = _split(split, dataset.y, rng)
     out = {}
     for method in methods:
         for r in dims:
@@ -532,6 +537,10 @@ def run_real_benchmark(
         raise InvalidInputError("dataset must have at least 2 classes")
     if K < 1:
         raise InvalidInputError("K must be >= 1")
+    # the split sizes do not depend on the rng, only which rows are drawn
+    n_train = _split(split, dataset.y, np.random.default_rng(0))[0].shape[0]
+    if K > n_train:
+        raise InvalidInputError(f"K={K} exceeds training size {n_train}")
     config = {
         "methods": methods,
         "dims": dims,

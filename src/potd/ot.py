@@ -513,10 +513,6 @@ def exact_ot(mu, nu, cost):
     """
     cost = _check_cost(mu, nu, cost)
     a, b = mu.weights, nu.weights
-    if abs(a.sum() - b.sum()) > 1e-9:
-        raise InvalidInputError(
-            f"infeasible weights: sums {a.sum()!r} and {b.sum()!r} differ"
-        )
     n, m = cost.shape
     if n == m and _is_uniform(a) and _is_uniform(b):
         rows, cols = linear_sum_assignment(cost)
@@ -756,21 +752,6 @@ def solve_coupling(mu, nu, cost=None, config=None):
     if mode == "exact":
         return exact_ot(mu, nu, cost)
     return sinkhorn(mu, nu, cost, replace(config, mode="sinkhorn"))
-
-
-def barycentric_projection(coupling, target_points):
-    """Plan-weighted image of each source atom: ``plan @ target_points``.
-
-    Row ``l`` is the mass-weighted average of the targets that atom ``l``
-    ships to, scaled by the atom's own mass.
-    """
-    tgt = _as_points("target_points", target_points)
-    if coupling.plan.shape[1] != tgt.shape[0]:
-        raise InvalidInputError(
-            f"coupling has {coupling.plan.shape[1]} columns but "
-            f"{tgt.shape[0]} target points were given"
-        )
-    return coupling.plan @ tgt
 
 
 def transport_cost(coupling, cost):

@@ -67,8 +67,18 @@ class TestHelpAndUsage:
             ("bench-real --data {data} --methods PCA --dims 2 --seed -1", NEGATIVE_SEED),
             ("oracle-check --size 3 --seed -1", NEGATIVE_SEED),
             ("bench-real --data {data} --methods PCA --dims 2 --k 0", "K must be >= 1"),
+            (
+                "bench-real --data {data} --methods PCA --dims 2 --k 1000",
+                "K=1000 exceeds training size 100",
+            ),
         ],
-        ids=["bench-synthetic-seed", "bench-real-seed", "oracle-check-seed", "bench-real-k"],
+        ids=[
+            "bench-synthetic-seed",
+            "bench-real-seed",
+            "oracle-check-seed",
+            "bench-real-k",
+            "bench-real-k-above-train",
+        ],
     )
     def test_negative_seed_or_k_below_one_exit_2(self, argv, message, model_csv, tmp_path, capsys):
         argv = argv.format(data=model_csv).split()

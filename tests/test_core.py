@@ -4,6 +4,7 @@ invariants."""
 import numpy as np
 import pytest
 
+import potd.core
 import potd.ot
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from potd.core import (
     potd_fit_continuous,
     project,
     second_order_displacement,
-    transpose_coupling,
     whiten,
 )
 from potd.errors import DegenerateInputError, InvalidInputError
@@ -25,10 +25,7 @@ from potd.ot import (
     CouplingMatrix,
     DiscreteMeasure,
     SolverConfig,
-    default_epsilon,
-    sinkhorn,
     solve_coupling,
-    squared_euclidean_cost,
 )
 from potd.synthetic import SyntheticSpec, gen_model, subspace_distance
 
@@ -50,27 +47,17 @@ class TestLabeledDataset:
             LabeledDataset(rng.normal(size=(40, 3)), y)
 
 
-class TestTransposeCoupling:
-    def test_sinkhorn_duals_swap_sides(self, rng):
-        mu, nu = random_instance(rng, 5, 3)
-        coupling = solve_coupling(mu, nu, config=SolverConfig(mode="sinkhorn"))
-        flipped = transpose_coupling(coupling)
-        assert flipped.plan.shape == (3, 5)
-        assert np.array_equal(flipped.dual_row, coupling.dual_col)
-        assert np.array_equal(flipped.dual_col, coupling.dual_row)
-        # the swapped potentials already solve the reversed instance
-        cost_t = squared_euclidean_cost(nu.points, mu.points)
-        config = SolverConfig(mode="sinkhorn", epsilon=default_epsilon(cost_t))
-        warm = sinkhorn(nu, mu, cost_t, config, init=(flipped.dual_row, flipped.dual_col))
-        assert warm.iterations <= 1
+class TestReversedInstance:
+    """Under the squared-Euclidean cost the reversed instance's plan is the
+    transpose, so the fit solves each unordered class pair once."""
 
-    def test_exact_certificate_carries_over(self, rng):
+    @pytest.mark.parametrize("mode, tol", [("exact", 1e-12), ("sinkhorn", 1e-8)])
+    def test_reversed_instance_gives_transposed_plan(self, rng, mode, tol):
         mu, nu = random_instance(rng, 5, 3)
-        coupling = solve_coupling(mu, nu, config=EXACT)
-        flipped = transpose_coupling(coupling)
-        assert flipped.dual_row is None and flipped.dual_col is None
-        assert flipped.min_reduced_cost == coupling.min_reduced_cost
-        assert flipped.duality_gap == coupling.duality_gap
+        config = SolverConfig(mode=mode)
+        forward = solve_coupling(mu, nu, config=config)
+        reverse = solve_coupling(nu, mu, config=config)
+        assert np.max(np.abs(reverse.plan - forward.plan.T)) <= tol
 
 
 class TestWhiten:
@@ -147,6 +134,30 @@ class TestDisplacementMatrix:
         coupling = CouplingMatrix([[1.0]], [1.0], [1.0])
         with pytest.raises(InvalidInputError):
             displacement_matrix(mu, mu, coupling)
+
+
+class TestStackedDisplacements:
+    @pytest.mark.parametrize("mode", ["exact", "sinkhorn"])
+    def test_three_classes_take_both_blocks_from_one_plan(self, rng, mode):
+        sizes = {0: 7, 1: 9, 2: 8}
+        Z = np.vstack([rng.normal(size=(n, 3)) + label for label, n in sizes.items()])
+        y = np.repeat(list(sizes), list(sizes.values()))
+        config = SolverConfig(mode=mode)
+        measures = {c: DiscreteMeasure.uniform(Z[y == c]) for c in sizes}
+        expected = []
+        for ci in sizes:
+            for cj in sizes:
+                if ci == cj:
+                    continue
+                if ci < cj:
+                    coupling = solve_coupling(measures[ci], measures[cj], config=config)
+                else:
+                    plan = solve_coupling(measures[cj], measures[ci], config=config).plan
+                    coupling = CouplingMatrix(plan.T, measures[ci].weights, measures[cj].weights)
+                expected.append(displacement_matrix(measures[ci], measures[cj], coupling))
+        blocks = potd.core._stacked_displacements(Z, y, config)
+        assert len(blocks) == len(expected) == 6
+        assert all(np.array_equal(b, e) for b, e in zip(blocks, expected))
 
 
 class TestPotdFit:

@@ -390,6 +390,20 @@ class TestRealBenchmark:
                 split=SplitConfig(replications=2, seed=5), K=0,
             )
 
+    @pytest.mark.parametrize("stratified", [True, False])
+    def test_k_above_training_size_rejected_before_any_replication(
+        self, monkeypatch, stratified
+    ):
+        def no_replication(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(harness, "_real_rep", no_replication)
+        split = SplitConfig(replications=2, seed=5, stratified=stratified)
+        with pytest.raises(InvalidInputError, match="K=31 exceeds training size 30"):
+            run_real_benchmark(
+                blob_dataset(n_per=30, p=4), methods=["PCA"], dims=[2], split=split, K=31,
+            )
+
     def test_r_at_least_p_recorded_as_failure(self):
         data = blob_dataset(n_per=30, p=4)
         report = run_real_benchmark(

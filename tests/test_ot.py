@@ -15,7 +15,6 @@ from potd.ot import (
     CouplingMatrix,
     DiscreteMeasure,
     SolverConfig,
-    barycentric_projection,
     default_epsilon,
     exact_ot,
     sinkhorn,
@@ -454,14 +453,6 @@ class TestExactOT:
         assert exact_ot(mu, nu, cost).min_reduced_cost is not None
         assert calls == []
 
-    def test_infeasible_weight_sums(self):
-        mu = DiscreteMeasure.uniform([[0.0], [1.0]])
-        nu = DiscreteMeasure.uniform([[2.0], [3.0]])
-        # bypass the constructor invariant to exercise the solver gate
-        object.__setattr__(nu, "weights", np.array([0.8, 0.4]))
-        with pytest.raises(InvalidInputError):
-            exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
-
 
 class TestSinkhorn:
     def config(self, **kw):
@@ -624,29 +615,6 @@ class TestSolveCoupling:
         )
         without = solve_coupling(mu, nu)
         assert np.allclose(with_cost.plan, without.plan)
-
-
-class TestBarycentricProjection:
-    def test_single_point_transport(self):
-        coupling = CouplingMatrix([[1.0]], [1.0], [1.0])
-        assert np.allclose(barycentric_projection(coupling, [[5.0, 5.0]]), [[5.0, 5.0]])
-
-    def test_permutation_case(self):
-        coupling = CouplingMatrix(np.eye(2)[::-1] / 2, [0.5, 0.5], [0.5, 0.5])
-        targets = np.array([[1.0, 0.0], [0.0, 2.0]])
-        images = barycentric_projection(coupling, targets)
-        assert np.allclose(images, [[0.0, 1.0], [0.5, 0.0]])
-
-    def test_uniform_blur(self):
-        coupling = CouplingMatrix(np.full((2, 2), 0.25), [0.5, 0.5], [0.5, 0.5])
-        targets = np.array([[2.0, 0.0], [0.0, 4.0]])
-        images = barycentric_projection(coupling, targets)
-        assert np.allclose(images, [(targets[0] + targets[1]) / 4] * 2)
-
-    def test_dimension_mismatch(self):
-        coupling = CouplingMatrix([[1.0]], [1.0], [1.0])
-        with pytest.raises(InvalidInputError):
-            barycentric_projection(coupling, [[1.0], [2.0]])
 
 
 class TestTransportCost:

@@ -15,8 +15,8 @@ their digest files.
 
 The calls generate their own data, except ``bench-real``, which reads the
 bundled ``tests/data/blobs_n400_p10.csv`` of the checkout holding this
-script. The last four calls pass a negative seed or ``--k 0`` and should
-fail with exit code 2.
+script. The last five calls pass a negative seed, ``--k 0`` or a ``--k``
+above the training size and should fail with exit code 2.
 """
 
 import hashlib
@@ -61,6 +61,7 @@ CALLS = (
     ("bench-real-negative-seed", [*BENCH_REAL, "--seed", "-1", "--output", "report.json"]),
     ("oracle-check-negative-seed", [*ORACLE, "--seed", "-1"]),
     ("bench-real-k0", [*BENCH_REAL, "--k", "0", "--output", "report.json"]),
+    ("bench-real-k-above-train", [*BENCH_REAL, "--k", "1000", "--output", "report.json"]),
 )
 
 
