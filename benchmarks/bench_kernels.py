@@ -10,7 +10,12 @@ whitened sign-label classes of model I at p=10 and model III at p=30,
 n=400, over the first 12 seeds whose classes differ in size, reporting
 the median time, the median sweeps of the LP's crash start, the median
 number of HiGHS runs (pricing rounds) per solve and the median number of
-simplex iterations per solve, summed over its runs. Each timing is the best of a
+simplex iterations per solve, summed over its runs. ``solve_coupling`` is
+timed at the ``large-auto`` shape: the whitened sign-label classes of model
+I at p=10, n=1600 (about 800 by 800, above the exact size limit, so the
+default config solves them by Sinkhorn), with the cost left to the solver,
+over the first 12 seeds, reporting the median time, sweeps and log-sum-exp
+passes over the n-by-m cost per solve. Each timing is the best of a
 few repeats. BLAS runs on one thread. ``knn_predict`` is timed at K=10 on
 200 test against 200 training points (the shape of one ``bench-real``
 split of the bundled blobs data), projected to r=2 and r=8 with two
@@ -46,13 +51,21 @@ import potd  # noqa: E402
 from potd import ot  # noqa: E402
 from potd.core import LabeledDataset, whiten  # noqa: E402
 from potd.harness import knn_predict  # noqa: E402
-from potd.ot import DiscreteMeasure, exact_ot, pairwise_sqdist, sinkhorn_scaling  # noqa: E402
+from potd.ot import (  # noqa: E402
+    DiscreteMeasure,
+    exact_ot,
+    pairwise_sqdist,
+    sinkhorn_scaling,
+    solve_coupling,
+)
 from potd.synthetic import SyntheticSpec, gen_model  # noqa: E402
 
 REPEATS = 5
 TABLE_CELLS = (("I", 10), ("III", 30))
 TABLE_N = 400
 TABLE_SEEDS = 12
+LARGE_N = 1600
+LARGE_SEEDS = 12
 OUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
@@ -141,17 +154,22 @@ def bench_exact_lp(rng):
     return rows
 
 
+def sign_classes(model, n, p, seed):
+    """The whitened sign-label classes of one draw, as uniform measures."""
+    data, _ = gen_model(SyntheticSpec(model, n, p, seed))
+    z, _ = whiten(data.X)
+    return DiscreteMeasure.uniform(z[data.y == 1]), DiscreteMeasure.uniform(z[data.y == -1])
+
+
 def table_instances(model, p):
     """Whitened sign-label classes of the first seeds with unequal sizes."""
     seed = 0
     found = 0
     while found < TABLE_SEEDS:
-        data, _ = gen_model(SyntheticSpec(model, TABLE_N, p, seed))
-        z, _ = whiten(data.X)
-        src, tgt = z[data.y == 1], z[data.y == -1]
-        if src.shape[0] != tgt.shape[0]:
+        mu, nu = sign_classes(model, TABLE_N, p, seed)
+        if mu.size != nu.size:
             found += 1
-            yield seed, DiscreteMeasure.uniform(src), DiscreteMeasure.uniform(tgt)
+            yield seed, mu, nu
         seed += 1
 
 
@@ -216,6 +234,46 @@ def bench_table_lp():
     return rows
 
 
+def counted_solve(mu, nu):
+    """Sweeps and log-sum-exp passes of one default ``solve_coupling``."""
+    log_sum_exp = ot._log_sum_exp
+    passes = 0
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return log_sum_exp(*args)
+
+    ot._log_sum_exp = counted
+    try:
+        coupling = solve_coupling(mu, nu)
+    finally:
+        ot._log_sum_exp = log_sum_exp
+    return coupling.iterations, passes
+
+
+def bench_large_coupling():
+    print(f"\nentropic coupling at the large-auto shape (model I sign classes, "
+          f"n={LARGE_N}, {LARGE_SEEDS} seeds)")
+    print(f"{'ms':>8} {'sweeps':>7} {'lse':>5}")
+    shapes, ms, sweeps, passes = [], [], [], []
+    for seed in range(LARGE_SEEDS):
+        mu, nu = sign_classes("I", LARGE_N, 10, seed)
+        solve_sweeps, solve_passes = counted_solve(mu, nu)
+        shapes.append([mu.size, nu.size])
+        sweeps.append(solve_sweeps)
+        passes.append(solve_passes)
+        ms.append(best_of(solve_coupling, mu, nu) * 1e3)
+    print(f"{np.median(ms):>8.2f} {np.median(sweeps):>7.1f} "
+          f"{np.median(passes):>5.1f}")
+    return [{"bench": "solve_coupling", "model": "I", "n": LARGE_N, "p": 10,
+             "seeds": list(range(LARGE_SEEDS)), "median_ms": float(np.median(ms)),
+             "median_sweeps": float(np.median(sweeps)),
+             "median_log_sum_exp_passes": float(np.median(passes)),
+             "shapes": shapes, "ms": ms, "sweeps": sweeps,
+             "log_sum_exp_passes": passes}]
+
+
 def bench_knn(rng):
     print("\nKNN prediction (200 test x 200 train points, K=10)")
     print(f"{'points':>8} {'r':>3} {'labels':>7} {'ms':>10}")
@@ -265,7 +323,7 @@ def provenance():
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([123]))
     rows = (bench_pairwise(rng) + bench_sinkhorn(rng) + bench_exact_lp(rng)
-            + bench_table_lp() + bench_knn(rng))
+            + bench_table_lp() + bench_large_coupling() + bench_knn(rng))
     record = {"provenance": provenance(), "rows": rows}
     runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
     runs.append(record)

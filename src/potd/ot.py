@@ -61,11 +61,22 @@ HIGHS_OPTIONS = {
 # scaling factors may drift into [1/SCALING_BOUND, SCALING_BOUND] before
 # they are absorbed into the log-domain potentials
 SCALING_BOUND = 1e3
+# bytes of kernel rows per block of a scaling sweep: a block read for its
+# row sums is still in cache (L2 of a current x86 core) for its column sums
+SWEEP_BLOCK_BYTES = 1 << 20
 # the over-relaxation schedule of the scaling sweeps (see _overrelaxation)
 OMEGA_MAX = 1.8
 SETTLE_RTOL = 0.1
 RISE_GRACE = 6
 STALL_RTOL = 1e-6
+
+
+def _finite_nonnegative(values):
+    """Whether every entry is finite and nonnegative, in two reductions.
+
+    NaN fails both comparisons, so no n-by-m boolean temporary is needed.
+    """
+    return values.min() >= 0.0 and values.max() < np.inf
 
 
 def _as_points(name, arr):
@@ -97,7 +108,7 @@ class DiscreteMeasure:
             raise InvalidInputError(
                 f"weights length {w.shape[0]} does not match {pts.shape[0]} points"
             )
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
+        if not _finite_nonnegative(w):
             raise InvalidInputError("weights must be finite and nonnegative")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError(
@@ -150,7 +161,7 @@ class CouplingMatrix:
         plan = np.asarray(self.plan, dtype=np.float64)
         if plan.ndim != 2:
             raise InvalidInputError("coupling plan must be a matrix")
-        if np.any(plan < 0) or not np.all(np.isfinite(plan)):
+        if plan.size and not _finite_nonnegative(plan):
             raise InvalidInputError("coupling entries must be finite and nonnegative")
         r = np.asarray(self.row_marginal, dtype=np.float64).ravel()
         c = np.asarray(self.col_marginal, dtype=np.float64).ravel()
@@ -225,14 +236,15 @@ def _log_sum_exp(neg_cost, pot, axis, work):
     """``log(sum(exp(neg_cost + pot), axis))``, ``-inf`` for all-``-inf`` lines.
 
     ``pot`` is the potential of the other axis (``u`` for the column sums at
-    ``axis=0``, ``v`` for the row sums at ``axis=1``). Returns the sums and
-    the per-line shift; the n-by-m buffer ``work`` is left holding
+    ``axis=0``, ``v`` for the row sums at ``axis=1``); ``None`` stands for
+    zero potentials, whose add is skipped. Returns the sums and the per-line
+    shift; the n-by-m buffer ``work`` is left holding
     ``exp(neg_cost + pot - shift)``.
     """
-    np.add(neg_cost, np.expand_dims(pot, 1 - axis), out=work)
-    mx = work.max(axis=axis, keepdims=True)
+    values = neg_cost if pot is None else np.add(neg_cost, np.expand_dims(pot, 1 - axis), out=work)
+    mx = values.max(axis=axis, keepdims=True)
     shift = np.where(np.isneginf(mx), 0.0, mx)
-    work -= shift
+    np.subtract(values, shift, out=work)
     np.exp(work, out=work)
     lse = np.where(np.isneginf(mx), -np.inf, shift + np.log(work.sum(axis=axis, keepdims=True)))
     return lse.ravel(), shift.ravel()
@@ -272,6 +284,33 @@ def _relaxed(old, target, omega):
     return np.where(np.isfinite(old), (1.0 - omega) * old + omega * target, target)
 
 
+def _row_sweep(kernel, beta, a, live_a, alpha, omega):
+    """Row half of a scaling sweep, with the column sums of its result.
+
+    Returns ``row = kernel @ beta``, the relaxed row factors ``new_alpha =
+    alpha * (a / row / alpha)**omega`` (1 at zero-mass rows) and ``col =
+    kernel.T @ new_alpha``. The kernel is walked in row blocks of about
+    ``SWEEP_BLOCK_BYTES``, and each block's column sums are taken right
+    after its row sums, while the block is still in cache, so the sweep
+    reads the kernel from memory once instead of twice.
+    """
+    n, m = kernel.shape
+    step = max(1, SWEEP_BLOCK_BYTES // (kernel.itemsize * m))
+    row = np.empty(n)
+    new_alpha = np.ones(n)
+    col = np.zeros(m)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        block = kernel[rows]
+        np.matmul(block, beta, out=row[rows])
+        factors = np.divide(a[rows], row[rows], out=new_alpha[rows], where=live_a[rows])
+        factors /= alpha[rows]
+        factors **= omega
+        factors *= alpha[rows]
+        col += factors @ block
+    return row, new_alpha, col
+
+
 def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None):
     """Over-relaxed Sinkhorn iterations on the scaled negative cost ``K = -C/eps``.
 
@@ -289,11 +328,18 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
     ``Kt = exp(K + u[:, None] + v[None, :])``, a sweep takes
     ``beta *= (b / (Kt.T @ alpha) / beta)**w``, then ``alpha *= (a / (Kt @
     beta) / alpha)**w``; live potentials are ``u + log(alpha)`` and
-    ``v + log(beta)``. When a live factor would leave
+    ``v + log(beta)``. A sweep reads the kernel once, in row blocks (see
+    :func:`_row_sweep`). When a live factor would leave
     ``[1/SCALING_BOUND, SCALING_BOUND]`` or stop being finite (underflow at
     tiny epsilon), the factors are folded into the potentials, that sweep
-    runs in the log domain and the kernel is formed again. The first sweep
-    always runs in the log domain, so cold and warm starts behave alike.
+    runs in the log domain and the kernel is formed again.
+
+    The start makes one log-sum-exp pass, over the columns. It measures the
+    start's error, and the first sweep's column update (``w = 1``) is folded
+    into the kernel it leaves, with zero-mass rows set to ``-inf`` and a
+    zero kernel line. The row half of the first sweep is then a scaling
+    step under the same bound; if a factor leaves it, only the row update
+    runs in the log domain, since the column update is already exact.
     On return the kernel, scaled in place to ``diag(alpha) Kt diag(beta)``,
     is the returned plan, so no fresh ``exp`` pass forms it.
     """
@@ -306,46 +352,50 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
     v = np.zeros(m) if v0 is None else np.array(v0, dtype=np.float64)
     kernel = np.empty((n, m))
-    # zero-mass atoms keep factor 1: their kernel lines are zero
     alpha = np.ones(n)
     beta = np.ones(m)
     # degenerate potentials (NaN, infinite) are reported by the caller
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lse_cols, col_shift = _log_sum_exp(neg_cost, u, 0, kernel)
+        lse_cols, col_shift = _log_sum_exp(neg_cost, None if u0 is None else u, 0, kernel)
         col_scale = np.exp(v + col_shift)  # kernel * col_scale: the start's plan
         row_err = np.abs(kernel @ col_scale - a).sum()
         err = np.maximum(row_err, np.abs(np.exp(v + lse_cols) - b).sum())
         if err <= tolerance or max_iterations == 0:
             kernel *= col_scale[None, :]
             return u, v, 0, err, kernel
-        omega, history, absorbed = 1.0, [], False
+        # the first sweep's column update, at omega = 1, absorbed into the
+        # kernel of the start's pass; zero-mass rows get the -inf potential
+        # and zero kernel line that a log-domain row update gives them
+        v = log_b - lse_cols
+        kernel *= np.exp(v + col_shift)[None, :]
+        u[~live_a] = -np.inf
+        kernel[~live_a] = 0.0
+        omega, history, new_beta = 1.0, [], beta
         for sweeps in range(1, max_iterations + 1):
-            if absorbed:
+            if sweeps > 1:
                 target = np.divide(b, col, out=np.ones(m), where=live_b)
                 new_beta = beta * (target / beta) ** omega
-                row = kernel @ new_beta
-                target = np.divide(a, row, out=np.ones(n), where=live_a)
-                new_alpha = alpha * (target / alpha) ** omega
-                if _in_bounds(new_alpha) and _in_bounds(new_beta):
-                    alpha, beta = new_alpha, new_beta
-                    row_err = np.abs(alpha * row - a).sum()
-                else:
-                    u += np.log(alpha)
-                    v += np.log(beta)
+            in_bounds = _in_bounds(new_beta)
+            if in_bounds:
+                row, new_alpha, new_col = _row_sweep(kernel, new_beta, a, live_a, alpha, omega)
+                in_bounds = _in_bounds(new_alpha)
+            if in_bounds:
+                alpha, beta, col = new_alpha, new_beta, new_col
+                row_err = np.abs(alpha * row - a).sum()
+            else:
+                u += np.log(alpha)
+                v += np.log(beta)
+                if sweeps > 1:  # the first sweep's column update is done
                     lse_cols, _ = _log_sum_exp(neg_cost, u, 0, kernel)
-                    absorbed = False
-            if not absorbed:
-                v = _relaxed(v, log_b - lse_cols, omega)
+                    v = _relaxed(v, log_b - lse_cols, omega)
                 lse_rows, shift = _log_sum_exp(neg_cost, v, 1, kernel)
                 u = _relaxed(u, log_a - lse_rows, omega)
                 row_err = np.abs(np.exp(u + lse_rows) - a).sum()
                 # the row pass left exp(neg_cost + v - shift) in the kernel;
                 # scaling its rows by exp(u + shift) absorbs the new potentials
                 kernel *= np.exp(u + shift)[:, None]
-                alpha.fill(1.0)
-                beta.fill(1.0)
-                absorbed = True
-            col = kernel.T @ alpha
+                alpha, beta = np.ones(n), np.ones(m)
+                col = kernel.sum(axis=0)
             err = np.maximum(row_err, np.abs(beta * col - b).sum())
             if err <= tolerance:
                 break
@@ -406,7 +456,7 @@ def _check_cost(mu, nu, cost):
             f"cost shape {cost.shape} does not match measure sizes "
             f"({mu.size}, {nu.size})"
         )
-    if not np.all(np.isfinite(cost)) or np.any(cost < 0):
+    if not _finite_nonnegative(cost):
         raise InvalidInputError("cost entries must be finite and nonnegative")
     return cost
 
@@ -478,19 +528,22 @@ def sinkhorn(mu, nu, cost, config, init=None):
             iterations=iterations,
             marginal_error=err,
         )
-    if not np.all(np.isfinite(plan)):
+    # the plan's entry check is the one CouplingMatrix makes; a scaled
+    # kernel is never negative, so only overflow can fail it
+    try:
+        return CouplingMatrix(
+            plan,
+            mu.weights,
+            nu.weights,
+            iterations,
+            float(err),
+            dual_row=eps * u,
+            dual_col=eps * v,
+        )
+    except InvalidInputError:
         raise NumericError(
             f"transport plan overflowed; increase epsilon (epsilon={eps:g})"
-        )
-    return CouplingMatrix(
-        plan,
-        mu.weights,
-        nu.weights,
-        iterations,
-        float(err),
-        dual_row=eps * u,
-        dual_col=eps * v,
-    )
+        ) from None
 
 
 def _is_uniform(weights):

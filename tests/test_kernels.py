@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, currently_in_test_context, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -75,6 +75,50 @@ def assert_plan_of_potentials(plan, neg_cost, u, v):
     potentials, within 1e-12 relative per entry."""
     ref = plan_of(neg_cost, u, v)
     assert np.all(np.abs(plan - ref) <= 1e-12 * ref)
+
+
+def assert_matches_reference(neg_cost, log_a, log_b, u0, v0):
+    """``sinkhorn_scaling`` to 1e-9 gives the reference's plan within 1e-12
+    and its sweeps within one, with zero-mass atoms at ``-inf``."""
+    budget, tol = 20_000, 1e-9
+    ref_u, ref_v, ref_sweeps, ref_err = reference_scaling(
+        neg_cost, log_a, log_b, budget, tol, u0, v0
+    )
+    # an instance the reference cannot solve within the budget says
+    # nothing about the kernel; a drawn one is skipped rather than failed
+    # and shrunk
+    if currently_in_test_context():
+        assume(ref_err <= tol)
+    assert ref_err <= tol
+    u, v, sweeps, err, _ = sinkhorn_scaling(neg_cost, log_a, log_b, budget, tol, u0, v0)
+    assert abs(sweeps - ref_sweeps) <= 1
+    plan = plan_of(neg_cost, u, v)
+    assert np.max(np.abs(plan - plan_of(neg_cost, ref_u, ref_v))) <= 1e-12
+    assert err <= tol
+    row_err = np.abs(plan.sum(axis=1) - np.exp(log_a)).sum()
+    col_err = np.abs(plan.sum(axis=0) - np.exp(log_b)).sum()
+    assert row_err <= tol and col_err <= tol
+    assert err == pytest.approx(max(row_err, col_err), abs=1e-12)
+    assert np.all(np.isneginf(u[np.isneginf(log_a)]))
+    assert np.all(np.isneginf(v[np.isneginf(log_b)]))
+
+
+def block_bytes(rows, m):
+    """``SWEEP_BLOCK_BYTES`` that walks an n-by-m kernel ``rows`` rows at a time."""
+    return rows * m * np.dtype(np.float64).itemsize
+
+
+def count_log_sum_exp(monkeypatch):
+    """The axis of every ``ot._log_sum_exp`` pass, in call order."""
+    axes = []
+    log_sum_exp = ot._log_sum_exp
+
+    def counted(neg_cost, pot, axis, work):
+        axes.append(axis)
+        return log_sum_exp(neg_cost, pot, axis, work)
+
+    monkeypatch.setattr(ot, "_log_sum_exp", counted)
+    return axes
 
 
 def scaling_with_plan(neg_cost, log_a, log_b, max_iterations, u0=None, v0=None):
@@ -167,25 +211,62 @@ class TestSinkhornScaling:
     @given(scaling_instances())
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_matches_log_domain_reference(self, instance):
-        neg_cost, log_a, log_b, u0, v0 = instance
-        budget, tol = 20_000, 1e-9
-        ref_u, ref_v, ref_sweeps, ref_err = reference_scaling(
-            neg_cost, log_a, log_b, budget, tol, u0, v0
-        )
-        # an instance the reference cannot solve within the budget says
-        # nothing about the kernel; skip it rather than fail and shrink it
-        assume(ref_err <= tol)
-        u, v, sweeps, err, _ = sinkhorn_scaling(neg_cost, log_a, log_b, budget, tol, u0, v0)
-        assert abs(sweeps - ref_sweeps) <= 1
-        plan = plan_of(neg_cost, u, v)
-        assert np.max(np.abs(plan - plan_of(neg_cost, ref_u, ref_v))) <= 1e-12
-        assert err <= tol
-        row_err = np.abs(plan.sum(axis=1) - np.exp(log_a)).sum()
-        col_err = np.abs(plan.sum(axis=0) - np.exp(log_b)).sum()
-        assert row_err <= tol and col_err <= tol
-        assert err == pytest.approx(max(row_err, col_err), abs=1e-12)
-        assert np.all(np.isneginf(u[np.isneginf(log_a)]))
-        assert np.all(np.isneginf(v[np.isneginf(log_b)]))
+        assert_matches_reference(*instance)
+
+    @given(scaling_instances(), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_matches_log_domain_reference_in_row_blocks(self, instance, rows):
+        # the drawn kernels are at most 40 by 40, one block at the module's
+        # block size; a few rows per block walk them in several
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ot, "SWEEP_BLOCK_BYTES", block_bytes(rows, instance[0].shape[1]))
+            assert_matches_reference(*instance)
+
+    @pytest.mark.parametrize(
+        "n, m, zero_rows, warm",
+        [
+            (10, 7, (), False),  # three blocks of 3 rows and one of 1
+            (1, 6, (), False),
+            (8, 1, (), False),
+            (11, 5, (7, 9, 10), False),  # zero-mass rows in the last blocks
+            (11, 5, (7, 9, 10), True),
+        ],
+    )
+    def test_row_blocks_of_three(self, n, m, zero_rows, warm, monkeypatch):
+        rng = np.random.default_rng(np.random.SeedSequence([n, m, len(zero_rows)]))
+        cost = reference_sqdist(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)) + 0.5)
+        neg_cost = -cost / (0.1 * cost.max())
+        a = np.ones(n)
+        a[list(zero_rows)] = 0.0
+        with np.errstate(divide="ignore"):
+            log_a = np.log(a / a.sum())
+        log_b = np.log(np.full(m, 1.0 / m))
+        u0 = v0 = None
+        if warm:
+            u0, v0 = rng.normal(scale=5.0, size=n), rng.normal(scale=5.0, size=m)
+        monkeypatch.setattr(ot, "SWEEP_BLOCK_BYTES", block_bytes(3, m))
+        assert_matches_reference(neg_cost, log_a, log_b, u0, v0)
+
+    def test_cold_start_makes_one_log_sum_exp_pass(self, rng, monkeypatch):
+        neg_cost, log_a, log_b = self.setup_instance(rng, 30, 25)
+        axes = count_log_sum_exp(monkeypatch)
+        sweeps = sinkhorn_scaling(neg_cost, log_a, log_b, 20_000, 1e-9)[2]
+        # the start's column pass; every sweep, the first included, scales
+        assert sweeps > 1 and axes == [0]
+
+    def test_outlier_row_takes_the_log_domain_row_pass(self, monkeypatch):
+        rng = np.random.default_rng(np.random.SeedSequence([403]))
+        x = rng.normal(size=(20, 2))
+        x[7] += 12.0
+        cost = reference_sqdist(x, rng.normal(size=(15, 2)) + 0.5)
+        neg_cost = -cost / (0.05 * np.median(cost))
+        log_a, log_b = np.log(np.full(20, 1 / 20)), np.log(np.full(15, 1 / 15))
+        axes = count_log_sum_exp(monkeypatch)
+        assert_matches_reference(neg_cost, log_a, log_b, None, None)
+        # the far row's scaling factor leaves the bound in the first sweep,
+        # whose row update then runs in the log domain after the start's
+        # column pass, which is not repeated
+        assert axes[:2] == [0, 1]
 
     @given(scaling_instances(), st.integers(1, 300))
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -206,7 +287,7 @@ class TestSinkhornScaling:
         plan, u, v, sweeps, err = scaling_with_plan(neg_cost, log_a, log_b, 0)
         assert sweeps == 0 and err > 1e-9
         assert_plan_of_potentials(plan, neg_cost, u, v)
-        # one sweep, which always runs in the log domain, then the budget
+        # one sweep, then the budget
         plan, u, v, sweeps, err = scaling_with_plan(neg_cost, log_a, log_b, 1)
         assert sweeps == 1 and err > 1e-9
         assert_plan_of_potentials(plan, neg_cost, u, v)
@@ -231,18 +312,11 @@ class TestSinkhornScaling:
     def test_absorbs_where_the_plain_kernel_underflows(self, monkeypatch):
         neg_cost, log_a, log_b = self.underflow_instance()
         assert np.any(np.exp(neg_cost) == 0.0)
-        log_sweeps = Counter()
-        log_sum_exp = ot._log_sum_exp
-
-        def counted(neg_cost, pot, axis, work):
-            log_sweeps[axis] += 1
-            return log_sum_exp(neg_cost, pot, axis, work)
-
-        monkeypatch.setattr(ot, "_log_sum_exp", counted)
+        axes = count_log_sum_exp(monkeypatch)
         u, v, sweeps, err, _ = sinkhorn_scaling(neg_cost, log_a, log_b, 20_000, 1e-9)
-        # the first sweep runs in the log domain; every further log-domain
-        # row update is an absorption
-        assert log_sweeps[1] > 1
+        # a log-domain row update is an absorption or the first sweep's
+        # fallback; this instance absorbs in later sweeps
+        assert axes.count(1) > 1
         ref_u, ref_v, ref_sweeps, _ = reference_scaling(neg_cost, log_a, log_b, 20_000, 1e-9)
         assert err <= 1e-9
         assert abs(sweeps - ref_sweeps) <= 1

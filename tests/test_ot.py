@@ -26,6 +26,11 @@ from potd.ot import (
 from conftest import integer_weights, random_instance
 
 
+# entries that the finite-and-nonnegative checks of weights, costs and
+# plans must each reject
+BAD_ENTRIES = [np.nan, np.inf, -np.inf, -1.0]
+
+
 def brute_force_assignment_cost(cost):
     """Independent oracle: minimum average cost over all permutations."""
     n = cost.shape[0]
@@ -158,6 +163,11 @@ class TestDiscreteMeasure:
         with pytest.raises(InvalidInputError):
             DiscreteMeasure([[np.nan], [1.0]], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_rejects_each_bad_weight(self, bad):
+        with pytest.raises(InvalidInputError, match="^weights must be finite and nonnegative$"):
+            DiscreteMeasure([[0.0], [1.0]], [bad, 1.0])
+
 
 class TestCostMatrix:
     def test_zero_self_distance(self):
@@ -186,6 +196,30 @@ class TestCostMatrix:
         base = squared_euclidean_cost(x, y)
         shifted = squared_euclidean_cost(x + shift, y + shift)
         assert np.allclose(base, shifted, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    @pytest.mark.parametrize("mode", ["exact", "sinkhorn"])
+    def test_solvers_reject_each_bad_cost_entry(self, bad, mode, rng):
+        mu, nu = random_instance(rng, 3, 4)
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        cost[2, 1] = bad
+        message = "^cost entries must be finite and nonnegative$"
+        with pytest.raises(InvalidInputError, match=message):
+            solve_coupling(mu, nu, cost, SolverConfig(mode=mode))
+
+
+class TestCouplingMatrix:
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_rejects_each_bad_entry(self, bad):
+        plan = np.full((2, 3), 1.0 / 6.0)
+        plan[1, 2] = bad
+        with pytest.raises(
+            InvalidInputError, match="^coupling entries must be finite and nonnegative$"
+        ):
+            CouplingMatrix(plan, [0.5, 0.5], np.full(3, 1.0 / 3.0))
+
+    def test_empty_plan_is_accepted(self):
+        assert CouplingMatrix(np.zeros((0, 0)), [], []).plan.shape == (0, 0)
 
 
 class TestExactOT:
@@ -539,6 +573,23 @@ class TestSinkhorn:
             sinkhorn(mu, nu, cost, config)
         assert excinfo.value.marginal_error > 0
         assert excinfo.value.iterations == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_overflowed_plan_is_a_numeric_error(self, bad, rng, monkeypatch):
+        # the solver's plan goes through CouplingMatrix's entry check, which
+        # reports the solver's failure, not bad input
+        scaling = ot.sinkhorn_scaling
+
+        def overflowing(*args):
+            u, v, sweeps, err, plan = scaling(*args)
+            plan[0, 0] = bad
+            return u, v, sweeps, err, plan
+
+        monkeypatch.setattr(ot, "sinkhorn_scaling", overflowing)
+        mu, nu = random_instance(rng, 4, 3)
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        with pytest.raises(NumericError, match="^transport plan overflowed; increase epsilon"):
+            sinkhorn(mu, nu, cost, self.config())
 
     def test_underflow_advises_larger_epsilon(self, rng):
         from potd.errors import NumericError
