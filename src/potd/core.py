@@ -336,10 +336,6 @@ def second_order_displacement(source, target, coupling):
     """
     _check_plan_shape(source, target, coupling)
     a = source.weights
-    if np.any(a == 0):
-        raise DegenerateInputError(
-            "source has zero-weight points; their transport images are undefined"
-        )
     images = (coupling.plan @ target.points) / a[:, None]
     diffs = source.points - images
     sigma = diffs.T @ (diffs * a[:, None])

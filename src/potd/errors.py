@@ -16,7 +16,7 @@ class InvalidInputError(PotdError, ValueError):
 
 class DegenerateInputError(PotdError, ValueError):
     """Input is structurally valid but numerically degenerate
-    (rank-deficient covariance, all-zero spectrum, zero-weight point)."""
+    (rank-deficient covariance, all-zero spectrum)."""
 
 
 class ConvergenceError(PotdError, RuntimeError):

@@ -538,7 +538,12 @@ def run_real_benchmark(
     if K < 1:
         raise InvalidInputError("K must be >= 1")
     # the split sizes do not depend on the rng, only which rows are drawn
-    n_train = _split(split, dataset.y, np.random.default_rng(0))[0].shape[0]
+    train_idx, test_idx = _split(split, dataset.y, np.random.default_rng(0))
+    if test_idx.shape[0] == 0:
+        raise InvalidInputError(
+            f"test_fraction={split.test_fraction:g} leaves no test points"
+        )
+    n_train = train_idx.shape[0]
     if K > n_train:
         raise InvalidInputError(f"K={K} exceeds training size {n_train}")
     config = {

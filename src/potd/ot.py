@@ -94,8 +94,8 @@ def _as_points(name, arr):
 class DiscreteMeasure:
     """Weighted point cloud: one response class with per-point masses.
 
-    Weights are nonnegative and must sum to one (L1-normalized); use
-    :meth:`uniform` for equal masses.
+    Weights are finite and positive and must sum to one (L1-normalized);
+    use :meth:`uniform` for equal masses.
     """
 
     points: np.ndarray
@@ -108,8 +108,9 @@ class DiscreteMeasure:
             raise InvalidInputError(
                 f"weights length {w.shape[0]} does not match {pts.shape[0]} points"
             )
-        if not _finite_nonnegative(w):
-            raise InvalidInputError("weights must be finite and nonnegative")
+        # min and max propagate NaN, which fails both comparisons
+        if not (w.min() > 0.0 and w.max() < np.inf):
+            raise InvalidInputError("weights must be finite and positive")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError(
                 f"weights must sum to 1 within {WEIGHT_SUM_TOL:g} (got {w.sum()!r})"
@@ -233,7 +234,7 @@ def pairwise_sqdist(x, y):
 
 
 def _log_sum_exp(neg_cost, pot, axis, work):
-    """``log(sum(exp(neg_cost + pot), axis))``, ``-inf`` for all-``-inf`` lines.
+    """``log(sum(exp(neg_cost + pot), axis))``, shifted by each line's maximum.
 
     ``pot`` is the potential of the other axis (``u`` for the column sums at
     ``axis=0``, ``v`` for the row sums at ``axis=1``); ``None`` stands for
@@ -242,11 +243,10 @@ def _log_sum_exp(neg_cost, pot, axis, work):
     ``exp(neg_cost + pot - shift)``.
     """
     values = neg_cost if pot is None else np.add(neg_cost, np.expand_dims(pot, 1 - axis), out=work)
-    mx = values.max(axis=axis, keepdims=True)
-    shift = np.where(np.isneginf(mx), 0.0, mx)
+    shift = values.max(axis=axis, keepdims=True)
     np.subtract(values, shift, out=work)
     np.exp(work, out=work)
-    lse = np.where(np.isneginf(mx), -np.inf, shift + np.log(work.sum(axis=axis, keepdims=True)))
+    lse = shift + np.log(work.sum(axis=axis, keepdims=True))
     return lse.ravel(), shift.ravel()
 
 
@@ -279,31 +279,26 @@ def _overrelaxation(history):
     return min(OMEGA_MAX, 2.0 / (1.0 + (1.0 - kappa) ** 0.5)) if kappa < 1.0 else omega
 
 
-def _relaxed(old, target, omega):
-    """``(1 - omega) * old + omega * target``; ``target`` where ``old`` is not finite."""
-    return np.where(np.isfinite(old), (1.0 - omega) * old + omega * target, target)
-
-
-def _row_sweep(kernel, beta, a, live_a, alpha, omega):
+def _row_sweep(kernel, beta, a, alpha, omega):
     """Row half of a scaling sweep, with the column sums of its result.
 
     Returns ``row = kernel @ beta``, the relaxed row factors ``new_alpha =
-    alpha * (a / row / alpha)**omega`` (1 at zero-mass rows) and ``col =
-    kernel.T @ new_alpha``. The kernel is walked in row blocks of about
-    ``SWEEP_BLOCK_BYTES``, and each block's column sums are taken right
-    after its row sums, while the block is still in cache, so the sweep
-    reads the kernel from memory once instead of twice.
+    alpha * (a / row / alpha)**omega`` and ``col = kernel.T @ new_alpha``.
+    The kernel is walked in row blocks of about ``SWEEP_BLOCK_BYTES``, and
+    each block's column sums are taken right after its row sums, while the
+    block is still in cache, so the sweep reads the kernel from memory once
+    instead of twice.
     """
     n, m = kernel.shape
     step = max(1, SWEEP_BLOCK_BYTES // (kernel.itemsize * m))
     row = np.empty(n)
-    new_alpha = np.ones(n)
+    new_alpha = np.empty(n)
     col = np.zeros(m)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         block = kernel[rows]
         np.matmul(block, beta, out=row[rows])
-        factors = np.divide(a[rows], row[rows], out=new_alpha[rows], where=live_a[rows])
+        factors = np.divide(a[rows], row[rows], out=new_alpha[rows])
         factors /= alpha[rows]
         factors **= omega
         factors *= alpha[rows]
@@ -318,7 +313,7 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
     number of sweeps, the larger of the row and column L1 marginal errors of
     ``plan = exp(K + u[:, None] + v[None, :])``, measured on the returned
     potentials, and that plan. The sweeps stop once the error is at most
-    ``tolerance``. Zero-mass atoms get ``-inf`` potentials.
+    ``tolerance``.
 
     The iterates are those of the log-domain updates ``v = (1 - w) v +
     w (log b - LSE_i(K + u))``, ``u = (1 - w) u + w (log a - LSE_j(K + v))``
@@ -336,10 +331,9 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
 
     The start makes one log-sum-exp pass, over the columns. It measures the
     start's error, and the first sweep's column update (``w = 1``) is folded
-    into the kernel it leaves, with zero-mass rows set to ``-inf`` and a
-    zero kernel line. The row half of the first sweep is then a scaling
-    step under the same bound; if a factor leaves it, only the row update
-    runs in the log domain, since the column update is already exact.
+    into the kernel it leaves. The row half of the first sweep is then a
+    scaling step under the same bound; if a factor leaves it, only the row
+    update runs in the log domain, since the column update is already exact.
     On return the kernel, scaled in place to ``diag(alpha) Kt diag(beta)``,
     is the returned plan, so no fresh ``exp`` pass forms it.
     """
@@ -347,8 +341,6 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
     n, m = neg_cost.shape
     a = np.exp(log_a)
     b = np.exp(log_b)
-    live_a = a > 0
-    live_b = b > 0
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
     v = np.zeros(m) if v0 is None else np.array(v0, dtype=np.float64)
     kernel = np.empty((n, m))
@@ -364,20 +356,16 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
             kernel *= col_scale[None, :]
             return u, v, 0, err, kernel
         # the first sweep's column update, at omega = 1, absorbed into the
-        # kernel of the start's pass; zero-mass rows get the -inf potential
-        # and zero kernel line that a log-domain row update gives them
+        # kernel of the start's pass
         v = log_b - lse_cols
         kernel *= np.exp(v + col_shift)[None, :]
-        u[~live_a] = -np.inf
-        kernel[~live_a] = 0.0
         omega, history, new_beta = 1.0, [], beta
         for sweeps in range(1, max_iterations + 1):
             if sweeps > 1:
-                target = np.divide(b, col, out=np.ones(m), where=live_b)
-                new_beta = beta * (target / beta) ** omega
+                new_beta = beta * (b / col / beta) ** omega
             in_bounds = _in_bounds(new_beta)
             if in_bounds:
-                row, new_alpha, new_col = _row_sweep(kernel, new_beta, a, live_a, alpha, omega)
+                row, new_alpha, new_col = _row_sweep(kernel, new_beta, a, alpha, omega)
                 in_bounds = _in_bounds(new_alpha)
             if in_bounds:
                 alpha, beta, col = new_alpha, new_beta, new_col
@@ -387,9 +375,9 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
                 v += np.log(beta)
                 if sweeps > 1:  # the first sweep's column update is done
                     lse_cols, _ = _log_sum_exp(neg_cost, u, 0, kernel)
-                    v = _relaxed(v, log_b - lse_cols, omega)
+                    v = (1.0 - omega) * v + omega * (log_b - lse_cols)
                 lse_rows, shift = _log_sum_exp(neg_cost, v, 1, kernel)
-                u = _relaxed(u, log_a - lse_rows, omega)
+                u = (1.0 - omega) * u + omega * (log_a - lse_rows)
                 row_err = np.abs(np.exp(u + lse_rows) - a).sum()
                 # the row pass left exp(neg_cost + v - shift) in the kernel;
                 # scaling its rows by exp(u + shift) absorbs the new potentials
@@ -462,18 +450,14 @@ def _check_cost(mu, nu, cost):
 
 
 def _check_init(name, potential, size):
-    """Warm-start potential as a float vector of length ``size``.
-
-    ``-inf`` is allowed (zero-mass atoms of an earlier solve carry it);
-    NaN and ``+inf`` are not.
-    """
+    """Warm-start potential as a finite float vector of length ``size``."""
     pot = np.asarray(potential, dtype=np.float64)
     if pot.shape != (size,):
         raise InvalidInputError(
             f"init {name} has shape {pot.shape}, expected ({size},)"
         )
-    if np.any(np.isnan(pot)) or np.any(np.isposinf(pot)):
-        raise InvalidInputError(f"init {name} contains NaN or +inf entries")
+    if not np.all(np.isfinite(pot)):
+        raise InvalidInputError(f"init {name} contains non-finite entries")
     return pot
 
 
@@ -482,7 +466,7 @@ def sinkhorn(mu, nu, cost, config, init=None):
 
     ``init`` optionally warm-starts the solve from ``(dual_row, dual_col)``
     potentials of a previous coupling (typically one computed at a larger
-    epsilon); potentials of the wrong length or with NaN entries raise
+    epsilon); potentials of the wrong length or with non-finite entries raise
     :class:`InvalidInputError`. Raises :class:`ConvergenceError` when the
     larger row or column L1 error is still above ``config.marginal_tolerance``
     after ``config.max_iterations`` sweeps, and :class:`NumericError` when
@@ -492,10 +476,12 @@ def sinkhorn(mu, nu, cost, config, init=None):
     if config.mode != "sinkhorn":
         raise InvalidInputError("sinkhorn() requires a config with mode='sinkhorn'")
     eps = config.epsilon if config.epsilon is not None else default_epsilon(cost)
-    neg_cost = np.divide(cost, -eps)
-    with np.errstate(divide="ignore"):
-        log_a = np.log(mu.weights)
-        log_b = np.log(nu.weights)
+    # a cost over a tiny epsilon can overflow to -inf; the potentials then
+    # degenerate, which is reported below as one error
+    with np.errstate(over="ignore"):
+        neg_cost = np.divide(cost, -eps)
+    log_a = np.log(mu.weights)
+    log_b = np.log(nu.weights)
     u0 = v0 = None
     if init is not None:
         dual_row, dual_col = init
@@ -504,19 +490,10 @@ def sinkhorn(mu, nu, cost, config, init=None):
     u, v, iterations, err, plan = sinkhorn_scaling(
         neg_cost, log_a, log_b, config.max_iterations, config.marginal_tolerance, u0, v0
     )
-    # -inf potentials are legitimate only for zero-mass atoms; NaN, +inf or
-    # astronomically large magnitudes mean the scaled costs underflowed
-    # (legitimate potentials are bounded by the cost range over epsilon)
-    live_u = u[mu.weights > 0]
-    live_v = v[nu.weights > 0]
-    degenerate = (
-        np.any(np.isnan(u))
-        or np.any(np.isnan(v))
-        or not np.all(np.isfinite(live_u))
-        or not np.all(np.isfinite(live_v))
-        or max(np.abs(live_u).max(), np.abs(live_v).max()) > 1e150
-    )
-    if degenerate:
+    # non-finite or astronomically large potentials mean the scaled costs
+    # underflowed (legitimate potentials are bounded by the cost range over
+    # epsilon); numpy's max propagates NaN, which fails the comparison
+    if not (np.abs(u).max() <= 1e150 and np.abs(v).max() <= 1e150):
         raise NumericError(
             "scaling potentials degenerated; increase epsilon "
             f"(epsilon={eps:g})"
@@ -627,19 +604,20 @@ def _crash_reduced_cost(unit, a, b):
     tolerance ``CRASH_TOL`` or after ``CRASH_SWEEPS`` sweeps, already
     locate the sparse optimal support (Schmitzer, SIAM J. Sci. Comput. 2019), which
     raw costs miss. The potentials are returned in the units of ``unit``
-    (epsilon times the log-domain ones). Non-finite potentials (zero-mass
-    atoms carry ``-inf``) count as zero, so those lines fall back to raw
-    cost. An all-zero cost has nothing to rank and zero is its exact dual,
-    so it gets zero potentials without a crash: its certificate tolerance
-    is zero, and any rounding in nonzero duals would fail it.
+    (epsilon times the log-domain ones). Non-finite potentials, which a
+    kernel that under- or overflowed can leave, count as zero, so those
+    lines fall back to raw cost. An all-zero cost has nothing to rank and
+    zero is its exact dual, so it gets zero potentials without a crash: its
+    certificate tolerance is zero, and any rounding in nonzero duals would
+    fail it.
     """
     n, m = unit.shape
     if not unit.any():
         return unit.copy(), np.zeros(n), np.zeros(m)
     eps = default_epsilon(unit)
-    with np.errstate(divide="ignore"):
-        log_a, log_b = np.log(a), np.log(b)
-    u, v = _crash_scaling(np.divide(unit, -eps), log_a, log_b, CRASH_SWEEPS, CRASH_TOL)[:2]
+    with np.errstate(over="ignore"):
+        neg_unit = np.divide(unit, -eps)
+    u, v = _crash_scaling(neg_unit, np.log(a), np.log(b), CRASH_SWEEPS, CRASH_TOL)[:2]
     u = np.where(np.isfinite(u), eps * u, 0.0)
     v = np.where(np.isfinite(v), eps * v, 0.0)
     return unit - u[:, None] - v[None, :], u, v

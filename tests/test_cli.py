@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from potd import cli
 from potd.cli import main
 from potd.core import LabeledDataset
 from potd.harness import (
@@ -71,6 +72,10 @@ class TestHelpAndUsage:
                 "bench-real --data {data} --methods PCA --dims 2 --k 1000",
                 "K=1000 exceeds training size 100",
             ),
+            (
+                "bench-real --data {data} --methods PCA --dims 2 --test-fraction 0.001",
+                "test_fraction=0.001 leaves no test points",
+            ),
         ],
         ids=[
             "bench-synthetic-seed",
@@ -78,6 +83,7 @@ class TestHelpAndUsage:
             "oracle-check-seed",
             "bench-real-k",
             "bench-real-k-above-train",
+            "bench-real-empty-test",
         ],
     )
     def test_negative_seed_or_k_below_one_exit_2(self, argv, message, model_csv, tmp_path, capsys):
@@ -149,6 +155,19 @@ class TestFit:
         )
         assert code == 2
         assert "missing label" in capsys.readouterr().err
+
+    def test_overflowing_epsilon_prints_one_error_line(self, model_csv, tmp_path, capsys):
+        # C / epsilon overflows; the degenerate potentials report it once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(
+                "fit", "--data", model_csv, "--r", "2", "--solver", "sinkhorn",
+                "--epsilon", "1e-307", "--max-iterations", "20",
+                "--output", str(tmp_path / "b.csv"),
+            ) == 1
+        assert caught == []
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("potd: error: numeric: scaling potentials degenerated")
 
     def test_deterministic_output_bytes(self, model_csv, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -473,6 +492,18 @@ class TestOracleCheck:
 
     def test_size_cap_exit_2(self):
         assert run_cli("oracle-check", "--size", "20") == 2
+
+    def test_stdout_ignores_rounding_noise(self, monkeypatch, capsys):
+        # gaps print relative to the largest cost and marginal errors in
+        # mass units, both at a resolution of 1e-9
+        assert run_cli("oracle-check", "--size", "5") == 0
+        expected = capsys.readouterr().out
+        transport_cost = cli.transport_cost
+        monkeypatch.setattr(
+            cli, "transport_cost", lambda *args: transport_cost(*args) * (1.0 + 1e-13)
+        )
+        assert run_cli("oracle-check", "--size", "5") == 0
+        assert capsys.readouterr().out == expected
 
     def test_gap_table_nonincreasing(self, capsys):
         assert run_cli("oracle-check", "--size", "5") == 0

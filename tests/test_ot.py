@@ -1,6 +1,7 @@
 """Coupling solver tests, anchored on independent enumeration oracles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from potd.ot import (
 from conftest import integer_weights, random_instance
 
 
-# entries that the finite-and-nonnegative checks of weights, costs and
-# plans must each reject
+# entries that the finite-and-nonnegative checks of costs and plans, and
+# the finite-and-positive check of weights, must each reject
 BAD_ENTRIES = [np.nan, np.inf, -np.inf, -1.0]
 
 
@@ -91,7 +92,7 @@ def dense_lp_cost(a, b, cost):
 
 @st.composite
 def transport_instances(draw):
-    """Weighted clouds with zero masses, duplicated points and cost scales
+    """Weighted clouds with positive masses, duplicated points and cost scales
     from 1e-8 to 1e8; equal sizes are drawn often so the assignment path
     is exercised next to the LP."""
     n = draw(st.integers(1, 40))
@@ -112,12 +113,10 @@ def transport_instances(draw):
         tgt[:] = src[0]
         src[:] = src[0]
     points_scale = 10.0 ** draw(st.integers(-4, 4))
-    weighting = draw(st.sampled_from(["uniform", "positive", "zeros"]))
-    if weighting == "uniform":
+    if draw(st.booleans()):
         a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
     else:
-        a = integer_weights(rng, n, weighting == "zeros")
-        b = integer_weights(rng, m, weighting == "zeros")
+        a, b = integer_weights(rng, n), integer_weights(rng, m)
     return DiscreteMeasure(points_scale * src, a), DiscreteMeasure(points_scale * tgt, b)
 
 
@@ -163,9 +162,9 @@ class TestDiscreteMeasure:
         with pytest.raises(InvalidInputError):
             DiscreteMeasure([[np.nan], [1.0]], [0.5, 0.5])
 
-    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    @pytest.mark.parametrize("bad", [*BAD_ENTRIES, 0.0])
     def test_rejects_each_bad_weight(self, bad):
-        with pytest.raises(InvalidInputError, match="^weights must be finite and nonnegative$"):
+        with pytest.raises(InvalidInputError, match="^weights must be finite and positive$"):
             DiscreteMeasure([[0.0], [1.0]], [bad, 1.0])
 
 
@@ -372,7 +371,7 @@ class TestExactOT:
         exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
         assert capfd.readouterr() == ("", "")
 
-    @pytest.mark.parametrize("potentials", ["zeros", "random"])
+    @pytest.mark.parametrize("potentials", ["zeros", "random", "non-finite"])
     def test_exact_whatever_the_crash_potentials(self, monkeypatch, potentials):
         # the crash only picks the starting support; pricing and the
         # certificate make the result exact for any potentials
@@ -382,12 +381,23 @@ class TestExactOT:
             n, m = neg_cost.shape
             if potentials == "zeros":
                 return np.zeros(n), np.zeros(m), 0, 1.0
-            return rng.normal(scale=50.0, size=n), rng.normal(scale=50.0, size=m), 0, 1.0
+            u, v = rng.normal(scale=50.0, size=n), rng.normal(scale=50.0, size=m)
+            if potentials == "non-finite":
+                # what a kernel that under- or overflowed can leave
+                u[:3] = [np.nan, np.inf, -np.inf]
+                v[:3] = [-np.inf, np.nan, np.inf]
+            return u, v, 0, 1.0
 
         monkeypatch.setattr(ot, "_crash_scaling", fake_crash)
-        mu = DiscreteMeasure(rng.normal(size=(30, 4)), integer_weights(rng, 30, False))
-        nu = DiscreteMeasure(rng.normal(size=(37, 4)) + 0.5, integer_weights(rng, 37, False))
+        mu = DiscreteMeasure(rng.normal(size=(30, 4)), integer_weights(rng, 30))
+        nu = DiscreteMeasure(rng.normal(size=(37, 4)) + 0.5, integer_weights(rng, 37))
         assert_exact_and_certified(mu, nu)
+        if potentials == "non-finite":
+            # their lines fall back to raw cost instead of ranking at +inf or NaN
+            cost = squared_euclidean_cost(mu.points, nu.points)
+            reduced, u, v = ot._crash_reduced_cost(cost / cost.max(), mu.weights, nu.weights)
+            assert np.all(np.isfinite(reduced))
+            assert np.all(u[:3] == 0.0) and np.all(v[:3] == 0.0)
 
     def test_exact_when_the_crash_hits_its_sweep_budget(self, monkeypatch):
         # a tight cluster plus one far outlier on each side: the median cost
@@ -398,30 +408,24 @@ class TestExactOT:
         tgt = 1e-3 * rng.normal(size=(31, 3))
         src[0] = 50.0
         tgt[0] = -50.0
-        mu = DiscreteMeasure(src, integer_weights(rng, 24, False))
-        nu = DiscreteMeasure(tgt, integer_weights(rng, 31, False))
+        mu = DiscreteMeasure(src, integer_weights(rng, 24))
+        nu = DiscreteMeasure(tgt, integer_weights(rng, 31))
         crashes = spy_on_crash(monkeypatch)
         assert_exact_and_certified(mu, nu)
         (_, _, sweeps, err, _), = crashes
         assert sweeps == ot.CRASH_SWEEPS and err > ot.CRASH_TOL
 
-    def test_exact_with_zero_mass_atoms(self, monkeypatch):
-        rng = np.random.default_rng(np.random.SeedSequence([73]))
-        a = integer_weights(rng, 26, True)
-        b = integer_weights(rng, 33, True)
-        a[:3] = 0.0
-        b[:4] = 0.0
-        mu = DiscreteMeasure(rng.normal(size=(26, 3)), a / a.sum())
-        nu = DiscreteMeasure(rng.normal(size=(33, 3)) + 0.5, b / b.sum())
-        crashes = spy_on_crash(monkeypatch)
-        assert_exact_and_certified(mu, nu)
-        (u, v, _, _, _), = crashes
-        assert np.all(np.isneginf(u[mu.weights == 0]))
-        assert np.all(np.isneginf(v[nu.weights == 0]))
-        # their lines fall back to raw cost instead of ranking at +inf
-        cost = squared_euclidean_cost(mu.points, nu.points)
-        reduced, _, _ = ot._crash_reduced_cost(cost / cost.max(), mu.weights, nu.weights)
-        assert np.all(np.isfinite(reduced))
+    def test_exact_when_the_crash_cost_overflows(self):
+        # a median cost of 1e-310 against a largest of 1: the crash's
+        # epsilon is so small that unit cost over epsilon overflows
+        cost = np.full((3, 4), 1e-310)
+        cost[0, 0] = cost[2, 3] = 1.0
+        mu = DiscreteMeasure.uniform(np.zeros((3, 1)))
+        nu = DiscreteMeasure.uniform(np.zeros((4, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coupling = exact_ot(mu, nu, cost)
+        assert coupling.duality_gap is not None
 
     def test_lp_starts_from_a_dual_feasible_star_basis(self, monkeypatch):
         bases, added = [], []
@@ -441,8 +445,8 @@ class TestExactOT:
         # columns carry shifted costs too
         monkeypatch.setattr(ot, "SHORTLIST_K", 1)
         rng = np.random.default_rng(np.random.SeedSequence([74]))
-        mu = DiscreteMeasure(rng.normal(size=(31, 4)), integer_weights(rng, 31, False))
-        nu = DiscreteMeasure(rng.normal(size=(36, 4)) + 0.5, integer_weights(rng, 36, False))
+        mu = DiscreteMeasure(rng.normal(size=(31, 4)), integer_weights(rng, 31))
+        nu = DiscreteMeasure(rng.normal(size=(36, 4)) + 0.5, integer_weights(rng, 36))
         assert_exact_and_certified(mu, nu)
         (basis, status), = bases
         assert status == ot.HighsStatus.kOk
@@ -522,15 +526,6 @@ class TestSinkhorn:
         row_err, col_err = coupling.marginal_errors()
         assert max(row_err, col_err) <= 1e-9
         assert coupling.plan.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_zero_weight_atom_gets_zero_row(self):
-        mu = DiscreteMeasure([[0.0], [5.0]], [1.0, 0.0])
-        nu = DiscreteMeasure.uniform([[0.5], [1.5]])
-        cost = squared_euclidean_cost(mu.points, nu.points)
-        coupling = sinkhorn(mu, nu, cost, self.config(epsilon=0.05 * float(cost.max())))
-        assert np.allclose(coupling.plan[1], 0.0)
-        row_err, col_err = coupling.marginal_errors()
-        assert max(row_err, col_err) <= 1e-9
 
     def test_dominated_by_exact(self, rng):
         mu, nu = random_instance(rng, 10, 8)
@@ -613,21 +608,10 @@ class TestSinkhorn:
     def test_init_with_nan_is_rejected(self, rng):
         mu, nu = random_instance(rng, 4, 3)
         cost = squared_euclidean_cost(mu.points, nu.points)
-        dual_row = np.array([0.0, np.nan, 0.0, 0.0])
-        with pytest.raises(InvalidInputError, match="NaN"):
-            sinkhorn(mu, nu, cost, self.config(), init=(dual_row, np.zeros(3)))
-
-    def test_warm_start_from_zero_mass_solve(self):
-        mu = DiscreteMeasure([[0.0], [5.0]], [1.0, 0.0])
-        nu = DiscreteMeasure.uniform([[0.5], [1.5]])
-        cost = squared_euclidean_cost(mu.points, nu.points)
-        coarse = sinkhorn(mu, nu, cost, self.config(epsilon=0.1 * float(cost.max())))
-        assert np.isneginf(coarse.dual_row[1])
-        fine = sinkhorn(
-            mu, nu, cost, self.config(epsilon=0.02 * float(cost.max())),
-            init=(coarse.dual_row, coarse.dual_col),
-        )
-        assert np.allclose(fine.plan[1], 0.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            dual_row = np.array([0.0, bad, 0.0, 0.0])
+            with pytest.raises(InvalidInputError, match="^init dual_row contains non-finite"):
+                sinkhorn(mu, nu, cost, self.config(), init=(dual_row, np.zeros(3)))
 
     def test_requires_sinkhorn_mode(self):
         mu = DiscreteMeasure.uniform([[0.0], [1.0]])

@@ -15,8 +15,9 @@ their digest files.
 
 The calls generate their own data, except ``bench-real``, which reads the
 bundled ``tests/data/blobs_n400_p10.csv`` of the checkout holding this
-script. The last five calls pass a negative seed, ``--k 0`` or a ``--k``
-above the training size and should fail with exit code 2.
+script. The last six calls pass a negative seed, ``--k 0``, a ``--k``
+above the training size or a ``--test-fraction`` that leaves no test
+points, and should fail with exit code 2.
 """
 
 import hashlib
@@ -62,6 +63,8 @@ CALLS = (
     ("oracle-check-negative-seed", [*ORACLE, "--seed", "-1"]),
     ("bench-real-k0", [*BENCH_REAL, "--k", "0", "--output", "report.json"]),
     ("bench-real-k-above-train", [*BENCH_REAL, "--k", "1000", "--output", "report.json"]),
+    ("bench-real-empty-test", [*BENCH_REAL, "--test-fraction", "0.001",
+                               "--output", "report.json"]),
 )
 
 
