@@ -183,6 +183,18 @@ class TestSinkhornScaling:
         b = np.full(m, 1.0 / m)
         return -cost / (0.05 * cost.max()), np.log(a), np.log(b)
 
+    def test_zero_mass_column_stays_empty(self, rng):
+        # a measure cannot carry a zero mass; a mass of 1e-300 is the
+        # nearest it comes, and its column stays empty on a finite potential
+        neg_cost, log_a, _ = self.setup_instance(rng, 4, 3)
+        log_b = np.log(np.array([0.5, 0.5, 1e-300]))
+        u, v, _, err, _ = sinkhorn_scaling(neg_cost, log_a, log_b, 10_000, 1e-10)
+        plan = plan_of(neg_cost, u, v)
+        assert np.allclose(plan[:, 2], 0.0)
+        assert plan[:, 2].sum() == pytest.approx(1e-300, rel=1e-6)
+        assert np.isfinite(v[2]) and v[2] < np.log(1e-299)
+        assert err <= 1e-10
+
     def test_warm_start_converges_faster(self, rng):
         neg_cost, log_a, log_b = self.setup_instance(rng, 10, 10)
         sharp = neg_cost * 20.0  # same instance at epsilon / 20

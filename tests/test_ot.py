@@ -527,6 +527,20 @@ class TestSinkhorn:
         assert max(row_err, col_err) <= 1e-9
         assert coupling.plan.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_zero_weight_atom_gets_zero_row(self):
+        # a zero weight is rejected; the atom of weight 1e-300 that stands
+        # in for it carries an empty row on a finite potential
+        with pytest.raises(InvalidInputError, match="finite and positive"):
+            DiscreteMeasure([[0.0], [5.0]], [1.0, 0.0])
+        mu = DiscreteMeasure([[0.0], [5.0]], [1.0, 1e-300])
+        nu = DiscreteMeasure.uniform([[0.5], [1.5]])
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        coupling = sinkhorn(mu, nu, cost, self.config(epsilon=0.05 * float(cost.max())))
+        assert np.allclose(coupling.plan[1], 0.0)
+        assert np.all(np.isfinite(coupling.dual_row))
+        row_err, col_err = coupling.marginal_errors()
+        assert max(row_err, col_err) <= 1e-9
+
     def test_dominated_by_exact(self, rng):
         mu, nu = random_instance(rng, 10, 8)
         cost = squared_euclidean_cost(mu.points, nu.points)
@@ -612,6 +626,24 @@ class TestSinkhorn:
             dual_row = np.array([0.0, bad, 0.0, 0.0])
             with pytest.raises(InvalidInputError, match="^init dual_row contains non-finite"):
                 sinkhorn(mu, nu, cost, self.config(), init=(dual_row, np.zeros(3)))
+
+    def test_warm_start_from_zero_mass_solve(self):
+        # the potential of a 1e-300 atom lies some 690 epsilon below the
+        # others, yet is finite, so a finer solve accepts it as a warm start
+        mu = DiscreteMeasure([[0.0], [5.0]], [1.0, 1e-300])
+        nu = DiscreteMeasure.uniform([[0.5], [1.5]])
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        coarse_eps = 0.1 * float(cost.max())
+        coarse = sinkhorn(mu, nu, cost, self.config(epsilon=coarse_eps))
+        assert np.all(np.isfinite(coarse.dual_row))
+        assert coarse.dual_row[1] - coarse.dual_row[0] < -600.0 * coarse_eps
+        fine = sinkhorn(
+            mu, nu, cost, self.config(epsilon=0.02 * float(cost.max())),
+            init=(coarse.dual_row, coarse.dual_col),
+        )
+        assert np.allclose(fine.plan[1], 0.0)
+        row_err, col_err = fine.marginal_errors()
+        assert max(row_err, col_err) <= 1e-9
 
     def test_requires_sinkhorn_mode(self):
         mu = DiscreteMeasure.uniform([[0.0], [1.0]])
