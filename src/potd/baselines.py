@@ -5,50 +5,35 @@ the response. All three return bases in original predictor coordinates
 with the common sign convention.
 """
 
-import warnings
-
 import numpy as np
 
-from .core import back_mapped_basis, centered_covariance, check_r, descending_eigh, whiten
+from .core import Fit, centered_covariance, descending_eigh, whiten
 from .errors import DegenerateInputError, InvalidInputError
 
 
 def _slice_stats(Z, y):
-    labels = np.unique(y)
-    n = Z.shape[0]
-    stats = []
-    for label in labels:
+    for label in np.unique(y):
         block = Z[y == label]
-        stats.append((label, block, block.shape[0] / n))
-    return stats
+        yield label, block, block.shape[0] / Z.shape[0]
 
 
 def sir_fit(data, r):
     """Sliced inverse regression with classes as slices.
 
-    Binary data supports at most one direction, so ``r`` is clamped to
-    ``k - 1`` (with a warning) when it exceeds the number of slices minus
-    one.
+    ``k`` slices give at most ``k - 1`` directions (binary data one), so
+    :meth:`~potd.core.Fit.basis` clamps a larger ``r`` to ``k - 1`` with a
+    warning.
     """
-    labels = data.classes()
-    k = labels.shape[0]
+    k = data.classes().shape[0]
     if k < 2:
         raise InvalidInputError("need at least 2 classes")
-    check_r(r, data.p)
-    effective_r = min(r, k - 1)
-    if effective_r < r:
-        warnings.warn(
-            f"SIR can estimate at most k-1={k - 1} directions; clamping r from "
-            f"{r} to {effective_r}",
-            stacklevel=2,
-        )
     Z, W = whiten(data.X)
     between = np.zeros((data.p, data.p))
     for _, block, weight in _slice_stats(Z, data.y):
         mean = block.mean(axis=0)
         between += weight * np.outer(mean, mean)
     evals, evecs = descending_eigh(between)
-    return back_mapped_basis(evecs[:, :effective_r], np.maximum(evals, 0.0), W)
+    return Fit(evecs[:, : k - 1], np.maximum(evals, 0.0), W).basis(r)
 
 
 def save_fit(data, r):
@@ -57,10 +42,8 @@ def save_fit(data, r):
     Directions come from the slice-weighted sum of ``(I - cov_s)^2`` on
     whitened predictors, ``cov_s`` being the within-slice covariance.
     """
-    labels = data.classes()
-    if labels.shape[0] < 2:
+    if data.classes().shape[0] < 2:
         raise InvalidInputError("need at least 2 classes")
-    check_r(r, data.p)
     Z, W = whiten(data.X)
     p = data.p
     eye = np.eye(p)
@@ -74,7 +57,7 @@ def save_fit(data, r):
         diff = eye - centered_covariance(block)[1]
         accum += weight * (diff @ diff)
     evals, evecs = descending_eigh(accum)
-    return back_mapped_basis(evecs[:, :r], np.maximum(evals, 0.0), W)
+    return Fit(evecs, np.maximum(evals, 0.0), W).basis(r)
 
 
 def pca_fit(X, r):
@@ -82,7 +65,6 @@ def pca_fit(X, r):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise InvalidInputError("X must be a matrix with at least 2 rows")
-    check_r(r, X.shape[1])
     _, cov = centered_covariance(X)
     evals, evecs = descending_eigh(cov)
-    return back_mapped_basis(evecs[:, :r], np.maximum(evals, 0.0), None)
+    return Fit(evecs, np.maximum(evals, 0.0), None).basis(r)

@@ -7,6 +7,7 @@ reduction subspace. Fits run in whitened coordinates by default and the
 basis is mapped back to the original predictor scale.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +44,6 @@ def orthonormalize(vectors):
     return np.linalg.qr(np.asarray(vectors, dtype=np.float64))[0]
 
 
-def check_r(r, p):
-    """Raise :class:`InvalidInputError` unless a fit may keep ``r`` of ``p`` directions."""
-    if not 1 <= r <= p:
-        raise InvalidInputError(f"r must be in [1, p={p}], got {r}")
-
-
 @dataclass(frozen=True)
 class Basis:
     """Orthonormal basis of an estimated subspace, in predictor coordinates.
@@ -83,10 +78,8 @@ class Basis:
         return self.vectors.shape[0]
 
     def truncated(self, r):
-        """Basis of the leading ``r`` columns."""
-        if not 1 <= r <= self.dim:
-            raise InvalidInputError(f"r must be in [1, {self.dim}], got {r}")
-        return Basis(self.vectors[:, :r], self.singular_values)
+        """Basis of the leading ``r`` columns, by the rule of :meth:`Fit.basis`."""
+        return Fit(self.vectors, self.singular_values, None).basis(r)
 
 
 @dataclass(frozen=True)
@@ -234,26 +227,45 @@ def descending_eigh(matrix):
     return evals[order], evecs[:, order]
 
 
-def back_mapped_basis(vectors, spectrum, W):
-    """Basis of ``vectors`` fitted on data whitened by ``W``, in predictor
-    coordinates; ``W is None`` means the fit ran on the raw predictors."""
-    if W is not None:
-        vectors = orthonormalize(W @ vectors)
-    return Basis(vectors, spectrum)
+@dataclass(frozen=True)
+class Fit:
+    """A fit before ``r`` is chosen: its directions (leading first, in the
+    coordinates it ran in), its full nonincreasing spectrum, and the
+    whitening map ``W`` of those coordinates (``None``: raw predictors)."""
+
+    vectors: np.ndarray
+    spectrum: np.ndarray
+    W: np.ndarray | None
+
+    def basis(self, r):
+        """Basis of the leading ``r`` directions, in predictor coordinates.
+
+        ``r`` must be in [1, p]; above the fit's number of directions (SIR
+        has ``k - 1``, unwhitened POTD one per stacked row) it is clamped with a warning.
+        """
+        p, found = self.vectors.shape
+        if not 1 <= r <= p:
+            raise InvalidInputError(f"r must be in [1, p={p}], got {r}")
+        if found < r:
+            message = f"the fit found {found} direction(s); clamping r from {r} to {found}"
+            warnings.warn(message, stacklevel=3)
+        vectors = self.vectors[:, :r]
+        if self.W is not None:
+            vectors = orthonormalize(self.W @ vectors)
+        return Basis(vectors, self.spectrum)
 
 
-def _fit(data, labelings, r, solver, whiten_flag):
-    """The fit behind :func:`potd_fit` and :func:`potd_fit_continuous`.
+def _fit(data, labelings, solver, whiten_flag):
+    """The :class:`Fit` behind :func:`potd_fit` and :func:`potd_fit_continuous`.
 
     Every labelling of the rows contributes the displacement blocks of its
     ordered class pairs; the blocks are stacked labelling by labelling and
-    the top ``r`` right singular vectors of the stack form the basis. The
+    the right singular vectors of the stack are the fit's directions. The
     SVD is taken through the p-by-p Gram matrix when the stack is tall.
     Raises :class:`DegenerateInputError` when every singular value is zero
     relative to the data scale (e.g. classes with identical point clouds),
     since any basis would then be arbitrary.
     """
-    check_r(r, data.p)
     Z, W = whiten(data.X) if whiten_flag else (data.X, None)
     stacked = np.vstack([b for y in labelings for b in _stacked_displacements(Z, y, solver)])
     if stacked.shape[0] > GRAM_PATH_ROW_FACTOR * data.p:
@@ -267,7 +279,7 @@ def _fit(data, labelings, r, solver, whiten_flag):
             "all displacement singular values are zero: the class point "
             "clouds coincide, so no direction separates them"
         )
-    return back_mapped_basis(vecs[:, :r], svals, W)
+    return Fit(vecs, svals, W)
 
 
 def potd_fit(data, r, solver=None, whiten_flag=True):
@@ -281,7 +293,7 @@ def potd_fit(data, r, solver=None, whiten_flag=True):
     """
     if data.classes().shape[0] < 2:
         raise InvalidInputError("need at least 2 classes")
-    return _fit(data, [data.y], r, solver, whiten_flag)
+    return _fit(data, [data.y], solver, whiten_flag).basis(r)
 
 
 def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):
@@ -307,7 +319,7 @@ def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):
     for c, side in zip(cuts, sides):
         if len(np.unique(side)) < 2:
             raise InvalidInputError(f"cut {c!r} leaves one side of the split empty")
-    return _fit(data, sides, r, solver, whiten_flag)
+    return _fit(data, sides, solver, whiten_flag).basis(r)
 
 
 def estimate_dimension(singular_values, threshold=0.9):

@@ -61,6 +61,10 @@ HIGHS_OPTIONS = {
 # scaling factors may drift into [1/SCALING_BOUND, SCALING_BOUND] before
 # they are absorbed into the log-domain potentials
 SCALING_BOUND = 1e3
+# log-domain potentials beyond this magnitude, or NaN, mean the scaled costs
+# under- or overflowed (legitimate ones are bounded by the cost range over
+# epsilon); the sweeps stop on them and sinkhorn() reports them
+POTENTIAL_BOUND = 1e150
 # bytes of kernel rows per block of a scaling sweep: a block read for its
 # row sums is still in cache (L2 of a current x86 core) for its column sums
 SWEEP_BLOCK_BYTES = 1 << 20
@@ -255,6 +259,11 @@ def _in_bounds(factors):
     return 1.0 / SCALING_BOUND < factors.min() and factors.max() < SCALING_BOUND
 
 
+def _degenerate(u, v):
+    # numpy's max propagates NaN, which fails the comparison
+    return not (np.abs(u).max() <= POTENTIAL_BOUND and np.abs(v).max() <= POTENTIAL_BOUND)
+
+
 def _overrelaxation(history):
     """Omega of the next scaling sweep from ``(omega, err)`` of each sweep so far.
 
@@ -313,7 +322,8 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
     number of sweeps, the larger of the row and column L1 marginal errors of
     ``plan = exp(K + u[:, None] + v[None, :])``, measured on the returned
     potentials, and that plan. The sweeps stop once the error is at most
-    ``tolerance``.
+    ``tolerance``, or once a log-domain sweep leaves potentials beyond
+    ``POTENTIAL_BOUND``.
 
     The iterates are those of the log-domain updates ``v = (1 - w) v +
     w (log b - LSE_i(K + u))``, ``u = (1 - w) u + w (log a - LSE_j(K + v))``
@@ -385,7 +395,9 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
                 alpha, beta = np.ones(n), np.ones(m)
                 col = kernel.sum(axis=0)
             err = np.maximum(row_err, np.abs(beta * col - b).sum())
-            if err <= tolerance:
+            # only a log-domain sweep moves the potentials; once they
+            # degenerate, further sweeps cannot bring them back
+            if err <= tolerance or (not in_bounds and _degenerate(u, v)):
                 break
             history.append((omega, float(err)))
             omega = _overrelaxation(history)
@@ -430,11 +442,16 @@ def _median(values):
 
 
 def default_epsilon(cost):
-    """Documented default regularization: 0.05 times the median cost."""
-    med = _median(cost)
-    if med <= 0.0:
-        med = float(np.max(cost))
-    return 0.05 * med if med > 0.0 else 1.0
+    """Documented default regularization: 0.05 times the median cost.
+
+    When that is zero (a zero median, or one so small that the product
+    underflows) it is 0.05 times the largest cost, and 1 for an all-zero
+    cost.
+    """
+    eps = 0.05 * _median(cost)
+    if eps <= 0.0:
+        eps = 0.05 * float(np.max(cost))
+    return eps if eps > 0.0 else 1.0
 
 
 def _check_cost(mu, nu, cost):
@@ -490,10 +507,7 @@ def sinkhorn(mu, nu, cost, config, init=None):
     u, v, iterations, err, plan = sinkhorn_scaling(
         neg_cost, log_a, log_b, config.max_iterations, config.marginal_tolerance, u0, v0
     )
-    # non-finite or astronomically large potentials mean the scaled costs
-    # underflowed (legitimate potentials are bounded by the cost range over
-    # epsilon); numpy's max propagates NaN, which fails the comparison
-    if not (np.abs(u).max() <= 1e150 and np.abs(v).max() <= 1e150):
+    if _degenerate(u, v):
         raise NumericError(
             "scaling potentials degenerated; increase epsilon "
             f"(epsilon={eps:g})"

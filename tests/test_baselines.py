@@ -1,11 +1,16 @@
 """SIR / SAVE / PCA baseline tests."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from potd.baselines import pca_fit, save_fit, sir_fit
-from potd.core import Basis, LabeledDataset, orthonormalize
+from potd.core import Basis, LabeledDataset, orthonormalize, potd_fit, potd_fit_continuous
 from potd.errors import DegenerateInputError, InvalidInputError
+from potd.ot import SolverConfig
 from potd.synthetic import subspace_distance
 
 
@@ -115,7 +120,36 @@ class TestSharedConventions:
         data = two_class_data(
             rng.normal(size=(40, 3)) + [1.0, 0.0, 0.0], rng.normal(size=(40, 3))
         )
-        for basis in (sir_fit(data, 1), save_fit(data, 2), pca_fit(data.X, 2)):
+        for basis in (
+            sir_fit(data, 1),
+            save_fit(data, 2),
+            pca_fit(data.X, 2),
+            potd_fit(data, 2),
+            potd_fit_continuous(data, 2, cuts=[1.5]),
+        ):
             for j in range(basis.dim):
                 col = basis.vectors[:, j]
                 assert col[int(np.argmax(np.abs(col)))] > 0
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(30, 90),
+        p=st.integers(2, 4),
+        k=st.integers(2, 4),
+    )
+    def test_relabelling_the_classes_keeps_the_span(self, seed, n, p, k):
+        # the label values only name the classes: permuting them reorders
+        # the slices and the class pairs, never the fitted span
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.arange(n) % k)
+        X = rng.normal(size=(n, p)) + np.outer(labels, rng.normal(size=p))
+        relabelled = rng.permutation(k)[labels]
+        exact = SolverConfig(mode="exact")
+        for fit in (partial(potd_fit, solver=exact), sir_fit, save_fit):
+            base = fit(LabeledDataset(X, labels), 1)
+            sv = base.singular_values
+            # the leading direction is defined only across a gap
+            assume(sv[0] - sv[1] > 1e-6 * sv[0])
+            refit = fit(LabeledDataset(X, relabelled), 1)
+            assert subspace_distance(base, refit.vectors) <= 1e-9

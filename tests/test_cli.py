@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from potd import cli
+from potd import cli, errors
 from potd.cli import main
 from potd.core import LabeledDataset
 from potd.harness import (
@@ -130,12 +130,25 @@ class TestFit:
         path = tmp_path / "planar.csv"
         save_csv_dataset(LabeledDataset(X, y), str(path))
         out = tmp_path / "basis.csv"
-        assert run_cli(
-            "fit", "--data", str(path), "--auto-dim", "0.9", "--no-whiten",
-            "--output", str(out),
-        ) == 0
+        # --auto-dim asks for every direction the fit has, so none is clamped
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(
+                "fit", "--data", str(path), "--auto-dim", "0.9", "--no-whiten",
+                "--output", str(out),
+            ) == 0
         meta = json.loads((tmp_path / "basis.csv.meta.json").read_text())
         assert meta["chosen_r"] == 2
+
+    def test_r_above_the_stack_rows_is_clamped(self, tmp_path):
+        path = tmp_path / "two.csv"
+        save_csv_dataset(LabeledDataset([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]], [1, 2]), str(path))
+        out = tmp_path / "basis.csv"
+        with pytest.warns(UserWarning, match="clamping r from 3 to 2"):
+            assert run_cli(
+                "fit", "--data", str(path), "--r", "3", "--no-whiten", "--output", str(out)
+            ) == 0
+        assert out.read_text().splitlines()[0] == "v1,v2"
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code = run_cli(
@@ -288,6 +301,40 @@ class TestEmbed:
             "embed", "--data", model_csv, "--method", "PCA", "--r", "99",
             "--output", str(tmp_path / "e.csv"),
         ) == 2
+
+
+# README's exit codes: 2 for bad input, 1 for a solver that failed on it
+EXIT_CODES = [
+    (errors.InvalidInputError, "invalid-input", 2),
+    (errors.DegenerateInputError, "degenerate-input", 2),
+    (errors.DatasetParseError, "dataset-parse", 2),
+    (errors.DatasetSchemaError, "dataset-schema", 2),
+    (FileNotFoundError, "file-not-found", 2),
+    (errors.ConvergenceError, "convergence", 1),
+    (errors.NumericError, "numeric", 1),
+]
+
+
+class TestExitCodes:
+    def test_every_error_class_has_a_code(self):
+        raised = {exc for exc, _, _ in EXIT_CODES}
+        leaves = {
+            cls
+            for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.PotdError)
+            and not cls.__subclasses__()
+        }
+        assert leaves <= raised
+
+    @pytest.mark.parametrize("exc, kind, code", EXIT_CODES)
+    def test_command_error_maps_to_exit_code(self, exc, kind, code, monkeypatch, capsys):
+        def failing(args):
+            raise exc("no luck\non two lines")
+
+        monkeypatch.setattr(cli, "_cmd_fit", failing)
+        assert run_cli("fit", "--data", "d.csv", "--r", "1", "--output", "b.csv") == code
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"potd: error: {kind}: no luck on two lines"
 
 
 class TestGen:

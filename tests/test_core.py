@@ -185,6 +185,14 @@ class TestPotdFit:
         with pytest.raises(InvalidInputError):
             potd_fit(data, 3, solver=EXACT, whiten_flag=False)
 
+    def test_r_above_the_stack_rows_is_clamped(self):
+        # two points stack two displacement rows, so an unwhitened fit in
+        # 3-D has two directions
+        data = LabeledDataset([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]], [1, 2])
+        with pytest.warns(UserWarning, match="clamping r from 3 to 2"):
+            basis = potd_fit(data, 3, solver=EXACT, whiten_flag=False)
+        assert basis.dim == 2
+
     def test_single_class_rejected(self):
         data = LabeledDataset([[0.0], [1.0]], [1, 1])
         with pytest.raises(InvalidInputError):

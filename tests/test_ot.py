@@ -611,6 +611,26 @@ class TestSinkhorn:
                     mu, nu, cost, self.config(epsilon=1e-300, max_iterations=50)
                 )
 
+    def test_degenerate_potentials_stop_the_sweeps(self, rng, monkeypatch):
+        # at epsilon = 1e-307 the first log-domain sweep leaves potentials
+        # near 1e307 while the marginal error stays finite; the sweeps stop
+        # there instead of running the whole budget
+        scaling = ot.sinkhorn_scaling
+        sweeps = []
+
+        def recorded(*args):
+            out = scaling(*args)
+            sweeps.append(out[2])
+            return out
+
+        monkeypatch.setattr(ot, "sinkhorn_scaling", recorded)
+        mu, nu = random_instance(rng, 100, 100)
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match=r"^scaling potentials degenerated; increase"):
+                sinkhorn(mu, nu, cost, self.config(epsilon=1e-307))
+        assert sweeps == [1]
+
     def test_init_of_wrong_length_is_rejected(self, rng):
         mu, nu = random_instance(rng, 4, 3)
         cost = squared_euclidean_cost(mu.points, nu.points)
@@ -712,6 +732,23 @@ class TestSolverConfig:
     def test_default_epsilon_rule(self):
         cost = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert default_epsilon(cost) == pytest.approx(0.05 * 2.5)
+
+    def test_default_epsilon_when_the_median_underflows(self):
+        # 0.05 times a median of 5e-324 underflows to zero; the rule then
+        # falls back as for a zero median, and the solve divides by no zero
+        cost = np.full((3, 4), 5e-324)
+        assert default_epsilon(cost) == 1.0
+        cost[0, 0] = 1.0
+        assert default_epsilon(cost) == 0.05
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coupling = sinkhorn(
+                DiscreteMeasure.uniform(np.zeros((3, 1))),
+                DiscreteMeasure.uniform(np.zeros((4, 1))),
+                cost,
+                SolverConfig(mode="sinkhorn"),
+            )
+        assert coupling.marginal_error <= 1e-9
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
