@@ -20,6 +20,14 @@ few repeats. BLAS runs on one thread. ``knn_predict`` is timed at K=10 on
 200 test against 200 training points (the shape of one ``bench-real``
 split of the bundled blobs data), projected to r=2 and r=8 with two
 labels, and on a tie-heavy integer grid in the plane with three labels.
+``cold_start`` runs commands in fresh interpreters with the measured
+``src`` on ``PYTHONPATH``: ``import potd``, ``potd gen`` of model I at
+n=1600, p=10, a Sinkhorn ``potd fit`` of that CSV and a default ``potd
+fit`` of the bundled blobs CSV (its equal classes take the assignment
+path). Each gets the median wall time and median peak resident set size
+(the child's ``ru_maxrss``, read by a small launcher process) of 7 runs,
+and whether ``scipy.optimize`` was imported, read off one more run under
+``-X importtime``.
 
 Every run appends one record, its rows plus provenance (git SHA of the
 measured ``potd`` checkout, suffixed ``-dirty`` when it has uncommitted
@@ -37,6 +45,8 @@ import json
 import os
 import platform
 import subprocess
+import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -66,7 +76,9 @@ TABLE_N = 400
 TABLE_SEEDS = 12
 LARGE_N = 1600
 LARGE_SEEDS = 12
-OUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
+COLD_RUNS = 7
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_kernels.json"
 
 
 def best_of(func, *args, repeats=REPEATS):
@@ -294,6 +306,76 @@ def bench_knn(rng):
     return rows
 
 
+def cold_commands(tmp):
+    """``(name, arguments after the interpreter)`` of each cold-start command."""
+    data = str(tmp / "model1.csv")
+    blobs = str(ROOT / "tests" / "data" / "blobs_n400_p10.csv")
+    cli = ["-m", "potd.cli"]
+    return [
+        ("import potd", ["-c", "import potd"]),
+        ("gen", cli + ["gen", "--model", "I", "--n", "1600", "--p", "10", "--dump", data]),
+        ("fit sinkhorn", cli + ["fit", "--data", data, "--r", "2", "--solver", "sinkhorn",
+                                "--output", str(tmp / "sinkhorn.csv")]),
+        ("fit blobs", cli + ["fit", "--data", blobs, "--r", "2",
+                             "--output", str(tmp / "blobs.csv")]),
+    ]
+
+
+# Runs the timed interpreters from a small process of its own: a child's
+# ru_maxrss starts at the resident size of the process that forked it, and
+# this one holds numpy, scipy and the benchmark's arrays.
+COLD_LAUNCHER = """
+import json, os, subprocess, sys, time
+argv, runs = json.loads(sys.argv[1]), int(sys.argv[2])
+out = []
+for _ in range(runs):
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+    # wait4 reports the rusage of this child alone; ru_maxrss is in KB
+    _, status, usage = os.wait4(proc.pid, 0)
+    out.append([time.perf_counter() - t0, usage.ru_maxrss / 1024.0])
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        sys.exit(f"{argv} exited with {proc.returncode}")
+print(json.dumps(out))
+"""
+
+
+def imports_scipy_optimize(importtime_log):
+    return any(line.rsplit("|", 1)[-1].strip() == "scipy.optimize"
+               for line in importtime_log.splitlines())
+
+
+def bench_cold_start():
+    src = str(Path(potd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    print(f"\ncold start in fresh interpreters (median of {COLD_RUNS})")
+    print(f"{'command':>14} {'s':>7} {'MB':>7} {'scipy.optimize':>15}")
+    commands = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in cold_commands(Path(tmp)):
+            argv = json.dumps([sys.executable, *args])
+            runs = json.loads(subprocess.run(
+                [sys.executable, "-c", COLD_LAUNCHER, argv, str(COLD_RUNS)],
+                env=env, cwd=tmp, capture_output=True, text=True, check=True,
+            ).stdout)
+            seconds, rss = [run[0] for run in runs], [run[1] for run in runs]
+            loaded = imports_scipy_optimize(subprocess.run(
+                [sys.executable, "-X", "importtime", *args],
+                env=env, cwd=tmp, capture_output=True, text=True, check=True,
+            ).stderr)
+            print(f"{name:>14} {np.median(seconds):>7.3f} {np.median(rss):>7.1f} "
+                  f"{str(loaded):>15}")
+            shown = " ".join(args).replace(tmp, "<tmp>").replace(str(ROOT), "<repo>")
+            commands.append({"command": name, "args": shown,
+                             "median_s": float(np.median(seconds)),
+                             "median_maxrss_mb": float(np.median(rss)),
+                             "scipy_optimize_loaded": loaded, "s": seconds,
+                             "maxrss_mb": rss})
+    return [{"bench": "cold_start", "runs": COLD_RUNS, "commands": commands}]
+
+
 def provenance():
     """Where the measured library comes from and what it ran on."""
     src = Path(potd.__file__).resolve().parent
@@ -323,7 +405,8 @@ def provenance():
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([123]))
     rows = (bench_pairwise(rng) + bench_sinkhorn(rng) + bench_exact_lp(rng)
-            + bench_table_lp() + bench_large_coupling() + bench_knn(rng))
+            + bench_table_lp() + bench_large_coupling() + bench_knn(rng)
+            + bench_cold_start())
     record = {"provenance": provenance(), "rows": rows}
     runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
     runs.append(record)

@@ -11,7 +11,6 @@ import csv
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -26,7 +25,7 @@ from .errors import (
     InvalidInputError,
     PotdError,
 )
-from .ot import pairwise_sqdist
+from .ot import _load_exact_solvers, pairwise_sqdist
 from .synthetic import (
     MODEL_SUBSPACE_DIM,
     MODELS,
@@ -427,6 +426,12 @@ def _run_tasks(func, seeds, workers):
                 f"POTD_MAX_THREADS must be an integer, got {cap!r}"
             ) from None
     if workers > 1 and len(seeds) > 1:
+        # the pool and scipy.optimize stay out of ``import potd``; the exact
+        # solvers are loaded before the fork, so the workers inherit
+        # scipy.optimize instead of each importing it on its own
+        from concurrent.futures import ProcessPoolExecutor
+
+        _load_exact_solvers()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(func, seeds))
     return [func(seed) for seed in seeds]

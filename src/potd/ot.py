@@ -17,21 +17,15 @@ verification suite.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-
-# The HiGHS binding that scipy bundles (scipy >= 1.15). The public
-# ``linprog`` cannot warm-start: it builds a fresh model on every call and
-# loops in Python over every column to fill bound marginals, so each pricing
-# round of the shortlist LP would pay a cold solve plus that loop.
-from scipy.optimize._highspy._core import (
-    HighsBasis,
-    HighsBasisStatus,
-    HighsModelStatus,
-    HighsStatus,
-    _Highs,
-)
 
 from .errors import ConvergenceError, InvalidInputError, NumericError
+
+# scipy.optimize is most of the import time and memory of this package, and
+# only the exact solver uses it, so these names enter the module on the
+# first exact solve (see _load_exact_solvers); until then the module
+# __getattr__ serves them to outside readers
+_HIGHS_NAMES = ("HighsBasis", "HighsBasisStatus", "HighsModelStatus", "HighsStatus", "_Highs")
+_EXACT_SOLVER_NAMES = ("linear_sum_assignment", *_HIGHS_NAMES)
 
 WEIGHT_SUM_TOL = 1e-12
 EXACT_MARGINAL_TOL = 1e-10
@@ -73,6 +67,36 @@ OMEGA_MAX = 1.8
 SETTLE_RTOL = 0.1
 RISE_GRACE = 6
 STALL_RTOL = 1e-6
+
+
+def _load_exact_solvers():
+    """Import scipy's assignment solver and HiGHS binding into this module.
+
+    Only names not set yet are filled, so one replaced from outside (a
+    stand-in ``_Highs`` class, say) stays in place.
+    """
+    names = globals()
+    if all(name in names for name in _EXACT_SOLVER_NAMES):
+        return
+    from scipy.optimize import linear_sum_assignment
+
+    # The HiGHS binding that scipy bundles (scipy >= 1.15). The public
+    # ``linprog`` cannot warm-start: it builds a fresh model on every call
+    # and loops in Python over every column to fill bound marginals, so each
+    # pricing round of the shortlist LP would pay a cold solve plus that loop.
+    from scipy.optimize._highspy import _core as highs
+
+    names.setdefault("linear_sum_assignment", linear_sum_assignment)
+    for name in _HIGHS_NAMES:
+        names.setdefault(name, getattr(highs, name))
+
+
+def __getattr__(name):
+    # PEP 562: reached only for names not yet in the module
+    if name in _EXACT_SOLVER_NAMES:
+        _load_exact_solvers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _finite_nonnegative(values):
@@ -288,6 +312,13 @@ def _overrelaxation(history):
     return min(OMEGA_MAX, 2.0 / (1.0 + (1.0 - kappa) ** 0.5)) if kappa < 1.0 else omega
 
 
+def _row_blocks(kernel):
+    """Slices of consecutive rows of ``kernel``, about ``SWEEP_BLOCK_BYTES`` each."""
+    n, m = kernel.shape
+    step = max(1, SWEEP_BLOCK_BYTES // (kernel.itemsize * m))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def _row_sweep(kernel, beta, a, alpha, omega):
     """Row half of a scaling sweep, with the column sums of its result.
 
@@ -299,12 +330,10 @@ def _row_sweep(kernel, beta, a, alpha, omega):
     instead of twice.
     """
     n, m = kernel.shape
-    step = max(1, SWEEP_BLOCK_BYTES // (kernel.itemsize * m))
     row = np.empty(n)
     new_alpha = np.empty(n)
     col = np.zeros(m)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
+    for rows in _row_blocks(kernel):
         block = kernel[rows]
         np.matmul(block, beta, out=row[rows])
         factors = np.divide(a[rows], row[rows], out=new_alpha[rows])
@@ -344,8 +373,9 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
     into the kernel it leaves. The row half of the first sweep is then a
     scaling step under the same bound; if a factor leaves it, only the row
     update runs in the log domain, since the column update is already exact.
-    On return the kernel, scaled in place to ``diag(alpha) Kt diag(beta)``,
-    is the returned plan, so no fresh ``exp`` pass forms it.
+    On return the kernel, scaled in place to ``diag(alpha) Kt diag(beta)``
+    in one blocked pass, is the returned plan, so no fresh ``exp`` pass
+    forms it.
     """
     neg_cost = np.ascontiguousarray(neg_cost, dtype=np.float64)
     n, m = neg_cost.shape
@@ -403,8 +433,12 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
             omega = _overrelaxation(history)
         u += np.log(alpha)
         v += np.log(beta)
-        kernel *= alpha[:, None]
-        kernel *= beta[None, :]
+        # diag(alpha) Kt diag(beta) in one walk over the kernel: each block
+        # is still in cache for its column scaling
+        for rows in _row_blocks(kernel):
+            block = kernel[rows]
+            block *= alpha[rows, None]
+            block *= beta
         return u, v, sweeps, err, kernel
 
 
@@ -556,6 +590,7 @@ def exact_ot(mu, nu, cost):
     marginals or the certificate miss their tolerance.
     """
     cost = _check_cost(mu, nu, cost)
+    _load_exact_solvers()
     a, b = mu.weights, nu.weights
     n, m = cost.shape
     if n == m and _is_uniform(a) and _is_uniform(b):

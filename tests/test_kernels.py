@@ -270,6 +270,17 @@ class TestSinkhornScaling:
         plan, u, v, _, _ = scaling_with_plan(neg_cost, log_a, log_b, budget, u0, v0)
         assert_plan_of_potentials(plan, neg_cost, u, v)
 
+    @given(scaling_instances(), st.integers(1, 300), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_out_holds_the_plan_in_row_blocks(self, instance, budget, rows):
+        # the plan is scaled block by block on return; a few rows per block
+        # walk the drawn kernels in several
+        neg_cost, log_a, log_b, u0, v0 = instance
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ot, "SWEEP_BLOCK_BYTES", block_bytes(rows, neg_cost.shape[1]))
+            plan, u, v, _, _ = scaling_with_plan(neg_cost, log_a, log_b, budget, u0, v0)
+        assert_plan_of_potentials(plan, neg_cost, u, v)
+
     def test_out_holds_the_plan_on_log_domain_exits(self, rng):
         # a solve that stops before any scaling sweep leaves the plan of the
         # log-domain column pass: converged at the warm start, or out of budget
