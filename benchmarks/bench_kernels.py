@@ -3,7 +3,8 @@
 ``sinkhorn_scaling`` is timed to a 1e-9 marginal error on n-by-n
 scaled costs at epsilon = 0.01 times the largest cost, reporting the
 sweep count, the over-relaxation omega of the last sweep and the time per
-sweep; ``pairwise_sqdist`` is timed on n-by-n point clouds; ``exact_ot``
+sweep; ``pairwise_sqdist`` is timed on n-by-n point clouds, with the peak
+bytes ``tracemalloc`` traces during one more call; ``exact_ot``
 is timed on uniform unequal splits (the shortlist transportation LP),
 reporting the nonzeros of the plan, and on table-shaped instances: the
 whitened sign-label classes of model I at p=10 and model III at p=30,
@@ -19,15 +20,17 @@ passes over the n-by-m cost per solve. Each timing is the best of a
 few repeats. BLAS runs on one thread. ``knn_predict`` is timed at K=10 on
 200 test against 200 training points (the shape of one ``bench-real``
 split of the bundled blobs data), projected to r=2 and r=8 with two
-labels, and on a tie-heavy integer grid in the plane with three labels.
+labels, on a tie-heavy integer grid in the plane with three labels, and
+on 1,600 against 1,600 points at r=2 with two labels (the shape of the
+``large-auto`` benchmark's KNN step), each with its traced peak bytes.
 ``cold_start`` runs commands in fresh interpreters with the measured
 ``src`` on ``PYTHONPATH``: ``import potd``, ``potd gen`` of model I at
-n=1600, p=10, a Sinkhorn ``potd fit`` of that CSV and a default ``potd
-fit`` of the bundled blobs CSV (its equal classes take the assignment
-path). Each gets the median wall time and median peak resident set size
-(the child's ``ru_maxrss``, read by a small launcher process) of 7 runs,
-and whether ``scipy.optimize`` was imported, read off one more run under
-``-X importtime``.
+n=1600, p=10, a Sinkhorn ``potd fit`` of that CSV, a default ``potd fit``
+of the bundled blobs CSV (its equal classes take the assignment path) and
+a ``potd bench-real`` of 10 replications on it. Each gets the median wall
+time and median peak resident set size (the child's ``ru_maxrss``, read by
+a small launcher process) of 7 runs, and whether ``scipy.optimize`` was
+imported, read off one more run under ``-X importtime``.
 
 Every run appends one record, its rows plus provenance (git SHA of the
 measured ``potd`` checkout, suffixed ``-dirty`` when it has uncommitted
@@ -48,6 +51,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 # single-threaded BLAS for steady timings; set before numpy is imported
@@ -90,16 +94,29 @@ def best_of(func, *args, repeats=REPEATS):
     return min(times)
 
 
+def traced_peak_bytes(func, *args):
+    """Peak bytes ``tracemalloc`` traces during one call; numpy reports its
+    data buffers to it."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def bench_pairwise(rng):
     print("\npairwise squared distances (n x n, p=10)")
-    print(f"{'n':>6} {'ms':>10}")
+    print(f"{'n':>6} {'ms':>10} {'peak/8nm':>9}")
     rows = []
     for n in (200, 400, 800):
         x = rng.normal(size=(n, 10))
         y = rng.normal(size=(n, 10))
         ms = best_of(pairwise_sqdist, x, y) * 1e3
-        print(f"{n:>6} {ms:>10.3f}")
-        rows.append({"bench": "pairwise_sqdist", "n": n, "p": 10, "ms": ms})
+        peak = traced_peak_bytes(pairwise_sqdist, x, y)
+        print(f"{n:>6} {ms:>10.3f} {peak / (8 * n * n):>9.3f}")
+        rows.append({"bench": "pairwise_sqdist", "n": n, "p": 10, "ms": ms,
+                     "peak_bytes": peak})
     return rows
 
 
@@ -287,22 +304,26 @@ def bench_large_coupling():
 
 
 def bench_knn(rng):
-    print("\nKNN prediction (200 test x 200 train points, K=10)")
-    print(f"{'points':>8} {'r':>3} {'labels':>7} {'ms':>10}")
+    print("\nKNN prediction (K=10)")
+    print(f"{'points':>8} {'n':>5} {'r':>3} {'labels':>7} {'ms':>10} {'peak/8nm':>9}")
     rows = []
-    for points, r, n_labels in (("normal", 2, 2), ("normal", 8, 2), ("grid", 2, 3)):
+    for points, n, r, n_labels in (("normal", 200, 2, 2), ("normal", 200, 8, 2),
+                                   ("grid", 200, 2, 3), ("normal", LARGE_N, 2, 2)):
         if points == "grid":
             # coordinates in -3..3: most rows tie at their K-th distance
-            train_x = rng.integers(-3, 4, size=(200, r)).astype(np.float64)
-            test_x = rng.integers(-3, 4, size=(200, r)).astype(np.float64)
+            train_x = rng.integers(-3, 4, size=(n, r)).astype(np.float64)
+            test_x = rng.integers(-3, 4, size=(n, r)).astype(np.float64)
         else:
-            train_x = rng.normal(size=(200, r))
-            test_x = rng.normal(size=(200, r))
-        train = LabeledDataset(train_x, rng.integers(0, n_labels, size=200))
+            train_x = rng.normal(size=(n, r))
+            test_x = rng.normal(size=(n, r))
+        train = LabeledDataset(train_x, rng.integers(0, n_labels, size=n))
         ms = best_of(knn_predict, train, test_x, 10, repeats=20) * 1e3
-        print(f"{points:>8} {r:>3} {n_labels:>7} {ms:>10.3f}")
-        rows.append({"bench": "knn_predict", "points": points, "n_train": 200,
-                     "n_test": 200, "r": r, "labels": n_labels, "K": 10, "ms": ms})
+        peak = traced_peak_bytes(knn_predict, train, test_x, 10)
+        print(f"{points:>8} {n:>5} {r:>3} {n_labels:>7} {ms:>10.3f} "
+              f"{peak / (8 * n * n):>9.3f}")
+        rows.append({"bench": "knn_predict", "points": points, "n_train": n,
+                     "n_test": n, "r": r, "labels": n_labels, "K": 10, "ms": ms,
+                     "peak_bytes": peak})
     return rows
 
 
@@ -318,6 +339,8 @@ def cold_commands(tmp):
                                 "--output", str(tmp / "sinkhorn.csv")]),
         ("fit blobs", cli + ["fit", "--data", blobs, "--r", "2",
                              "--output", str(tmp / "blobs.csv")]),
+        ("bench-real", cli + ["bench-real", "--data", blobs, "--replications", "10",
+                              "--output", str(tmp / "report.json")]),
     ]
 
 

@@ -25,7 +25,7 @@ from .errors import (
     InvalidInputError,
     PotdError,
 )
-from .ot import _load_exact_solvers, pairwise_sqdist
+from .ot import _load_exact_solvers, _row_blocks, pairwise_sqdist
 from .synthetic import (
     MODEL_SUBSPACE_DIM,
     MODELS,
@@ -278,6 +278,10 @@ def knn_predict(train, test_points, K):
     row index, tied votes prefer the smallest class label. K outside
     ``[1, train.n]``, a test matrix without rows, non-finite test points
     and squared distances that overflow raise :class:`InvalidInputError`.
+
+    The test-by-train distance matrix is the only array of that shape the
+    call holds: the K-th distances, the tie-break and the votes are taken
+    one row block at a time, and the votes are integer counts per label.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
@@ -294,25 +298,40 @@ def knn_predict(train, test_points, K):
         raise InvalidInputError("test points contain non-finite entries")
     labels, codes = np.unique(train.y, return_inverse=True)
     dists = pairwise_sqdist(test_points, train.X)
-    # an overflowed distance would rank as the largest or tie at inf
-    if not np.all(np.isfinite(dists)):
+    # an overflowed distance would rank as the largest or tie at inf; max
+    # propagates NaN, which fails the comparison too
+    if not dists.max() < np.inf:
         raise InvalidInputError(
             "squared distances overflow float64; rescale the points"
         )
-    # every point within a row's K-th smallest distance is a candidate; the
-    # index list copies the column out, so the partitioned matrix is freed
-    kth = np.partition(dists, K - 1, axis=1)[:, [K - 1]]
-    chosen = dists <= kth
-    # rows with ties at the K-th distance keep the tied points of lowest row
-    # index, as a stable sort by distance would
-    counts = np.count_nonzero(chosen, axis=1)
-    over = np.flatnonzero(counts > K)
-    if over.size:
-        tied = dists[over] == kth[over]
-        keep = K - counts[over] + np.count_nonzero(tied, axis=1)
-        chosen[over] &= ~tied | (np.cumsum(tied, axis=1) <= keep[:, None])
-    # one-hot label columns turn the K selected points into votes per label
-    votes = chosen @ np.eye(labels.shape[0])[codes]
+    n_train = dists.shape[1]
+    n_labels = labels.shape[0]
+    votes = np.empty((dists.shape[0], n_labels), dtype=np.intp)
+    # row blocks keep every temporary block-sized: dists is the only
+    # n-by-m float array
+    for rows in _row_blocks(dists):
+        block = dists[rows]
+        # every point within a row's K-th smallest distance is a candidate;
+        # the index list copies the column out, so the partitioned block is
+        # freed
+        kth = np.partition(block, K - 1, axis=1)[:, [K - 1]]
+        chosen = block <= kth
+        # the flat indices of the candidates give each one's row and
+        # training column
+        row, col = np.divmod(np.flatnonzero(chosen), n_train)
+        counts = np.bincount(row, minlength=chosen.shape[0])
+        # rows with ties at the K-th distance keep the tied points of lowest
+        # row index, as a stable sort by distance would
+        over = np.flatnonzero(counts > K)
+        if over.size:
+            tied = block[over] == kth[over]
+            keep = K - counts[over] + np.count_nonzero(tied, axis=1)
+            chosen[over] &= ~tied | (np.cumsum(tied, axis=1) <= keep[:, None])
+            row, col = np.divmod(np.flatnonzero(chosen), n_train)
+        # integer votes per (row, label) from the K points each row keeps
+        votes[rows] = np.bincount(
+            row * n_labels + codes[col], minlength=chosen.shape[0] * n_labels
+        ).reshape(-1, n_labels)
     # argmax picks the first maximum, i.e. the smallest label on vote ties
     return labels[np.argmax(votes, axis=1)]
 

@@ -242,19 +242,38 @@ class SolverConfig:
 
 
 def pairwise_sqdist(x, y):
-    """All-pairs squared Euclidean distances, shape (len(x), len(y))."""
+    """All-pairs squared Euclidean distances, shape (len(x), len(y)).
+
+    The result is the only array of that shape the call holds.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     # coordinates near the float range overflow the expansion to inf or
     # NaN; knn_predict and the coupling solvers reject such distances with
     # one error, so numpy's warnings would only add noise to it
     with np.errstate(over="ignore", invalid="ignore"):
-        d = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
-        # |x|^2 + |y|^2 - 2 x.y in place: two n-by-m buffers, and the same
-        # bits as the out-of-place expression since doubling is exact
-        g = x @ y.T
-        g *= 2.0
-        d -= g
+        xx = (x * x).sum(axis=1)
+        yy = (y * y).sum(axis=1)
+        # |x|^2 + |y|^2 - 2 x.y in one n-by-m array: the product is one BLAS
+        # call on the whole matrices, doubled in place (exactly), and the
+        # outer sum is formed one row block at a time in a block-sized
+        # scratch array that every block reuses, so the bits are those of
+        # the out-of-place expression
+        d = x @ y.T
+        d *= 2.0
+        blocks = _row_blocks(d)
+        # the first block is the largest; later blocks use leading rows of
+        # its scratch
+        scratch = np.empty_like(d[blocks[0]]) if blocks else None
+        for rows in blocks:
+            block = d[rows]
+            sums = scratch[: block.shape[0]]
+            # copying |y|^2 into the rows first spares numpy the buffers
+            # that a broadcast of both operands takes (64 kB each); the
+            # sum's bits do not depend on the order of its terms
+            sums[...] = yy
+            np.add(sums, xx[rows, None], out=sums)
+            np.subtract(sums, block, out=block)
     # the dot-product expansion can go slightly negative for near-coincident
     # points; squared distances are nonnegative by definition
     np.maximum(d, 0.0, out=d)
@@ -315,7 +334,7 @@ def _overrelaxation(history):
 def _row_blocks(kernel):
     """Slices of consecutive rows of ``kernel``, about ``SWEEP_BLOCK_BYTES`` each."""
     n, m = kernel.shape
-    step = max(1, SWEEP_BLOCK_BYTES // (kernel.itemsize * m))
+    step = max(1, SWEEP_BLOCK_BYTES // (kernel.itemsize * max(m, 1)))
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,3 +36,31 @@ def integer_weights(rng, size):
     """Normalized positive weights from the integers 1 to 3."""
     w = rng.integers(1, 4, size=size).astype(np.float64)
     return w / w.sum()
+
+
+def memory_points(rng, points, n=1600, m=1600):
+    """Query and reference clouds for the traced-memory tests, in the plane.
+
+    ``"normal"`` draws Gaussian points; ``"grid"`` draws from the 49 integer
+    points of [-3, 3]^2, so every query point has dozens of copies in the
+    reference cloud and ties at its K-th distance. 1,600 by 1,600 is the
+    shape of the ``large-auto`` benchmark's KNN step.
+    """
+    if points == "grid":
+        return (rng.integers(-3, 4, size=(n, 2)).astype(np.float64),
+                rng.integers(-3, 4, size=(m, 2)).astype(np.float64))
+    return rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+
+
+def traced_peak(func, *args):
+    """Peak bytes traced while ``func(*args)`` runs.
+
+    numpy reports its data buffers to ``tracemalloc``, so the peak counts
+    every array the call allocates, whatever the allocator does with it.
+    """
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

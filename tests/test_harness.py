@@ -29,8 +29,10 @@ from potd.harness import (
     save_csv_dataset,
     stratified_split,
 )
-from potd.ot import SolverConfig
+from potd.ot import SolverConfig, _row_blocks, pairwise_sqdist
 from potd.synthetic import SyntheticSpec, gen_model, subspace_distance
+
+from conftest import memory_points, traced_peak
 
 EXACT = SolverConfig(mode="exact")
 
@@ -198,6 +200,29 @@ class TestKnn:
         ref = reference_knn_predict(train, test_x, K)
         assert pred.dtype == ref.dtype
         assert np.array_equal(pred, ref)
+
+    def test_ties_across_row_blocks_match_stable_sort_reference(self, rng):
+        # 700 test rows against 300 training rows span two row blocks; on the
+        # integer grid most rows tie at their K-th distance
+        train_x = rng.integers(-2, 3, size=(300, 2)).astype(np.float64)
+        test_x = rng.integers(-2, 3, size=(700, 2)).astype(np.float64)
+        train = LabeledDataset(train_x, rng.integers(0, 3, size=300))
+        assert len(_row_blocks(np.empty((700, 300)))) > 1
+        for K in (1, 10, 37):
+            pred = knn_predict(train, test_x, K)
+            assert np.array_equal(pred, reference_knn_predict(train, test_x, K))
+
+    @pytest.mark.parametrize("points", ["normal", "grid"])
+    def test_distance_matrix_is_the_only_n_by_m_array(self, rng, points):
+        train_x, test_x = memory_points(rng, points)
+        train = LabeledDataset(train_x, rng.integers(0, 2, size=train_x.shape[0]))
+        K = 10
+        if points == "grid":
+            dists = pairwise_sqdist(test_x, train_x)
+            kth = np.partition(dists, K - 1, axis=1)[:, [K - 1]]
+            assert np.all(np.count_nonzero(dists <= kth, axis=1) > K)
+        floats = test_x.shape[0] * train_x.shape[0]
+        assert traced_peak(knn_predict, train, test_x, K) <= 1.35 * 8 * floats
 
 
 class TestAccuracy:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, currently_in_test_context, given, settings
+from hypothesis import assume, currently_in_test_context, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -19,11 +19,23 @@ from potd import baselines, core, harness, ot
 from potd.core import LabeledDataset
 from potd.ot import SolverConfig, pairwise_sqdist, sinkhorn_scaling, solve_coupling
 
-from conftest import integer_weights, random_instance
+from conftest import integer_weights, memory_points, random_instance, traced_peak
 
 
 def reference_sqdist(x, y):
     return ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+
+
+def two_buffer_sqdist(x, y):
+    """The expansion ``|x|^2 + |y|^2 - 2 x.y`` in two full n-by-m buffers,
+    clamped at 0: the bits ``pairwise_sqdist`` must reproduce."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
+        g = x @ y.T
+        g *= 2.0
+        d -= g
+    np.maximum(d, 0.0, out=d)
+    return d
 
 
 def reference_scaling(
@@ -163,6 +175,41 @@ class TestPairwiseSqdist:
         sq = (x * x).sum(axis=1)[:, None] + (y * y).sum(axis=1)[None, :]
         expected = np.maximum(sq - 2.0 * (x @ y.T), 0.0)
         assert np.array_equal(pairwise_sqdist(x, y), expected)
+
+    @given(
+        st.sampled_from([(0, 7), (6, 0), (0, 0), (1, 1), (6, 9), (300, 900)]),
+        st.integers(1, 4),
+        st.sampled_from([0, -4, 4, 154, 170, 200]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    # 300 by 900 spans several row blocks; from 1e154 on the squared norms
+    # overflow to inf and the expansion to inf or NaN
+    @example((300, 900), 3, 0, True, 0)
+    @example((300, 900), 2, 200, False, 1)
+    @example((300, 900), 4, 154, True, 2)
+    @example((0, 900), 3, 0, False, 3)
+    @example((300, 0), 3, 0, False, 4)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_bitwise_equal_to_the_two_buffer_expansion(self, shape, p, log_scale, duplicates,
+                                                       seed):
+        n, m = shape
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, p)) * 10.0**log_scale
+        y = rng.normal(size=(m, p)) * 10.0**log_scale
+        if duplicates and n and m:
+            # copies of query points among the references, and repeated references
+            y[: m // 2] = x[rng.integers(0, n, size=m // 2)]
+            y[m // 2:] = y[rng.integers(0, m, size=m - m // 2)]
+        d = pairwise_sqdist(x, y)
+        assert d.shape == (n, m)
+        assert np.array_equal(d, two_buffer_sqdist(x, y), equal_nan=True)
+
+    @pytest.mark.parametrize("points", ["normal", "grid"])
+    def test_holds_one_n_by_m_array(self, rng, points):
+        x, y = memory_points(rng, points)
+        floats = x.shape[0] * y.shape[0]
+        assert traced_peak(pairwise_sqdist, x, y) <= 1.15 * 8 * floats
 
     def test_numpy_matches_reference(self, rng):
         x = rng.normal(size=(7, 4))

@@ -15,7 +15,8 @@ their digest files.
 
 The calls generate their own data, except ``bench-real``, which reads the
 bundled ``tests/data/blobs_n400_p10.csv`` of the checkout holding this
-script. The last six calls pass a negative seed, ``--k 0``, a ``--k``
+script. Its splits score a 200 by 200 KNN, so ``bench-real-1600`` also runs
+on 1,600 generated rows, whose 800 by 800 KNN spans several row blocks. The last six calls pass a negative seed, ``--k 0``, a ``--k``
 above the training size or a ``--test-fraction`` that leaves no test
 points, and should fail with exit code 2.
 """
@@ -55,6 +56,11 @@ CALLS = (
     ("bench-real", [*BENCH_REAL, "--output", "report.json", "--csv", "report.csv"]),
     ("bench-real-workers", [*BENCH_REAL, "--workers", "2", "--output", "report.json"]),
     ("bench-real-random", [*BENCH_REAL, "--split", "random", "--output", "report.json"]),
+    # 800 test against 800 training rows: a KNN of several row blocks
+    ("gen-svm3d-1600", ["gen", "--model", "svm3d", "--n-per-class", "800", "--seed", "4",
+                        "--dump", "svm3d.csv"]),
+    ("bench-real-1600", ["bench-real", "--data", "../gen-svm3d-1600/svm3d.csv", "--dims", "1,2",
+                         "--replications", "2", "--output", "report.json", "--csv", "report.csv"]),
     ("oracle-check", ORACLE),
     ("bench-synthetic-negative-seed", ["bench-synthetic", "--models", "I", "--methods", "PCA",
                                        "--n", "60", "--replications", "1", "--seed", "-1",
