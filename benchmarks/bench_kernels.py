@@ -16,7 +16,12 @@ timed at the ``large-auto`` shape: the whitened sign-label classes of model
 I at p=10, n=1600 (about 800 by 800, above the exact size limit, so the
 default config solves them by Sinkhorn), with the cost left to the solver,
 over the first 12 seeds, reporting the median time, sweeps and log-sum-exp
-passes over the n-by-m cost per solve. Each timing is the best of a
+passes over the n-by-m cost per solve. The same solve at seed 3 (822 by
+778) is timed and traced twice: as the first solve of a fresh thread, which
+allocates the thread's cost buffer, and as a repeat solve in a thread that
+holds it. ``fit_loop`` runs 10 back-to-back ``potd_fit`` calls of model I
+at n=1600, p=10, r=2 in a fresh interpreter, reporting the median time and
+minor page faults (``ru_minflt``) per fit. Each timing is the best of a
 few repeats. BLAS runs on one thread. ``knn_predict`` is timed at K=10 on
 200 test against 200 training points (the shape of one ``bench-real``
 split of the bundled blobs data), projected to r=2 and r=8 with two
@@ -50,6 +55,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -80,6 +86,9 @@ TABLE_N = 400
 TABLE_SEEDS = 12
 LARGE_N = 1600
 LARGE_SEEDS = 12
+# the seed whose sign classes are 822 by 778
+BUFFER_SEED = 3
+FIT_LOOP_FITS = 10
 COLD_RUNS = 7
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_kernels.json"
@@ -303,6 +312,70 @@ def bench_large_coupling():
              "log_sum_exp_passes": passes}]
 
 
+def in_fresh_thread(func):
+    """``func()`` run in a new thread, which holds no cost buffer yet."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(func()))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def bench_solve_buffers():
+    mu, nu = sign_classes("I", LARGE_N, 10, BUFFER_SEED)
+    n, m = mu.size, nu.size
+    print(f"\nentropic solve_coupling, first and repeat solve of a thread "
+          f"({n} x {m}, model I seed {BUFFER_SEED})")
+    print(f"{'solve':>7} {'ms':>8} {'peak/8nm':>9}")
+    rows = []
+    # this thread's buffer is held from here on
+    solve_coupling(mu, nu)
+    for solve, run in (("first", in_fresh_thread), ("repeat", lambda func: func())):
+        ms = min(run(lambda: best_of(solve_coupling, mu, nu, repeats=1))
+                 for _ in range(REPEATS)) * 1e3
+        peak = run(lambda: traced_peak_bytes(solve_coupling, mu, nu))
+        print(f"{solve:>7} {ms:>8.2f} {peak / (8 * n * m):>9.3f}")
+        rows.append({"bench": "solve_coupling_buffers", "solve": solve, "model": "I",
+                     "seed": BUFFER_SEED, "n": n, "m": m, "ms": ms, "peak_bytes": peak})
+    return rows
+
+
+# Back-to-back fits in a fresh interpreter, whose allocator has not seen the
+# large arrays of a benchmark run: minor page faults per fit count the n-by-m
+# arrays that the allocator handed back to the operating system and that
+# the next fit takes again.
+FIT_LOOP = """
+import json, os, resource, sys, time
+from potd.core import potd_fit
+from potd.synthetic import SyntheticSpec, gen_model
+data, _ = gen_model(SyntheticSpec("I", int(sys.argv[1]), 10, 1))
+out = []
+for _ in range(int(sys.argv[2])):
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    potd_fit(data, 2)
+    out.append([time.perf_counter() - t0,
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults])
+print(json.dumps(out))
+"""
+
+
+def bench_fit_loop():
+    print(f"\n{FIT_LOOP_FITS} back-to-back potd_fit calls in a fresh interpreter "
+          f"(model I, n={LARGE_N}, p=10, r=2)")
+    runs = json.loads(subprocess.run(
+        [sys.executable, "-c", FIT_LOOP, str(LARGE_N), str(FIT_LOOP_FITS)],
+        env=src_env(), capture_output=True, text=True, check=True,
+    ).stdout)
+    ms = [run[0] * 1e3 for run in runs]
+    faults = [run[1] for run in runs]
+    print(f"{'ms/fit':>8} {'minflt/fit':>11}")
+    print(f"{np.median(ms):>8.2f} {np.median(faults):>11.1f}")
+    return [{"bench": "fit_loop", "model": "I", "n": LARGE_N, "p": 10, "r": 2,
+             "fits": FIT_LOOP_FITS, "median_ms": float(np.median(ms)),
+             "median_minflt": float(np.median(faults)), "ms": ms, "minflt": faults}]
+
+
 def bench_knn(rng):
     print("\nKNN prediction (K=10)")
     print(f"{'points':>8} {'n':>5} {'r':>3} {'labels':>7} {'ms':>10} {'peak/8nm':>9}")
@@ -369,10 +442,15 @@ def imports_scipy_optimize(importtime_log):
                for line in importtime_log.splitlines())
 
 
-def bench_cold_start():
+def src_env():
+    """This environment with the measured ``src`` first on ``PYTHONPATH``."""
     src = str(Path(potd.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def bench_cold_start():
+    env = src_env()
     print(f"\ncold start in fresh interpreters (median of {COLD_RUNS})")
     print(f"{'command':>14} {'s':>7} {'MB':>7} {'scipy.optimize':>15}")
     commands = []
@@ -428,8 +506,8 @@ def provenance():
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([123]))
     rows = (bench_pairwise(rng) + bench_sinkhorn(rng) + bench_exact_lp(rng)
-            + bench_table_lp() + bench_large_coupling() + bench_knn(rng)
-            + bench_cold_start())
+            + bench_table_lp() + bench_large_coupling() + bench_solve_buffers()
+            + bench_fit_loop() + bench_knn(rng) + bench_cold_start())
     record = {"provenance": provenance(), "rows": rows}
     runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
     runs.append(record)

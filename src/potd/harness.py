@@ -279,9 +279,11 @@ def knn_predict(train, test_points, K):
     ``[1, train.n]``, a test matrix without rows, non-finite test points
     and squared distances that overflow raise :class:`InvalidInputError`.
 
-    The test-by-train distance matrix is the only array of that shape the
-    call holds: the K-th distances, the tie-break and the votes are taken
-    one row block at a time, and the votes are integer counts per label.
+    Distances are computed one row block of test points at a time, about
+    ``SWEEP_BLOCK_BYTES`` of them (see :func:`potd.ot.pairwise_sqdist`), so
+    no test-by-train array exists: the overflow check, the K-th distances,
+    the tie-break and the votes are taken per block, and the votes are
+    integer counts per label.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
@@ -297,40 +299,38 @@ def knn_predict(train, test_points, K):
     if not np.all(np.isfinite(test_points)):
         raise InvalidInputError("test points contain non-finite entries")
     labels, codes = np.unique(train.y, return_inverse=True)
-    dists = pairwise_sqdist(test_points, train.X)
-    # an overflowed distance would rank as the largest or tie at inf; max
-    # propagates NaN, which fails the comparison too
-    if not dists.max() < np.inf:
-        raise InvalidInputError(
-            "squared distances overflow float64; rescale the points"
-        )
-    n_train = dists.shape[1]
+    n_test, n_train = test_points.shape[0], train.n
     n_labels = labels.shape[0]
-    votes = np.empty((dists.shape[0], n_labels), dtype=np.intp)
-    # row blocks keep every temporary block-sized: dists is the only
-    # n-by-m float array
-    for rows in _row_blocks(dists):
-        block = dists[rows]
+    votes = np.empty((n_test, n_labels), dtype=np.intp)
+    for rows in _row_blocks(n_test, n_train):
+        block = pairwise_sqdist(test_points[rows], train.X)
+        # an overflowed distance would rank as the largest or tie at inf; max
+        # propagates NaN, which fails the comparison too
+        if not block.max() < np.inf:
+            raise InvalidInputError(
+                "squared distances overflow float64; rescale the points"
+            )
         # every point within a row's K-th smallest distance is a candidate;
         # the index list copies the column out, so the partitioned block is
-        # freed
+        # freed. The flat indices of the candidates give each one's row and
+        # training column, in row-major order
         kth = np.partition(block, K - 1, axis=1)[:, [K - 1]]
-        chosen = block <= kth
-        # the flat indices of the candidates give each one's row and
-        # training column
-        row, col = np.divmod(np.flatnonzero(chosen), n_train)
-        counts = np.bincount(row, minlength=chosen.shape[0])
-        # rows with ties at the K-th distance keep the tied points of lowest
-        # row index, as a stable sort by distance would
-        over = np.flatnonzero(counts > K)
-        if over.size:
-            tied = block[over] == kth[over]
-            keep = K - counts[over] + np.count_nonzero(tied, axis=1)
-            chosen[over] &= ~tied | (np.cumsum(tied, axis=1) <= keep[:, None])
-            row, col = np.divmod(np.flatnonzero(chosen), n_train)
+        row, col = np.divmod(np.flatnonzero(block <= kth), n_train)
+        counts = np.bincount(row, minlength=block.shape[0])
+        if counts.max() > K:
+            # rows with ties at the K-th distance keep the tied points of
+            # lowest training index, as a stable sort by distance would. A
+            # row's candidates are contiguous, so a running count of tied
+            # candidates ranks them; a row whose last tied candidate has rank
+            # ``through`` drops its last ``counts - K`` tied candidates
+            tied = block[row, col] == kth[row, 0]
+            rank = np.cumsum(tied)
+            through = rank[np.cumsum(counts) - 1]
+            keep = ~tied | (rank <= (through - counts + K)[row])
+            row, col = row[keep], col[keep]
         # integer votes per (row, label) from the K points each row keeps
         votes[rows] = np.bincount(
-            row * n_labels + codes[col], minlength=chosen.shape[0] * n_labels
+            row * n_labels + codes[col], minlength=block.shape[0] * n_labels
         ).reshape(-1, n_labels)
     # argmax picks the first maximum, i.e. the smallest label on vote ties
     return labels[np.argmax(votes, axis=1)]

@@ -14,6 +14,7 @@ exact route doubles as the oracle for the regularized one in the
 verification suite.
 """
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -241,10 +242,14 @@ class SolverConfig:
             raise InvalidInputError("marginal_tolerance must be positive")
 
 
-def pairwise_sqdist(x, y):
+def pairwise_sqdist(x, y, out=None):
     """All-pairs squared Euclidean distances, shape (len(x), len(y)).
 
-    The result is the only array of that shape the call holds.
+    The result is the only array of that shape the call holds; it is
+    written into ``out`` (a C-contiguous float64 array of that shape) when
+    one is given. :func:`solve_coupling` passes its thread's cost buffer
+    there, and :func:`potd.harness.knn_predict` calls this on one row block
+    of test points at a time.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -259,9 +264,9 @@ def pairwise_sqdist(x, y):
         # outer sum is formed one row block at a time in a block-sized
         # scratch array that every block reuses, so the bits are those of
         # the out-of-place expression
-        d = x @ y.T
+        d = np.matmul(x, y.T, out=out)
         d *= 2.0
-        blocks = _row_blocks(d)
+        blocks = _row_blocks(*d.shape)
         # the first block is the largest; later blocks use leading rows of
         # its scratch
         scratch = np.empty_like(d[blocks[0]]) if blocks else None
@@ -274,9 +279,10 @@ def pairwise_sqdist(x, y):
             sums[...] = yy
             np.add(sums, xx[rows, None], out=sums)
             np.subtract(sums, block, out=block)
-    # the dot-product expansion can go slightly negative for near-coincident
-    # points; squared distances are nonnegative by definition
-    np.maximum(d, 0.0, out=d)
+            # the expansion can go slightly negative for near-coincident
+            # points; squared distances are nonnegative by definition, and
+            # the clamp is elementwise, so it runs while the block is in cache
+            np.maximum(block, 0.0, out=block)
     return d
 
 
@@ -331,14 +337,14 @@ def _overrelaxation(history):
     return min(OMEGA_MAX, 2.0 / (1.0 + (1.0 - kappa) ** 0.5)) if kappa < 1.0 else omega
 
 
-def _row_blocks(kernel):
-    """Slices of consecutive rows of ``kernel``, about ``SWEEP_BLOCK_BYTES`` each."""
-    n, m = kernel.shape
-    step = max(1, SWEEP_BLOCK_BYTES // (kernel.itemsize * max(m, 1)))
+def _row_blocks(n, m):
+    """Slices of consecutive rows of an n-by-m float64 array, about
+    ``SWEEP_BLOCK_BYTES`` each."""
+    step = max(1, SWEEP_BLOCK_BYTES // (8 * max(m, 1)))
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
-def _row_sweep(kernel, beta, a, alpha, omega):
+def _row_sweep(kernel, beta, a, alpha, omega, col_scale=None):
     """Row half of a scaling sweep, with the column sums of its result.
 
     Returns ``row = kernel @ beta``, the relaxed row factors ``new_alpha =
@@ -346,14 +352,17 @@ def _row_sweep(kernel, beta, a, alpha, omega):
     The kernel is walked in row blocks of about ``SWEEP_BLOCK_BYTES``, and
     each block's column sums are taken right after its row sums, while the
     block is still in cache, so the sweep reads the kernel from memory once
-    instead of twice.
+    instead of twice. A ``col_scale`` first scales the kernel's columns in
+    place, each block just before its products.
     """
     n, m = kernel.shape
     row = np.empty(n)
     new_alpha = np.empty(n)
     col = np.zeros(m)
-    for rows in _row_blocks(kernel):
+    for rows in _row_blocks(n, m):
         block = kernel[rows]
+        if col_scale is not None:
+            block *= col_scale
         np.matmul(block, beta, out=row[rows])
         factors = np.divide(a[rows], row[rows], out=new_alpha[rows])
         factors /= alpha[rows]
@@ -363,7 +372,9 @@ def _row_sweep(kernel, beta, a, alpha, omega):
     return row, new_alpha, col
 
 
-def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None):
+def sinkhorn_scaling(
+    neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None, out=None
+):
     """Over-relaxed Sinkhorn iterations on the scaled negative cost ``K = -C/eps``.
 
     Returns ``(u, v, sweeps, err, plan)``: log-domain dual potentials, the
@@ -389,12 +400,17 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
 
     The start makes one log-sum-exp pass, over the columns. It measures the
     start's error, and the first sweep's column update (``w = 1``) is folded
-    into the kernel it leaves. The row half of the first sweep is then a
-    scaling step under the same bound; if a factor leaves it, only the row
-    update runs in the log domain, since the column update is already exact.
-    On return the kernel, scaled in place to ``diag(alpha) Kt diag(beta)``
-    in one blocked pass, is the returned plan, so no fresh ``exp`` pass
-    forms it.
+    into the kernel it leaves, block by block in the first sweep's row pass.
+    The row half of the first sweep is then a scaling step under the same
+    bound; if a factor leaves it, only the row update runs in the log domain,
+    since the column update is already exact. On return the kernel, scaled in
+    place to ``diag(alpha) Kt diag(beta)`` in one blocked pass, is the
+    returned plan, so no fresh ``exp`` pass forms it.
+
+    The kernel is the one n-by-m array the call allocates, unless ``out``
+    (a C-contiguous float64 array of the cost's shape, whatever it holds)
+    is given to hold it; the returned plan is then ``out``. ``neg_cost`` is
+    only read.
     """
     neg_cost = np.ascontiguousarray(neg_cost, dtype=np.float64)
     n, m = neg_cost.shape
@@ -402,7 +418,7 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
     b = np.exp(log_b)
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
     v = np.zeros(m) if v0 is None else np.array(v0, dtype=np.float64)
-    kernel = np.empty((n, m))
+    kernel = np.empty((n, m)) if out is None else out
     alpha = np.ones(n)
     beta = np.ones(m)
     # degenerate potentials (NaN, infinite) are reported by the caller
@@ -415,16 +431,19 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
             kernel *= col_scale[None, :]
             return u, v, 0, err, kernel
         # the first sweep's column update, at omega = 1, absorbed into the
-        # kernel of the start's pass
+        # kernel of the start's pass by that sweep's row pass, whose factors
+        # beta are all 1 and so always in bounds
         v = log_b - lse_cols
-        kernel *= np.exp(v + col_shift)[None, :]
+        col_scale = np.exp(v + col_shift)
         omega, history, new_beta = 1.0, [], beta
         for sweeps in range(1, max_iterations + 1):
             if sweeps > 1:
                 new_beta = beta * (b / col / beta) ** omega
             in_bounds = _in_bounds(new_beta)
             if in_bounds:
-                row, new_alpha, new_col = _row_sweep(kernel, new_beta, a, alpha, omega)
+                row, new_alpha, new_col = _row_sweep(
+                    kernel, new_beta, a, alpha, omega, col_scale if sweeps == 1 else None
+                )
                 in_bounds = _in_bounds(new_alpha)
             if in_bounds:
                 alpha, beta, col = new_alpha, new_beta, new_col
@@ -454,7 +473,7 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
         v += np.log(beta)
         # diag(alpha) Kt diag(beta) in one walk over the kernel: each block
         # is still in cache for its column scaling
-        for rows in _row_blocks(kernel):
+        for rows in _row_blocks(n, m):
             block = kernel[rows]
             block *= alpha[rows, None]
             block *= beta
@@ -467,26 +486,59 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None,
 _crash_scaling = sinkhorn_scaling
 
 
-def squared_euclidean_cost(source, target):
-    """Pairwise squared Euclidean distances between two point matrices."""
+def squared_euclidean_cost(source, target, out=None):
+    """Pairwise squared Euclidean distances between two point matrices.
+
+    ``out`` is passed on to :func:`pairwise_sqdist`.
+    """
     src = _as_points("source", source)
     tgt = _as_points("target", target)
     if src.shape[1] != tgt.shape[1]:
         raise InvalidInputError(
             f"source has {src.shape[1]} columns but target has {tgt.shape[1]}"
         )
-    return pairwise_sqdist(src, tgt)
+    return pairwise_sqdist(src, tgt, out)
 
 
-def _median(values):
+# the cost buffer of each thread (see _cost_buffer)
+_thread_buffers = threading.local()
+
+
+def _cost_buffer(n, m):
+    """This thread's cost buffer, as an n-by-m array.
+
+    :func:`solve_coupling` computes the cost it is not given here, and an
+    entropic solve turns it into its scaled negative cost in place, so
+    nothing outside this module holds the buffer. It is kept between solves
+    and grows only: a larger shape drops it before allocating the larger
+    one. Reuse is the point: glibc hands a freed array of this size back to
+    the operating system, and the next solve then faults every page of a
+    fresh one in again.
+    """
+    flat = getattr(_thread_buffers, "cost", None)
+    if flat is None or flat.shape[0] < n * m:
+        _thread_buffers.cost = flat = None
+        flat = _thread_buffers.cost = np.empty(n * m)
+    return flat[: n * m].reshape(n, m)
+
+
+def _in_cost_buffer(cost):
+    return cost.base is not None and cost.base is getattr(_thread_buffers, "cost", None)
+
+
+def _median(values, work=None):
     """Median of all entries, equal to ``np.median`` bitwise.
 
-    One ``partition`` of a flat copy; the lower middle value of an even
-    size is then the largest entry below the split. ``np.median``
-    partitions around both middle positions, which took 13.7 ms against
-    2.6 ms on an 822-by-778 cost (one core of a 2-vCPU x86 VM).
+    One ``partition`` of a flat copy, made in ``work`` (a C-contiguous
+    float64 array of as many entries, left partitioned) when it is given;
+    the lower middle value of an even size is then the largest entry below
+    the split. ``np.median`` partitions around both middle positions, which
+    took 13.7 ms against 2.6 ms on an 822-by-778 cost (one core of a 2-vCPU
+    x86 VM).
     """
-    flat = np.asarray(values, dtype=np.float64).flatten()
+    values = np.asarray(values, dtype=np.float64)
+    flat = np.empty(values.size) if work is None else work.reshape(-1)
+    np.copyto(flat.reshape(values.shape), values)
     k = flat.shape[0] // 2
     flat.partition(k)
     if flat.shape[0] % 2:
@@ -494,14 +546,14 @@ def _median(values):
     return float((flat[:k].max() + flat[k]) / 2)
 
 
-def default_epsilon(cost):
+def default_epsilon(cost, work=None):
     """Documented default regularization: 0.05 times the median cost.
 
     When that is zero (a zero median, or one so small that the product
     underflows) it is 0.05 times the largest cost, and 1 for an all-zero
-    cost.
+    cost. ``work`` is the median's scratch (see :func:`_median`).
     """
-    eps = 0.05 * _median(cost)
+    eps = 0.05 * _median(cost, work)
     if eps <= 0.0:
         eps = 0.05 * float(np.max(cost))
     return eps if eps > 0.0 else 1.0
@@ -541,15 +593,23 @@ def sinkhorn(mu, nu, cost, config, init=None):
     larger row or column L1 error is still above ``config.marginal_tolerance``
     after ``config.max_iterations`` sweeps, and :class:`NumericError` when
     the potentials degenerate (remedy: increase epsilon).
+
+    The solve allocates one n-by-m array: the median's scratch for the
+    default epsilon, then the kernel of :func:`sinkhorn_scaling`, then the
+    returned plan. The scaled negative cost ``-cost / eps`` is a second
+    one, except for a cost in this thread's cost buffer (one that
+    :func:`solve_coupling` computed), which it overwrites. A cost the
+    caller gives is never written.
     """
     cost = _check_cost(mu, nu, cost)
     if config.mode != "sinkhorn":
         raise InvalidInputError("sinkhorn() requires a config with mode='sinkhorn'")
-    eps = config.epsilon if config.epsilon is not None else default_epsilon(cost)
+    plan = np.empty(cost.shape)
+    eps = config.epsilon if config.epsilon is not None else default_epsilon(cost, plan)
     # a cost over a tiny epsilon can overflow to -inf; the potentials then
     # degenerate, which is reported below as one error
     with np.errstate(over="ignore"):
-        neg_cost = np.divide(cost, -eps)
+        neg_cost = np.divide(cost, -eps, out=cost if _in_cost_buffer(cost) else None)
     log_a = np.log(mu.weights)
     log_b = np.log(nu.weights)
     u0 = v0 = None
@@ -557,8 +617,9 @@ def sinkhorn(mu, nu, cost, config, init=None):
         dual_row, dual_col = init
         u0 = _check_init("dual_row", dual_row, mu.size) / eps
         v0 = _check_init("dual_col", dual_col, nu.size) / eps
+    # all positional: wrappers that replace sinkhorn_scaling may take ``*args`` only
     u, v, iterations, err, plan = sinkhorn_scaling(
-        neg_cost, log_a, log_b, config.max_iterations, config.marginal_tolerance, u0, v0
+        neg_cost, log_a, log_b, config.max_iterations, config.marginal_tolerance, u0, v0, plan
     )
     if _degenerate(u, v):
         raise NumericError(
@@ -840,11 +901,21 @@ def _transportation_lp(a, b, cost):
 
 
 def solve_coupling(mu, nu, cost=None, config=None):
-    """Compute a coupling, resolving mode ``auto`` by instance size."""
+    """Compute a coupling, resolving mode ``auto`` by instance size.
+
+    Without ``cost``, the squared Euclidean cost is computed into this
+    thread's cost buffer, which is reused across solves (see
+    :func:`_cost_buffer`); an entropic solve then overwrites it with its
+    scaled negative cost, so it holds two n-by-m arrays: that buffer and the
+    kernel that becomes the plan (see :func:`sinkhorn`). A given ``cost``
+    is never written.
+    """
     if config is None:
         config = SolverConfig()
     if cost is None:
-        cost = squared_euclidean_cost(mu.points, nu.points)
+        cost = squared_euclidean_cost(
+            mu.points, nu.points, _cost_buffer(mu.size, nu.size)
+        )
     mode = config.mode
     if mode == "auto":
         mode = "exact" if mu.size * nu.size <= config.exact_size_limit else "sinkhorn"

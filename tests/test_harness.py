@@ -207,7 +207,7 @@ class TestKnn:
         train_x = rng.integers(-2, 3, size=(300, 2)).astype(np.float64)
         test_x = rng.integers(-2, 3, size=(700, 2)).astype(np.float64)
         train = LabeledDataset(train_x, rng.integers(0, 3, size=300))
-        assert len(_row_blocks(np.empty((700, 300)))) > 1
+        assert len(_row_blocks(700, 300)) > 1
         for K in (1, 10, 37):
             pred = knn_predict(train, test_x, K)
             assert np.array_equal(pred, reference_knn_predict(train, test_x, K))
@@ -223,6 +223,26 @@ class TestKnn:
             assert np.all(np.count_nonzero(dists <= kth, axis=1) > K)
         floats = test_x.shape[0] * train_x.shape[0]
         assert traced_peak(knn_predict, train, test_x, K) <= 1.35 * 8 * floats
+
+    @pytest.mark.parametrize("points", ["normal", "grid"])
+    def test_no_test_by_train_array(self, rng, points):
+        # distances are computed one row block of test points at a time
+        train_x, test_x = memory_points(rng, points)
+        train = LabeledDataset(train_x, rng.integers(0, 2, size=train_x.shape[0]))
+        floats = test_x.shape[0] * train_x.shape[0]
+        assert traced_peak(knn_predict, train, test_x, 10) <= 0.25 * 8 * floats
+
+    @pytest.mark.parametrize("points", ["normal", "grid"])
+    def test_ragged_row_blocks_match_stable_sort_reference(self, rng, points):
+        # 1,000 test rows against 700 training rows take several row blocks,
+        # the last one shorter than the others
+        test_x, train_x = memory_points(rng, points, n=1000, m=700)
+        blocks = _row_blocks(1000, 700)
+        assert len(blocks) > 1 and blocks[-1].stop > 1000
+        train = LabeledDataset(train_x, rng.integers(0, 3, size=700))
+        for K in (1, 10, 37):
+            pred = knn_predict(train, test_x, K)
+            assert np.array_equal(pred, reference_knn_predict(train, test_x, K))
 
 
 class TestAccuracy:

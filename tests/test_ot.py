@@ -1,6 +1,8 @@
 """Coupling solver tests, anchored on independent enumeration oracles."""
 
 import itertools
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -18,13 +20,14 @@ from potd.ot import (
     SolverConfig,
     default_epsilon,
     exact_ot,
+    pairwise_sqdist,
     sinkhorn,
     solve_coupling,
     squared_euclidean_cost,
     transport_cost,
 )
 
-from conftest import integer_weights, random_instance
+from conftest import integer_weights, random_instance, traced_peak
 
 
 # entries that the finite-and-nonnegative checks of costs and plans, and
@@ -702,6 +705,79 @@ class TestSolveCoupling:
         )
         without = solve_coupling(mu, nu)
         assert np.allclose(with_cost.plan, without.plan)
+
+    @pytest.mark.parametrize(
+        "mode, epsilon", [("sinkhorn", None), ("sinkhorn", 0.3), ("exact", None)]
+    )
+    def test_computed_and_given_cost_solves_are_bitwise_equal(self, rng, mode, epsilon):
+        config = SolverConfig(mode=mode, epsilon=epsilon)
+        for n, m in ((30, 40), (41, 41), (90, 60)):
+            mu, nu = random_instance(rng, n, m)
+            given_cost = solve_coupling(mu, nu, pairwise_sqdist(mu.points, nu.points), config)
+            computed = solve_coupling(mu, nu, config=config)
+            for field in ("plan", "dual_row", "dual_col"):
+                assert np.array_equal(
+                    getattr(computed, field), getattr(given_cost, field)
+                )
+            assert computed.iterations == given_cost.iterations
+            assert computed.marginal_error == given_cost.marginal_error
+
+    def test_a_given_cost_is_never_written(self, rng):
+        mu, nu = random_instance(rng, 30, 40)
+        cost = pairwise_sqdist(mu.points, nu.points)
+        original = cost.copy()
+        config = SolverConfig(mode="sinkhorn")
+        sinkhorn(mu, nu, cost, config)
+        assert np.array_equal(cost, original)
+        solve_coupling(mu, nu, cost=cost, config=config)
+        assert np.array_equal(cost, original)
+
+    def test_entropic_solve_holds_two_n_by_m_arrays(self, rng):
+        # the large-auto benchmark's shape: the cost buffer and the plan on a
+        # thread's first solve, the plan alone once the buffer is kept
+        mu, nu = random_instance(rng, 822, 778, p=10)
+        assert mu.size * nu.size > SolverConfig().exact_size_limit
+        floats = 8 * mu.size * nu.size
+        peaks = []
+        thread = threading.Thread(target=lambda: peaks.append(traced_peak(solve_coupling, mu, nu)))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and len(peaks) == 1
+        assert peaks[0] <= 2.1 * floats
+        solve_coupling(mu, nu)
+        assert traced_peak(solve_coupling, mu, nu) <= 1.1 * floats
+
+    def test_threads_solving_different_shapes_match_sequential_solves(self, rng):
+        # each thread holds its own cost buffer; growing shapes make every
+        # thread drop and reallocate it while the others solve
+        shapes = [(40, 50), (70, 60), (55, 90), (100, 80)]
+        instances = [random_instance(rng, n, m) for n, m in shapes]
+        config = SolverConfig(mode="sinkhorn")
+        expected = [solve_coupling(mu, nu, config=config).plan for mu, nu in instances]
+        orders = [[(start + k) % len(shapes) for k in range(2 * len(shapes))]
+                  for start in range(len(shapes))]
+        results = [[] for _ in orders]
+
+        def solve_all(order, out):
+            for k in order:
+                out.append(solve_coupling(*instances[k], config=config).plan)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve_all, args=(order, out))
+                       for order, out in zip(orders, results)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for order, out in zip(orders, results):
+            assert len(out) == len(order)
+            for k, plan in zip(order, out):
+                assert np.array_equal(plan, expected[k])
 
 
 class TestTransportCost:
