@@ -10,8 +10,17 @@ reporting the nonzeros of the plan, and on table-shaped instances: the
 whitened sign-label classes of model I at p=10 and model III at p=30,
 n=400, over the first 12 seeds whose classes differ in size, reporting
 the median time, the median sweeps of the LP's crash start, the median
-number of HiGHS runs (pricing rounds) per solve and the median number of
-simplex iterations per solve, summed over its runs. ``solve_coupling`` is
+number of HiGHS runs (pricing rounds) per solve, the median number of
+simplex iterations per solve, summed over its runs, and the median minor
+page faults (``ru_minflt``) per repeat solve; these rows run in a fresh
+interpreter, whose allocator has not seen the large arrays of the other
+rows (after them glibc keeps every table-sized array in the heap, as a
+process that fits only the table's n=400 data does not). ``exact_ot`` is also timed on
+the assignment path: uniform equal-size whitened two-blob clouds of 100,
+200 and 400 points a class at p=10, 12 draws each, reporting the median
+time of ``exact_ot``, the median time of the bare assignment solver
+(scipy's ``linear_sum_assignment`` on the raw cost) and how many
+``exact_ot`` plans equal the plan built from that bare solve. ``solve_coupling`` is
 timed at the ``large-auto`` shape: the whitened sign-label classes of model
 I at p=10, n=1600 (about 800 by 800, above the exact size limit, so the
 default config solves them by Sinkhorn), with the cost left to the solver,
@@ -52,6 +61,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -66,6 +76,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
+from scipy.optimize import linear_sum_assignment  # noqa: E402
 
 import potd  # noqa: E402
 from potd import ot  # noqa: E402
@@ -84,6 +95,8 @@ REPEATS = 5
 TABLE_CELLS = (("I", 10), ("III", 30))
 TABLE_N = 400
 TABLE_SEEDS = 12
+ASSIGNMENT_SIZES = (100, 200, 400)
+ASSIGNMENT_DRAWS = 12
 LARGE_N = 1600
 LARGE_SEEDS = 12
 # the seed whose sign classes are 822 by 778
@@ -192,6 +205,48 @@ def bench_exact_lp(rng):
     return rows
 
 
+def blob_classes(n, draw):
+    """Whitened classes of two Gaussian blobs, n points each at p=10, as
+    uniform measures."""
+    rng = np.random.default_rng(np.random.SeedSequence([124, n, draw]))
+    z, _ = whiten(np.vstack([rng.normal(size=(n, 10)), rng.normal(size=(n, 10)) + 1.0]))
+    return DiscreteMeasure.uniform(z[:n]), DiscreteMeasure.uniform(z[n:])
+
+
+def bare_assignment_plan(cost):
+    n = cost.shape[0]
+    plan = np.zeros((n, n))
+    plan[linear_sum_assignment(cost)] = 1.0 / n
+    return plan
+
+
+def bench_assignment():
+    print(f"\nexact coupling on the assignment path (whitened two-blob classes, "
+          f"p=10, {ASSIGNMENT_DRAWS} draws)")
+    print(f"{'n x n':>9} {'ms':>8} {'bare ms':>8} {'equal':>6}")
+    rows = []
+    for n in ASSIGNMENT_SIZES:
+        ms, bare_ms, equal = [], [], 0
+        for draw in range(ASSIGNMENT_DRAWS):
+            mu, nu = blob_classes(n, draw)
+            cost = pairwise_sqdist(mu.points, nu.points)
+            equal += bool(np.array_equal(exact_ot(mu, nu, cost).plan,
+                                         bare_assignment_plan(cost)))
+            ms.append(best_of(exact_ot, mu, nu, cost) * 1e3)
+            bare_ms.append(best_of(linear_sum_assignment, cost) * 1e3)
+        print(f"{f'{n}x{n}':>9} {np.median(ms):>8.3f} {np.median(bare_ms):>8.3f} "
+              f"{equal:>3}/{ASSIGNMENT_DRAWS}")
+        rows.append({"bench": "exact_ot_assignment", "n": n, "p": 10,
+                     "draws": ASSIGNMENT_DRAWS, "median_ms": float(np.median(ms)),
+                     "median_bare_ms": float(np.median(bare_ms)),
+                     "plans_equal_bare": equal, "ms": ms, "bare_ms": bare_ms})
+    return rows
+
+
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def sign_classes(model, n, p, seed):
     """The whitened sign-label classes of one draw, as uniform measures."""
     data, _ = gen_model(SyntheticSpec(model, n, p, seed))
@@ -246,29 +301,33 @@ def lp_work(mu, nu, cost):
 def bench_table_lp():
     print(f"\nexact coupling on table cells (whitened sign classes, n={TABLE_N}, "
           f"{TABLE_SEEDS} seeds)")
-    print(f"{'cell':>7} {'ms':>8} {'crash':>6} {'runs':>5} {'iters':>7} {'seeds':>10}")
+    print(f"{'cell':>7} {'ms':>8} {'crash':>6} {'runs':>5} {'iters':>7} {'minflt':>7} "
+          f"{'seeds':>10}")
     rows = []
     for model, p in TABLE_CELLS:
-        ms, crash, runs, iterations, seeds = [], [], [], [], []
+        ms, crash, runs, iterations, faults, seeds = [], [], [], [], [], []
         for seed, mu, nu in table_instances(model, p):
             cost = pairwise_sqdist(mu.points, nu.points)
             crash_sweeps, solve_runs, solve_iterations = lp_work(mu, nu, cost)
             crash.append(crash_sweeps)
             runs.append(solve_runs)
             iterations.append(solve_iterations)
+            before = minflt()
             ms.append(best_of(exact_ot, mu, nu, cost, repeats=3) * 1e3)
+            faults.append((minflt() - before) / 3)
             seeds.append(seed)
         cell = f"{model}-{p}"
         print(f"{cell:>7} {np.median(ms):>8.1f} {np.median(crash):>6.1f} "
               f"{np.median(runs):>5.1f} {np.median(iterations):>7.1f} "
-              f"{seeds[0]:>4}..{seeds[-1]:<4}")
+              f"{np.median(faults):>7.1f} {seeds[0]:>4}..{seeds[-1]:<4}")
         rows.append({"bench": "exact_ot_table", "cell": cell, "n": TABLE_N,
                      "seeds": seeds, "median_ms": float(np.median(ms)),
                      "median_crash_sweeps": float(np.median(crash)),
                      "median_highs_runs": float(np.median(runs)),
                      "median_simplex_iterations": float(np.median(iterations)),
+                     "median_minflt": float(np.median(faults)),
                      "ms": ms, "crash_sweeps": crash, "highs_runs": runs,
-                     "simplex_iterations": iterations})
+                     "simplex_iterations": iterations, "minflt": faults})
     return rows
 
 
@@ -310,6 +369,18 @@ def bench_large_coupling():
              "median_log_sum_exp_passes": float(np.median(passes)),
              "shapes": shapes, "ms": ms, "sweeps": sweeps,
              "log_sum_exp_passes": passes}]
+
+
+def in_fresh_interpreter(bench):
+    """The rows of ``bench``, a function of this script, run in a fresh
+    interpreter; its printed table is printed here."""
+    code = f"import json, bench_kernels; print(json.dumps(bench_kernels.{bench.__name__}()))"
+    *table, rows = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), cwd=Path(__file__).resolve().parent,
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    print("\n".join(table))
+    return json.loads(rows)
 
 
 def in_fresh_thread(func):
@@ -506,7 +577,7 @@ def provenance():
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([123]))
     rows = (bench_pairwise(rng) + bench_sinkhorn(rng) + bench_exact_lp(rng)
-            + bench_table_lp() + bench_large_coupling() + bench_solve_buffers()
+            + bench_assignment() + in_fresh_interpreter(bench_table_lp) + bench_large_coupling() + bench_solve_buffers()
             + bench_fit_loop() + bench_knn(rng) + bench_cold_start())
     record = {"provenance": provenance(), "rows": rows}
     runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []

@@ -60,8 +60,11 @@ class Basis:
         if vecs.ndim == 1:
             vecs = vecs[:, None]
         vecs = apply_sign_convention(vecs)
-        gram = vecs.T @ vecs
-        if not np.allclose(gram, np.eye(vecs.shape[1]), atol=ORTHONORMAL_TOL):
+        # the rule of np.allclose(gram, eye, atol=ORTHONORMAL_TOL) (rtol
+        # 1e-5; NaN and inf fail the comparison) without its overhead, which
+        # is most of the check's time on a small gram matrix
+        eye = np.eye(vecs.shape[1])
+        if not np.all(np.abs(vecs.T @ vecs - eye) <= ORTHONORMAL_TOL + 1e-5 * eye):
             raise InvalidInputError("basis columns must be orthonormal")
         sv = np.asarray(self.singular_values, dtype=np.float64).ravel()
         if np.any(np.diff(sv) > 1e-8):
@@ -195,29 +198,33 @@ def displacement_matrix(source, target, coupling):
     return source.weights[:, None] * source.points - coupling.plan @ target.points
 
 
-def _stacked_displacements(Z, y, solver):
+def _pair_blocks(source, target, solver):
+    """The displacement blocks of ``(source, target)`` and of the reverse pair.
+
+    The plan for (j, i) is the transpose of the one for (i, j) — the cost
+    matrix transposes — so one solve gives both blocks, and the plan is
+    dropped when they are formed.
+    """
+    plan = solve_coupling(source, target, config=solver).plan
+    return (source.weights[:, None] * source.points - plan @ target.points,
+            target.weights[:, None] * target.points - plan.T @ source.points)
+
+
+def _stacked_displacements(Z, codes, solver):
     """Displacement blocks for every ordered class pair, in label order.
 
-    Each class is the empirical measure of its rows, mass 1/n_class per
-    point. The plan for (j, i) is the transpose of the one for (i, j) —
-    the cost matrix transposes — so each unordered pair is solved once and
-    its plan gives both blocks.
+    ``codes`` numbers the classes of the rows 0, 1, ..., k - 1 in label
+    order, each class present. Each class is the empirical measure of its
+    rows, mass 1/n_class per point. Each unordered pair is solved once (see
+    :func:`_pair_blocks`), so one plan is held at a time.
     """
-    labels = np.unique(y)
-    measures = {label: DiscreteMeasure.uniform(Z[y == label]) for label in labels}
-    plans = {}
-    blocks = []
-    for ci in labels:
-        for cj in labels:
-            if ci == cj:
-                continue
-            source, target = measures[ci], measures[cj]
-            if (cj, ci) in plans:
-                plan = plans[(cj, ci)].T
-            else:
-                plan = plans[(ci, cj)] = solve_coupling(source, target, config=solver).plan
-            blocks.append(source.weights[:, None] * source.points - plan @ target.points)
-    return blocks
+    k = int(codes.max()) + 1
+    measures = [DiscreteMeasure.uniform(Z[codes == c]) for c in range(k)]
+    blocks = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            blocks[i, j], blocks[j, i] = _pair_blocks(measures[i], measures[j], solver)
+    return [blocks[i, j] for i in range(k) for j in range(k) if i != j]
 
 
 def descending_eigh(matrix):
@@ -258,10 +265,12 @@ class Fit:
 def _fit(data, labelings, solver, whiten_flag):
     """The :class:`Fit` behind :func:`potd_fit` and :func:`potd_fit_continuous`.
 
-    Every labelling of the rows contributes the displacement blocks of its
-    ordered class pairs; the blocks are stacked labelling by labelling and
-    the right singular vectors of the stack are the fit's directions. The
-    SVD is taken through the p-by-p Gram matrix when the stack is tall.
+    Every labelling of the rows (class codes, as
+    :func:`_stacked_displacements` takes them) contributes the displacement
+    blocks of its ordered class pairs; the blocks are stacked labelling by
+    labelling and the right singular vectors of the stack are the fit's
+    directions. The SVD is taken through the p-by-p Gram matrix when the
+    stack is tall.
     Raises :class:`DegenerateInputError` when every singular value is zero
     relative to the data scale (e.g. classes with identical point clouds),
     since any basis would then be arbitrary.
@@ -291,9 +300,10 @@ def potd_fit(data, r, solver=None, whiten_flag=True):
     :class:`DegenerateInputError` when the displacement spectrum is all
     zero, e.g. for classes with identical point clouds.
     """
-    if data.classes().shape[0] < 2:
+    labels, codes = np.unique(data.y, return_inverse=True)
+    if labels.shape[0] < 2:
         raise InvalidInputError("need at least 2 classes")
-    return _fit(data, [data.y], solver, whiten_flag).basis(r)
+    return _fit(data, [codes], solver, whiten_flag).basis(r)
 
 
 def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):

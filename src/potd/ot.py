@@ -149,9 +149,11 @@ class DiscreteMeasure:
 
     @classmethod
     def uniform(cls, points):
-        pts = _as_points("points", points)
-        n = pts.shape[0]
-        return cls(pts, np.full(n, 1.0 / n))
+        """Equal masses on the points, which the constructor checks once."""
+        pts = np.asarray(points, dtype=np.float64)
+        n = pts.shape[0] if pts.ndim else 0
+        # no points get no weights; the constructor then rejects the points
+        return cls(pts, np.full(n, 1.0 / n if n else 0.0))
 
     @property
     def size(self):
@@ -486,6 +488,13 @@ def sinkhorn_scaling(
 _crash_scaling = sinkhorn_scaling
 
 
+def _check_same_dim(src, tgt):
+    if src.shape[1] != tgt.shape[1]:
+        raise InvalidInputError(
+            f"source has {src.shape[1]} columns but target has {tgt.shape[1]}"
+        )
+
+
 def squared_euclidean_cost(source, target, out=None):
     """Pairwise squared Euclidean distances between two point matrices.
 
@@ -493,32 +502,34 @@ def squared_euclidean_cost(source, target, out=None):
     """
     src = _as_points("source", source)
     tgt = _as_points("target", target)
-    if src.shape[1] != tgt.shape[1]:
-        raise InvalidInputError(
-            f"source has {src.shape[1]} columns but target has {tgt.shape[1]}"
-        )
+    _check_same_dim(src, tgt)
     return pairwise_sqdist(src, tgt, out)
 
 
-# the cost buffer of each thread (see _cost_buffer)
+# the reused n-by-m arrays of each thread (see _buffer)
 _thread_buffers = threading.local()
 
 
-def _cost_buffer(n, m):
-    """This thread's cost buffer, as an n-by-m array.
+def _buffer(name, n, m, dtype=np.float64):
+    """This thread's buffer ``name``, as an n-by-m array of ``dtype``.
 
-    :func:`solve_coupling` computes the cost it is not given here, and an
-    entropic solve turns it into its scaled negative cost in place, so
-    nothing outside this module holds the buffer. It is kept between solves
-    and grows only: a larger shape drops it before allocating the larger
-    one. Reuse is the point: glibc hands a freed array of this size back to
-    the operating system, and the next solve then faults every page of a
-    fresh one in again.
+    The solvers hold their n-by-m work here: ``"cost"`` is the cost that
+    :func:`solve_coupling` computes when it is not given one (an entropic
+    solve turns it into its scaled negative cost in place); the exact
+    solver keeps its unit-scaled cost in ``"unit"``, its reduced costs in
+    ``"reduced"``, its other float temporaries in ``"scratch"`` and its
+    boolean masks in ``"support"`` and ``"flags"``. Nothing outside this
+    module holds a buffer. Each is kept between solves and grows only: a
+    larger shape drops it before allocating the larger one, and it is freed
+    when its thread ends. Reuse is the point: glibc hands a freed array of
+    this size back to the operating system, and the next solve then faults
+    every page of a fresh one in again.
     """
-    flat = getattr(_thread_buffers, "cost", None)
+    flat = getattr(_thread_buffers, name, None)
     if flat is None or flat.shape[0] < n * m:
-        _thread_buffers.cost = flat = None
-        flat = _thread_buffers.cost = np.empty(n * m)
+        setattr(_thread_buffers, name, None)
+        flat = np.empty(n * m, dtype)
+        setattr(_thread_buffers, name, flat)
     return flat[: n * m].reshape(n, m)
 
 
@@ -668,13 +679,31 @@ def exact_ot(mu, nu, cost):
     on the raw plan before the one :class:`CouplingMatrix` is built, so its
     entry scan runs once per solve. Raises :class:`NumericError` when the
     marginals or the certificate miss their tolerance.
+
+    The assignment solver runs on reduced costs: the cost minus each row's
+    minimum, then minus each column's minimum of that (the reduction that
+    opens the Hungarian and Jonker-Volgenant methods; Jonker & Volgenant,
+    Computing 1987). Every permutation's cost moves by the same constant,
+    the sum of the subtracted minima, so the optimal permutations do not
+    change. The solver (scipy's shortest augmenting path, which starts
+    from zero duals) then starts from a matrix with a zero in every row and
+    column, and needs fewer augmentations. The subtracted minima are a
+    dual-feasible start for a certificate of this path.
+
+    The reduced copy and all n-by-m temporaries of the LP live in this
+    thread's reused buffers (see :func:`_buffer`): after an n-by-m exact
+    solve a thread holds about ``3 * 8 * n * m`` bytes of float buffers
+    and two n-by-m boolean masks, and the returned plan is the one n-by-m
+    array a solve allocates. A given ``cost`` is never written.
     """
     cost = _check_cost(mu, nu, cost)
     _load_exact_solvers()
     a, b = mu.weights, nu.weights
     n, m = cost.shape
     if n == m and _is_uniform(a) and _is_uniform(b):
-        rows, cols = linear_sum_assignment(cost)
+        reduced = np.subtract(cost, cost.min(axis=1)[:, None], out=_buffer("reduced", n, m))
+        reduced -= reduced.min(axis=0)
+        rows, cols = linear_sum_assignment(reduced)
         plan = np.zeros((n, m))
         plan[rows, cols] = 1.0 / n
         u = v = None
@@ -698,8 +727,10 @@ def _certificate(plan, a, b, cost, u, v):
     cost is below, or the duality gap off zero by, more than
     ``CERTIFICATE_RTOL`` times the largest cost.
     """
-    min_reduced = float((cost - u[:, None] - v[None, :]).min())
-    gap = float(np.sum(plan * cost) - a @ u - b @ v)
+    work = np.subtract(cost, u[:, None], out=_buffer("scratch", *cost.shape))
+    work -= v
+    min_reduced = float(work.min())
+    gap = float(np.multiply(plan, cost, out=work).sum() - a @ u - b @ v)
     tol = CERTIFICATE_RTOL * float(cost.max())
     if min_reduced < -tol or abs(gap) > tol:
         raise NumericError(
@@ -738,18 +769,28 @@ def _crash_reduced_cost(unit, a, b):
     lines fall back to raw cost. An all-zero cost has nothing to rank and
     zero is its exact dual, so it gets zero potentials without a crash: its
     certificate tolerance is zero, and any rounding in nonzero duals would
-    fail it.
+    fail it. The reduced costs are this thread's ``"reduced"`` buffer.
     """
     n, m = unit.shape
+    reduced = _buffer("reduced", n, m)
     if not unit.any():
-        return unit.copy(), np.zeros(n), np.zeros(m)
-    eps = default_epsilon(unit)
+        np.copyto(reduced, unit)
+        return reduced, np.zeros(n), np.zeros(m)
+    scratch = _buffer("scratch", n, m)
+    eps = default_epsilon(unit, scratch)
+    # the scaled cost is read by the sweeps, whose kernel is the scratch;
+    # the reduced costs take its buffer once they are done
     with np.errstate(over="ignore"):
-        neg_unit = np.divide(unit, -eps)
-    u, v = _crash_scaling(neg_unit, np.log(a), np.log(b), CRASH_SWEEPS, CRASH_TOL)[:2]
+        neg_unit = np.divide(unit, -eps, out=reduced)
+    # all positional, as in sinkhorn()
+    u, v = _crash_scaling(
+        neg_unit, np.log(a), np.log(b), CRASH_SWEEPS, CRASH_TOL, None, None, scratch
+    )[:2]
     u = np.where(np.isfinite(u), eps * u, 0.0)
     v = np.where(np.isfinite(v), eps * v, 0.0)
-    return unit - u[:, None] - v[None, :], u, v
+    np.subtract(unit, u[:, None], out=reduced)
+    reduced -= v
+    return reduced, u, v
 
 
 def _shortlist_mask(reduced, a, b):
@@ -759,15 +800,21 @@ def _shortlist_mask(reduced, a, b):
     reduced cost of its row or of its column. On tied reduced costs that
     keeps every entry of the tie, so a line may hold more than
     ``SHORTLIST_K`` entries; a larger support is still a valid start, since
-    pricing and the certificate decide optimality.
+    pricing and the certificate decide optimality. The mask is this
+    thread's ``"support"`` buffer; the partitions run in its scratch.
     """
     n, m = reduced.shape
     k_col = min(SHORTLIST_K, m)
     k_row = min(SHORTLIST_K, n)
-    row_kth = np.partition(reduced, k_col - 1, axis=1)[:, k_col - 1]
-    col_kth = np.partition(reduced, k_row - 1, axis=0)[k_row - 1]
-    mask = reduced <= row_kth[:, None]
-    mask |= reduced <= col_kth[None, :]
+    scratch = _buffer("scratch", n, m)
+    np.copyto(scratch, reduced)
+    scratch.partition(k_col - 1, axis=1)
+    row_kth = scratch[:, k_col - 1].copy()
+    np.copyto(scratch, reduced)
+    scratch.partition(k_row - 1, axis=0)
+    col_kth = scratch[k_row - 1].copy()
+    mask = np.less_equal(reduced, row_kth[:, None], out=_buffer("support", n, m, bool))
+    mask |= np.less_equal(reduced, col_kth, out=_buffer("flags", n, m, bool))
     mask[_northwest_corner_support(a, b)] = True
     return mask
 
@@ -852,7 +899,7 @@ def _transportation_lp(a, b, cost):
     scale = float(cost.max())
     if scale <= 0.0:
         scale = 1.0
-    unit = cost / scale
+    unit = np.divide(cost, scale, out=_buffer("unit", n, m))
     shifted, u_shift, v_shift = _crash_reduced_cost(unit, a, b)
     mask = _shortlist_mask(shifted, a, b)
     star = shifted.argmin(axis=1)
@@ -873,6 +920,9 @@ def _transportation_lp(a, b, cost):
     _add_lp_columns(highs, shifted, rows, cols)
     if highs.setBasis(_star_basis(n, m, flat, star)) != HighsStatus.kOk:
         raise NumericError("transportation LP rejected its star basis")
+    # each pricing round's reduced costs and entering entries
+    work = _buffer("scratch", n, m)
+    entering = _buffer("flags", n, m, bool)
     while True:
         highs.run()
         status = highs.getModelStatus()
@@ -887,7 +937,11 @@ def _transportation_lp(a, b, cost):
         duals = np.asarray(solution.row_dual)
         u = duals[:n] + u_shift
         v = np.append(duals[n:], 0.0) + v_shift
-        entering = (unit - u[:, None] - v[None, :] < -LP_TOL) & ~mask
+        np.subtract(unit, u[:, None], out=work)
+        work -= v
+        np.less(work, -LP_TOL, out=entering)
+        # on booleans, entering > mask is entering and not mask
+        np.greater(entering, mask, out=entering)
         if not entering.any():
             break
         mask |= entering
@@ -905,7 +959,7 @@ def solve_coupling(mu, nu, cost=None, config=None):
 
     Without ``cost``, the squared Euclidean cost is computed into this
     thread's cost buffer, which is reused across solves (see
-    :func:`_cost_buffer`); an entropic solve then overwrites it with its
+    :func:`_buffer`); an entropic solve then overwrites it with its
     scaled negative cost, so it holds two n-by-m arrays: that buffer and the
     kernel that becomes the plan (see :func:`sinkhorn`). A given ``cost``
     is never written.
@@ -913,9 +967,9 @@ def solve_coupling(mu, nu, cost=None, config=None):
     if config is None:
         config = SolverConfig()
     if cost is None:
-        cost = squared_euclidean_cost(
-            mu.points, nu.points, _cost_buffer(mu.size, nu.size)
-        )
+        # the measures checked their points when they were built
+        _check_same_dim(mu.points, nu.points)
+        cost = pairwise_sqdist(mu.points, nu.points, _buffer("cost", mu.size, nu.size))
     mode = config.mode
     if mode == "auto":
         mode = "exact" if mu.size * nu.size <= config.exact_size_limit else "sinkhorn"

@@ -29,7 +29,7 @@ from potd.ot import (
 )
 from potd.synthetic import SyntheticSpec, gen_model, model_signal, subspace_distance
 
-from conftest import random_instance
+from conftest import random_instance, traced_peak
 
 EXACT = SolverConfig(mode="exact")
 
@@ -159,6 +159,14 @@ class TestStackedDisplacements:
         assert len(blocks) == len(expected) == 6
         assert all(np.array_equal(b, e) for b, e in zip(blocks, expected))
 
+    def test_a_four_class_fit_holds_one_plan_at_a_time(self, rng):
+        # four equal classes of 400 take the assignment path; all six
+        # plans held to the end of the fit would peak above 6 plans
+        X = np.vstack([rng.normal(size=(400, 3)) + c for c in range(4)])
+        data = LabeledDataset(X, np.repeat([0, 1, 2, 3], 400))
+        potd_fit(data, 2)  # this thread's solver buffers are held from here on
+        assert traced_peak(potd_fit, data, 2) <= 1.5 * 8 * 400 * 400
+
 
 class TestPotdFit:
     def test_two_single_point_classes(self):
@@ -195,8 +203,19 @@ class TestPotdFit:
 
     def test_single_class_rejected(self):
         data = LabeledDataset([[0.0], [1.0]], [1, 1])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^need at least 2 classes$"):
             potd_fit(data, 1, solver=EXACT, whiten_flag=False)
+
+    @pytest.mark.parametrize("whiten_flag", [True, False])
+    def test_single_class_is_reported_before_a_rank_deficient_covariance(
+        self, rng, whiten_flag
+    ):
+        # whitening this X raises DegenerateInputError; the class count is
+        # checked first
+        x = rng.normal(size=(20, 2))
+        data = LabeledDataset(np.column_stack([x, x[:, 0]]), ["a"] * 20)
+        with pytest.raises(InvalidInputError, match="^need at least 2 classes$"):
+            potd_fit(data, 1, whiten_flag=whiten_flag)
 
     def test_permutation_invariance(self, rng):
         spec = SyntheticSpec("I", 120, 5, seed=11)
@@ -515,8 +534,27 @@ class TestBasis:
         with pytest.raises(InvalidInputError):
             Basis(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.0, 1.0]))
 
+    # the rule is np.allclose(gram, I, atol=ORTHONORMAL_TOL): a diagonal
+    # entry may be off by 1e-5 relative, an off-diagonal one by 1e-10
+    @pytest.mark.parametrize("norm_error, accepted", [(2e-5, False), (5e-6, True)])
+    def test_column_norm_tolerance(self, norm_error, accepted):
+        vectors = np.eye(3)[:, :2]
+        vectors[:, 1] *= 1.0 + norm_error
+        if accepted:
+            assert Basis(vectors, np.array([2.0, 1.0])).dim == 2
+        else:
+            with pytest.raises(InvalidInputError, match="^basis columns must be orthonormal$"):
+                Basis(vectors, np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("entry", [2e-10, np.nan, np.inf])
+    def test_rejects_an_off_diagonal_or_non_finite_entry(self, entry):
+        vectors = np.eye(3)[:, :2]
+        vectors[0, 1] = entry
+        with pytest.raises(InvalidInputError, match="^basis columns must be orthonormal$"):
+            Basis(vectors, np.array([2.0, 1.0]))
+
     def test_rejects_increasing_singular_values(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^singular values must be nonincreasing$"):
             Basis(np.eye(2), np.array([1.0, 2.0]))
 
     def test_truncated_keeps_leading_columns(self):

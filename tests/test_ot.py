@@ -1,6 +1,7 @@
 """Coupling solver tests, anchored on independent enumeration oracles."""
 
 import itertools
+import re
 import sys
 import threading
 import warnings
@@ -136,6 +137,47 @@ def assert_exact_and_certified(mu, nu):
     assert max(coupling.marginal_errors()) <= 1e-10
 
 
+def assignment_plan(cost):
+    """Plan of scipy's assignment solver run on ``cost`` itself."""
+    from scipy.optimize import linear_sum_assignment
+
+    n = cost.shape[0]
+    rows, cols = linear_sum_assignment(cost)
+    plan = np.zeros((n, n))
+    plan[rows, cols] = 1.0 / n
+    return plan
+
+
+def solve_in_threads(instances, config):
+    """Solve every instance twice in each of as many threads as instances,
+    each thread starting at a different one, with a tiny switch interval.
+
+    Returns each thread's ``(instance index, coupling)`` pairs.
+    """
+    count = len(instances)
+    orders = [[(start + k) % count for k in range(2 * count)] for start in range(count)]
+    results = [[] for _ in orders]
+
+    def solve_all(order, out):
+        for k in order:
+            out.append((k, solve_coupling(*instances[k], config=config)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve_all, args=(order, out))
+                   for order, out in zip(orders, results)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(out) == len(order) for order, out in zip(orders, results))
+    return results
+
+
 def spy_on_crash(monkeypatch):
     """Record what every crash start of the LP returns."""
     results = []
@@ -170,6 +212,33 @@ class TestDiscreteMeasure:
         with pytest.raises(InvalidInputError, match="^weights must be finite and positive$"):
             DiscreteMeasure([[0.0], [1.0]], [bad, 1.0])
 
+    @pytest.mark.parametrize("build", ["constructor", "uniform"])
+    @pytest.mark.parametrize("points, message", [
+        (np.zeros((0, 2)), "points must be a nonempty n-by-p matrix"),
+        ([], "points must be a nonempty n-by-p matrix"),
+        (np.zeros((2, 2, 2)), "points must be a nonempty n-by-p matrix"),
+        ([[0.0, 1.0], [np.inf, 2.0]], "points contains non-finite entries"),
+        ([[0.0], [np.nan]], "points contains non-finite entries"),
+    ])
+    def test_rejects_bad_points(self, build, points, message):
+        # the points are checked before the weights, so the constructor
+        # reports them even next to weights of the wrong length
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            if build == "uniform":
+                DiscreteMeasure.uniform(points)
+            else:
+                DiscreteMeasure(points, [0.5, 0.5])
+
+    def test_rejects_a_weight_length_mismatch(self):
+        with pytest.raises(InvalidInputError, match="^weights length 3 does not match 2 points$"):
+            DiscreteMeasure([[0.0], [1.0]], [0.2, 0.3, 0.5])
+
+    def test_rejects_weights_that_do_not_sum_to_one(self):
+        weights = np.array([0.5, 0.6])
+        message = f"weights must sum to 1 within 1e-12 (got {weights.sum()!r})"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            DiscreteMeasure([[0.0], [1.0]], weights)
+
 
 class TestCostMatrix:
     def test_zero_self_distance(self):
@@ -184,8 +253,14 @@ class TestCostMatrix:
         assert np.allclose(cost, [[1.0], [2.0]])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^source has 2 columns but target has 3$"):
             squared_euclidean_cost([[0.0, 0.0]], [[1.0, 2.0, 3.0]])
+
+    def test_solve_coupling_rejects_a_dimension_mismatch(self):
+        mu = DiscreteMeasure.uniform([[0.0, 0.0], [1.0, 0.0]])
+        nu = DiscreteMeasure.uniform([[1.0, 2.0, 3.0]])
+        with pytest.raises(InvalidInputError, match="^source has 2 columns but target has 3$"):
+            solve_coupling(mu, nu)
 
     def test_nonfinite_entry(self):
         with pytest.raises(InvalidInputError):
@@ -243,6 +318,62 @@ class TestExactOT:
         assert len(calls) == 1
         assert (coupling.duality_gap is not None) == certified
         assert max(coupling.marginal_errors()) == coupling.marginal_error <= 1e-10
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 60),
+        p=st.integers(1, 6),
+        scale=st.integers(-4, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_assignment_matches_the_solver_on_raw_costs(self, n, p, scale, seed):
+        # continuous clouds have one optimal permutation, and the reduction
+        # moves every permutation's cost by the same constant
+        rng = np.random.default_rng(seed)
+        mu = DiscreteMeasure.uniform(10.0**scale * rng.normal(size=(n, p)))
+        nu = DiscreteMeasure.uniform(10.0**scale * (rng.normal(size=(n, p)) + rng.normal(size=p)))
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        assert np.array_equal(exact_ot(mu, nu, cost).plan, assignment_plan(cost))
+
+    def test_assignment_solver_gets_reduced_costs(self, monkeypatch, rng):
+        received = []
+        solver = ot.linear_sum_assignment
+
+        def capture(matrix):
+            received.append((matrix, matrix.copy()))
+            return solver(matrix)
+
+        monkeypatch.setattr(ot, "linear_sum_assignment", capture)
+        mu, nu = random_instance(rng, 30, 30)
+        cost = squared_euclidean_cost(mu.points, nu.points)
+        original = cost.copy()
+        plans = [exact_ot(mu, nu, cost).plan, solve_coupling(mu, nu, cost).plan,
+                 solve_coupling(mu, nu).plan]
+        givens = [cost, ot._buffer("cost", mu.size, nu.size)]
+        row_reduced = cost - cost.min(axis=1)[:, None]
+        assert len(received) == 3
+        for matrix, values in received:
+            assert not any(np.shares_memory(matrix, given) for given in givens)
+            assert values.min() >= 0.0
+            assert (values == 0.0).any(axis=1).all() and (values == 0.0).any(axis=0).all()
+            assert np.array_equal(values, row_reduced - row_reduced.min(axis=0))
+        assert np.array_equal(cost, original)
+        assert all(np.array_equal(plan, assignment_plan(cost)) for plan in plans)
+
+    def test_repeat_lp_solve_allocates_only_its_plan(self, rng):
+        # the LP's n-by-m temporaries live in this thread's buffers, which
+        # the first solve has grown to this shape; a second n-by-m float
+        # array would put the peak above 2
+        mu, nu = random_instance(rng, 380, 420, p=10)
+        cost = pairwise_sqdist(mu.points, nu.points)
+        first = exact_ot(mu, nu, cost)
+        buffers = dict(vars(ot._thread_buffers))
+        assert {"unit", "reduced", "scratch", "support", "flags"} <= set(buffers)
+        assert traced_peak(exact_ot, mu, nu, cost) <= 1.5 * 8 * mu.size * nu.size
+        repeat = exact_ot(mu, nu, cost)
+        assert all(vars(ot._thread_buffers)[name] is buffer for name, buffer in buffers.items())
+        for field in ("plan", "min_reduced_cost", "duality_gap", "marginal_error"):
+            assert np.array_equal(getattr(repeat, field), getattr(first, field))
 
     def test_single_point_forced_coupling(self):
         mu = DiscreteMeasure.uniform([[0.0]])
@@ -380,7 +511,7 @@ class TestExactOT:
         # certificate make the result exact for any potentials
         rng = np.random.default_rng(np.random.SeedSequence([71]))
 
-        def fake_crash(neg_cost, log_a, log_b, max_iterations, tolerance):
+        def fake_crash(neg_cost, log_a, log_b, max_iterations, tolerance, *buffers):
             n, m = neg_cost.shape
             if potentials == "zeros":
                 return np.zeros(n), np.zeros(m), 0, 1.0
@@ -754,30 +885,22 @@ class TestSolveCoupling:
         instances = [random_instance(rng, n, m) for n, m in shapes]
         config = SolverConfig(mode="sinkhorn")
         expected = [solve_coupling(mu, nu, config=config).plan for mu, nu in instances]
-        orders = [[(start + k) % len(shapes) for k in range(2 * len(shapes))]
-                  for start in range(len(shapes))]
-        results = [[] for _ in orders]
+        for out in solve_in_threads(instances, config):
+            for k, coupling in out:
+                assert np.array_equal(coupling.plan, expected[k])
 
-        def solve_all(order, out):
-            for k in order:
-                out.append(solve_coupling(*instances[k], config=config).plan)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=solve_all, args=(order, out))
-                       for order, out in zip(orders, results)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for order, out in zip(orders, results):
-            assert len(out) == len(order)
-            for k, plan in zip(order, out):
-                assert np.array_equal(plan, expected[k])
+    def test_threads_solving_lps_of_growing_shapes_match_sequential_solves(self, rng):
+        # unequal sizes take the LP, whose buffers each thread grows and
+        # reuses while the others solve
+        shapes = [(40, 50), (70, 60), (55, 90), (100, 80)]
+        instances = [random_instance(rng, n, m) for n, m in shapes]
+        config = SolverConfig(mode="exact")
+        fields = ("plan", "min_reduced_cost", "duality_gap", "marginal_error")
+        expected = [solve_coupling(mu, nu, config=config) for mu, nu in instances]
+        for out in solve_in_threads(instances, config):
+            for k, coupling in out:
+                for field in fields:
+                    assert np.array_equal(getattr(coupling, field), getattr(expected[k], field))
 
 
 class TestTransportCost:
