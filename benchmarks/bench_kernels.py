@@ -37,6 +37,13 @@ split of the bundled blobs data), projected to r=2 and r=8 with two
 labels, on a tie-heavy integer grid in the plane with three labels, and
 on 1,600 against 1,600 points at r=2 with two labels (the shape of the
 ``large-auto`` benchmark's KNN step), each with its traced peak bytes.
+``bench_real_round`` times one in-process ``cli.main(["bench-real", ...])``
+round on the bundled blobs CSV (4 stratified replications, dims 2,4,6,8,
+K=10, one worker, stdout captured), reporting the median wall time of
+``REAL_ROUNDS`` rounds after a warm-up round, and the calls that one round
+makes to ``knn_predict`` and to each fit function the harness looks up
+(the public ``*_fit`` names and, where the measured checkout has them, the
+private per-split baseline fits ``_sir``, ``_save`` and ``_pca``).
 ``cold_start`` runs commands in fresh interpreters with the measured
 ``src`` on ``PYTHONPATH``: ``import potd``, ``potd gen`` of model I at
 n=1600, p=10, a Sinkhorn ``potd fit`` of that CSV, a default ``potd fit``
@@ -57,7 +64,9 @@ Usage:
     python benchmarks/bench_kernels.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -68,6 +77,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 # single-threaded BLAS for steady timings; set before numpy is imported
@@ -79,7 +89,7 @@ import scipy  # noqa: E402
 from scipy.optimize import linear_sum_assignment  # noqa: E402
 
 import potd  # noqa: E402
-from potd import ot  # noqa: E402
+from potd import cli, harness, ot  # noqa: E402
 from potd.core import LabeledDataset, whiten  # noqa: E402
 from potd.harness import knn_predict  # noqa: E402
 from potd.ot import (  # noqa: E402
@@ -102,9 +112,14 @@ LARGE_SEEDS = 12
 # the seed whose sign classes are 822 by 778
 BUFFER_SEED = 3
 FIT_LOOP_FITS = 10
+REAL_ROUNDS = 15
+# the harness attributes a bench-real round may call: the fits, then KNN
+REAL_CALLS = ("potd_fit", "sir_fit", "save_fit", "pca_fit", "_sir", "_save", "_pca",
+              "knn_predict")
 COLD_RUNS = 7
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_kernels.json"
+BLOBS_CSV = ROOT / "tests" / "data" / "blobs_n400_p10.csv"
 
 
 def best_of(func, *args, repeats=REPEATS):
@@ -471,6 +486,58 @@ def bench_knn(rng):
     return rows
 
 
+def counted_calls(func, names):
+    """``func()`` with each attribute of ``names`` that ``potd.harness`` has
+    counted; returns the counts by name."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    originals = {name: getattr(harness, name) for name in names if hasattr(harness, name)}
+    for name, fn in originals.items():
+        setattr(harness, name, counted(name, fn))
+    try:
+        func()
+    finally:
+        for name, fn in originals.items():
+            setattr(harness, name, fn)
+    return {name: calls[name] for name in originals}
+
+
+def bench_real_round():
+    print(f"\nbench-real round in process (blobs CSV, 4 replications, dims 2,4,6,8, "
+          f"median of {REAL_ROUNDS})")
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["bench-real", "--data", str(BLOBS_CSV), "--label-column", "label",
+                "--methods", "POTD,SIR,SAVE,PCA", "--dims", "2,4,6,8", "--k", "10",
+                "--test-fraction", "0.5", "--split", "stratified", "--replications", "4",
+                "--workers", "1", "--output", str(Path(tmp) / "report.json")]
+
+        def one_round():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code != 0:
+                raise SystemExit(f"bench-real exited with {code}")
+
+        calls = counted_calls(one_round, REAL_CALLS)
+        ms = []
+        for _ in range(REAL_ROUNDS):
+            t0 = time.perf_counter()
+            one_round()
+            ms.append((time.perf_counter() - t0) * 1e3)
+    knn = calls.pop("knn_predict")
+    print(f"{'ms':>8} {'knn':>5} {'fits':>5}")
+    print(f"{np.median(ms):>8.2f} {knn:>5} {sum(calls.values()):>5}  {calls}")
+    return [{"bench": "bench_real_round", "replications": 4, "dims": [2, 4, 6, 8],
+             "K": 10, "rounds": REAL_ROUNDS, "median_ms": float(np.median(ms)),
+             "knn_predict_calls": knn, "fit_calls": calls, "ms": ms}]
+
+
 def cold_commands(tmp):
     """``(name, arguments after the interpreter)`` of each cold-start command."""
     data = str(tmp / "model1.csv")
@@ -578,7 +645,7 @@ def main():
     rng = np.random.default_rng(np.random.SeedSequence([123]))
     rows = (bench_pairwise(rng) + bench_sinkhorn(rng) + bench_exact_lp(rng)
             + bench_assignment() + in_fresh_interpreter(bench_table_lp) + bench_large_coupling() + bench_solve_buffers()
-            + bench_fit_loop() + bench_knn(rng) + bench_cold_start())
+            + bench_fit_loop() + bench_knn(rng) + bench_real_round() + bench_cold_start())
     record = {"provenance": provenance(), "rows": rows}
     runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
     runs.append(record)

@@ -2,7 +2,10 @@
 
 SIR and SAVE slice by class and work on whitened predictors; PCA ignores
 the response. All three return bases in original predictor coordinates
-with the common sign convention.
+with the common sign convention. Each public ``*_fit(..., r)`` is the
+r-independent :class:`~potd.core.Fit` of a private ``_sir``, ``_save`` or
+``_pca`` followed by ``Fit.basis(r)``, so a caller scoring several ``r``
+fits once.
 """
 
 import numpy as np
@@ -17,13 +20,7 @@ def _slice_stats(Z, y):
         yield label, block, block.shape[0] / Z.shape[0]
 
 
-def sir_fit(data, r):
-    """Sliced inverse regression with classes as slices.
-
-    ``k`` slices give at most ``k - 1`` directions (binary data one), so
-    :meth:`~potd.core.Fit.basis` clamps a larger ``r`` to ``k - 1`` with a
-    warning.
-    """
+def _sir(data):
     k = data.classes().shape[0]
     if k < 2:
         raise InvalidInputError("need at least 2 classes")
@@ -33,15 +30,20 @@ def sir_fit(data, r):
         mean = block.mean(axis=0)
         between += weight * np.outer(mean, mean)
     evals, evecs = descending_eigh(between)
-    return Fit(evecs[:, : k - 1], np.maximum(evals, 0.0), W).basis(r)
+    return Fit(evecs[:, : k - 1], np.maximum(evals, 0.0), W)
 
 
-def save_fit(data, r):
-    """Sliced average variance estimation with classes as slices.
+def sir_fit(data, r):
+    """Sliced inverse regression with classes as slices.
 
-    Directions come from the slice-weighted sum of ``(I - cov_s)^2`` on
-    whitened predictors, ``cov_s`` being the within-slice covariance.
+    ``k`` slices give at most ``k - 1`` directions (binary data one), so
+    :meth:`~potd.core.Fit.basis` clamps a larger ``r`` to ``k - 1`` with a
+    warning.
     """
+    return _sir(data).basis(r)
+
+
+def _save(data):
     if data.classes().shape[0] < 2:
         raise InvalidInputError("need at least 2 classes")
     Z, W = whiten(data.X)
@@ -57,14 +59,27 @@ def save_fit(data, r):
         diff = eye - centered_covariance(block)[1]
         accum += weight * (diff @ diff)
     evals, evecs = descending_eigh(accum)
-    return Fit(evecs, np.maximum(evals, 0.0), W).basis(r)
+    return Fit(evecs, np.maximum(evals, 0.0), W)
 
 
-def pca_fit(X, r):
-    """Top principal directions of the centered sample covariance."""
+def save_fit(data, r):
+    """Sliced average variance estimation with classes as slices.
+
+    Directions come from the slice-weighted sum of ``(I - cov_s)^2`` on
+    whitened predictors, ``cov_s`` being the within-slice covariance.
+    """
+    return _save(data).basis(r)
+
+
+def _pca(X):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise InvalidInputError("X must be a matrix with at least 2 rows")
     _, cov = centered_covariance(X)
     evals, evecs = descending_eigh(cov)
-    return Fit(evecs, np.maximum(evals, 0.0), None).basis(r)
+    return Fit(evecs, np.maximum(evals, 0.0), None)
+
+
+def pca_fit(X, r):
+    """Top principal directions of the centered sample covariance."""
+    return _pca(X).basis(r)

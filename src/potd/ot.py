@@ -495,15 +495,16 @@ def _check_same_dim(src, tgt):
         )
 
 
-def squared_euclidean_cost(source, target, out=None):
+def squared_euclidean_cost(source, target):
     """Pairwise squared Euclidean distances between two point matrices.
 
-    ``out`` is passed on to :func:`pairwise_sqdist`.
+    Both must be nonempty and finite, with the same number of columns; the
+    distances are those of :func:`pairwise_sqdist`.
     """
     src = _as_points("source", source)
     tgt = _as_points("target", target)
     _check_same_dim(src, tgt)
-    return pairwise_sqdist(src, tgt, out)
+    return pairwise_sqdist(src, tgt)
 
 
 # the reused n-by-m arrays of each thread (see _buffer)

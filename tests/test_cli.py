@@ -76,6 +76,10 @@ class TestHelpAndUsage:
                 "bench-real --data {data} --methods PCA --dims 2 --test-fraction 0.001",
                 "test_fraction=0.001 leaves no test points",
             ),
+            (
+                "bench-real --data {data} --methods PCA,POTD --dims 0,-1,2",
+                "dims must be >= 1, got 0",
+            ),
         ],
         ids=[
             "bench-synthetic-seed",
@@ -84,6 +88,7 @@ class TestHelpAndUsage:
             "bench-real-k",
             "bench-real-k-above-train",
             "bench-real-empty-test",
+            "bench-real-dims-below-one",
         ],
     )
     def test_negative_seed_or_k_below_one_exit_2(self, argv, message, model_csv, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Ingestion, splitting, KNN and benchmark-orchestration tests."""
 
 import json
+from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from potd.errors import (
     DatasetSchemaError,
     DegenerateInputError,
     InvalidInputError,
+    PotdError,
 )
 from potd.harness import (
     SplitConfig,
@@ -300,6 +303,45 @@ def blob_dataset(n_per=60, p=6, shift=4.0, seed=43):
     return LabeledDataset(X, y)
 
 
+METHODS = ["POTD", "SIR", "SAVE", "PCA"]
+
+
+def three_class_dataset(sizes, p, seed=45):
+    """Gaussian classes "a", "b", "c" with means apart along x1 and x2."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    means = np.zeros((3, p))
+    means[1, 0] = means[2, 1] = 3.0
+    X = np.vstack([rng.standard_normal((n, p)) + mean for n, mean in zip(sizes, means)])
+    return LabeledDataset(X, np.repeat(["a", "b", "c"], sizes))
+
+
+def reference_rows(dataset, methods, dims, split, K):
+    """A real benchmark's rows from one evaluate_split call per (method, r)."""
+    results = []
+    for rep in range(split.replications):
+        seed = _replication_seed(split.seed, rep)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        train_idx, test_idx = harness._split(split, dataset.y, rng)
+        out = {}
+        for method in methods:
+            for r in dims:
+                if r >= dataset.p:
+                    message = f"InvalidInputError: r={r} must be smaller than p={dataset.p}"
+                    out[(method, r)] = ("error", message, r)
+                    continue
+                try:
+                    _, acc, r_eff = evaluate_split(dataset, train_idx, test_idx, method, r, K=K)
+                    out[(method, r)] = ("ok", acc, r_eff)
+                except (PotdError, np.linalg.LinAlgError) as exc:
+                    out[(method, r)] = ("error", f"{type(exc).__name__}: {exc}", r)
+        results.append(out)
+    return [
+        harness._report_row(results, (method, r), method, "dataset", r, "accuracy")
+        for method in methods
+        for r in dims
+    ]
+
+
 class TestFitDispatch:
     def test_unknown_method(self):
         with pytest.raises(InvalidInputError, match="POTD, SIR, SAVE, PCA"):
@@ -448,6 +490,64 @@ class TestRealBenchmark:
             run_real_benchmark(
                 blob_dataset(n_per=30, p=4), methods=["PCA"], dims=[2], split=split, K=31,
             )
+
+    @pytest.mark.parametrize(
+        "case",
+        ["blobs-stratified", "blobs-random", "three-classes", "single-point-class"],
+    )
+    def test_rows_match_per_dimension_evaluate_split(self, case, blobs_csv):
+        # bench-real fits each baseline once per split and reuses SIR's
+        # accuracy past its k - 1 directions; every row must be what
+        # separate evaluate_split calls give for each (method, r)
+        stratified = case != "blobs-random"
+        if case.startswith("blobs"):
+            data, dims = load_csv_dataset(blobs_csv, "label"), [2, 4, 6, 8]
+        elif case == "three-classes":
+            # SIR has 2 directions, so r = 3 and 4 score the r = 2 basis again
+            data, dims = three_class_dataset([40, 40, 40], p=6), [1, 2, 3, 4]
+        else:
+            # one training point in class "c": SAVE fails at every r below
+            # p, and r = 5 = p fails the protocol's r < p rule first
+            data, dims = three_class_dataset([30, 30, 2], p=5), [1, 3, 5, 2]
+        split = SplitConfig(replications=2, seed=8, stratified=stratified)
+        report = run_real_benchmark(data, METHODS, dims, split=split, K=5)
+        expected = [
+            asdict(row) for row in reference_rows(data, METHODS, dims, split, K=5)
+        ]
+        assert [asdict(row) for row in report.rows] == expected
+        rows = {(row.method, row.r): row for row in report.rows}
+        if case == "three-classes":
+            assert [rows["SIR", r].effective_r for r in dims] == [1, 2, 2, 2]
+        if case == "single-point-class":
+            save = [rows["SAVE", r] for r in dims if r < data.p]
+            assert all(row.values == [] for row in save)
+            (message,) = {m for row in save for m in row.failures.values()}
+            assert message.startswith("DegenerateInputError:")
+            assert "has a single point" in message
+            assert rows["PCA", 5].failures[0].endswith("r=5 must be smaller than p=5")
+
+    def test_one_fit_per_baseline_and_split(self, monkeypatch, blobs_csv):
+        calls = Counter()
+
+        def counting(attr):
+            fn = getattr(harness, attr)
+
+            def wrapped(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(harness, attr, wrapped)
+
+        for attr in ("_sir", "_save", "_pca", "potd_fit", "knn_predict"):
+            counting(attr)
+        data = load_csv_dataset(blobs_csv, "label")
+        run_real_benchmark(
+            data, METHODS, [2, 4, 6, 8], split=SplitConfig(replications=1, seed=3)
+        )
+        # binary SIR has one direction: its four bases are one basis, scored once
+        assert calls == {
+            "_sir": 1, "_save": 1, "_pca": 1, "potd_fit": 4, "knn_predict": 4 + 1 + 4 + 4
+        }
 
     def test_r_at_least_p_recorded_as_failure(self):
         data = blob_dataset(n_per=30, p=4)
