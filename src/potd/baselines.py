@@ -15,7 +15,8 @@ from .errors import DegenerateInputError, InvalidInputError
 
 
 def _slice_stats(Z, y):
-    for label in np.unique(y):
+    # plain Python labels, so that a message shows 'c' and not np.str_('c')
+    for label in np.unique(y).tolist():
         block = Z[y == label]
         yield label, block, block.shape[0] / Z.shape[0]
 

@@ -10,7 +10,6 @@ are converted and checked as the flag's text would be).
 """
 
 import argparse
-import csv
 import itertools
 import json
 import logging
@@ -37,6 +36,7 @@ from .harness import (
     run_real_benchmark,
     run_synthetic_benchmark,
     save_csv_dataset,
+    write_numeric_csv,
 )
 from .ot import (
     DiscreteMeasure,
@@ -261,17 +261,9 @@ def _cmd_fit(args):
     else:
         basis = potd_fit(data, args.r, solver=solver, whiten_flag=args.whiten)
         chosen_r = args.r
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"v{j + 1}" for j in range(basis.dim)])
-        for row in basis.vectors:
-            writer.writerow([repr(float(v)) for v in row])
+    write_numeric_csv(args.output, [f"v{j + 1}" for j in range(basis.dim)], basis.vectors)
     sv_path = f"{args.output}.singular_values.csv"
-    with open(sv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["singular_value"])
-        for value in basis.singular_values:
-            writer.writerow([repr(float(value))])
+    write_numeric_csv(sv_path, ["singular_value"], basis.singular_values[:, None])
     _write_meta(
         f"{args.output}.meta.json",
         _resolved_config(args),
@@ -290,11 +282,7 @@ def _cmd_embed(args):
     solver = _solver_from_args(args)
     basis = fit_method(args.method, data, args.r, solver=solver)
     coords = project(data.X, basis)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"z{j + 1}" for j in range(coords.shape[1])] + ["label"])
-        for row, label in zip(coords, data.y):
-            writer.writerow([repr(float(v)) for v in row] + [label])
+    write_numeric_csv(args.output, [f"z{j + 1}" for j in range(basis.dim)], coords, data.y)
     _write_meta(
         f"{args.output}.meta.json",
         _resolved_config(args),

@@ -7,6 +7,8 @@ reduction subspace. Fits run in whitened coordinates by default and the
 basis is mapped back to the original predictor scale.
 """
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +25,9 @@ RANK_REL_TOL = 1e-10
 # SVD because squaring in the Gram matrix loses the trailing singular values
 # (test_two_point_degenerate_spans_displacement pins them to 1e-12)
 GRAM_PATH_ROW_FACTOR = 4
+
+# this package's source directory, whose frames the clamp warning skips
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 def apply_sign_convention(vectors):
@@ -136,7 +141,7 @@ class SecondOrderDisplacement:
 
     def basis(self, r):
         """Leading ``r`` eigenvectors as a Basis."""
-        return Basis(self.eigenvectors, self.eigenvalues).truncated(r)
+        return Fit(self.eigenvectors, self.eigenvalues, None).basis(r)
 
 
 def centered_covariance(X):
@@ -187,6 +192,11 @@ def _check_plan_shape(source, target, coupling):
         )
 
 
+def _displacements(source, plan, target):
+    """Rows ``diag(a) X - plan @ Y``, ``a`` and ``X`` of ``source``, ``Y`` of ``target``."""
+    return source.weights[:, None] * source.points - plan @ target.points
+
+
 def displacement_matrix(source, target, coupling):
     """Weighted displacement rows ``diag(a_i) X_(i) - G_ij X_(j)``.
 
@@ -195,7 +205,7 @@ def displacement_matrix(source, target, coupling):
     _check_plan_shape(source, target, coupling)
     if source.dim != target.dim:
         raise InvalidInputError("source and target point dimensions differ")
-    return source.weights[:, None] * source.points - coupling.plan @ target.points
+    return _displacements(source, coupling.plan, target)
 
 
 def _pair_blocks(source, target, solver):
@@ -206,8 +216,7 @@ def _pair_blocks(source, target, solver):
     dropped when they are formed.
     """
     plan = solve_coupling(source, target, config=solver).plan
-    return (source.weights[:, None] * source.points - plan @ target.points,
-            target.weights[:, None] * target.points - plan.T @ source.points)
+    return _displacements(source, plan, target), _displacements(target, plan.T, source)
 
 
 def _stacked_displacements(Z, codes, solver):
@@ -254,8 +263,13 @@ class Fit:
         if not 1 <= r <= p:
             raise InvalidInputError(f"r must be in [1, p={p}], got {r}")
         if found < r:
+            # name the first frame outside the package, where r was chosen
+            # (stacklevel 1 is this frame); skip_file_prefixes needs 3.12
+            level, frame = 1, sys._getframe()
+            while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+                level, frame = level + 1, frame.f_back
             message = f"the fit found {found} direction(s); clamping r from {r} to {found}"
-            warnings.warn(message, stacklevel=3)
+            warnings.warn(message, stacklevel=level)
         vectors = self.vectors[:, :r]
         if self.W is not None:
             vectors = orthonormalize(self.W @ vectors)

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .ot import _load_exact_solvers, _row_blocks, pairwise_sqdist
 from .synthetic import (
-    MODEL_SUBSPACE_DIM,
     MODELS,
     SyntheticSpec,
     gen_model,
@@ -257,14 +256,21 @@ def load_csv_dataset(path, label_column, delimiter=","):
     return dataset
 
 
+def write_numeric_csv(path, header, rows, labels=None):
+    """Write ``rows`` of numbers under ``header`` as ``repr(float(v))`` cells,
+    which read back to the same floats; ``labels`` fill a last ``label`` column."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(header) + ([] if labels is None else ["label"]))
+        for i, row in enumerate(rows):
+            cells = [repr(float(v)) for v in row]
+            writer.writerow(cells if labels is None else cells + [labels[i]])
+
+
 def save_csv_dataset(dataset, path):
     """Write a LabeledDataset, comma-separated, in the schema load_csv_dataset
     reads."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(dataset.p)] + ["label"])
-        for row, label in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [label])
+    write_numeric_csv(path, [f"x{j + 1}" for j in range(dataset.p)], dataset.X, dataset.y)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +515,11 @@ def run_synthetic_benchmark(
     for model in models:
         for p in p_values:
             # a model's seed code is its 1-based position in MODELS
-            code = MODELS.index(model) + 1
+            code = list(MODELS).index(model) + 1
             seeds = [_replication_seed(seed, code, p, rep) for rep in range(replications)]
             task = partial(_synthetic_rep, model, p, n, methods, solver, noise_scale)
             results = _run_tasks(task, seeds, workers)
-            r0 = MODEL_SUBSPACE_DIM[model]
+            r0 = MODELS[model][0]
             rows += [
                 _report_row(results, m, m, f"{model}-{p}", r0, "subspace_distance")
                 for m in methods

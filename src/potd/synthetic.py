@@ -12,11 +12,16 @@ import numpy as np
 from .core import Basis, LabeledDataset
 from .errors import InvalidInputError
 
-MODELS = ("I", "II", "III", "IV")
-
-# dimension of the informative subspace (leading coordinate directions);
-# the signal reads exactly these axes, so it is also each model's minimum p
-MODEL_SUBSPACE_DIM = {"I": 2, "II": 2, "III": 4, "IV": 4}
+# each sign model's informative dimension and noise-free signal; the order
+# fixes the seed codes 1-4. The signal reads exactly the leading coordinate
+# axes, which span the informative subspace, so the dimension is its minimum p
+MODELS = {
+    "I": (2, lambda X: np.sin(X[:, 0]) / X[:, 1] ** 2),
+    "II": (2, lambda X: (X[:, 0] + 0.5) * (X[:, 1] - 0.5) ** 2),
+    "III": (4, lambda X: np.log(X[:, 0] ** 2)
+            * (X[:, 1] ** 2 + X[:, 2] ** 2 / 2 + X[:, 3] ** 2 / 4)),
+    "IV": (4, lambda X: np.sin(X[:, 0]) / (X[:, 1] * X[:, 2] * X[:, 3])),
+}
 
 
 def seed_sequence(seed, *key):
@@ -45,9 +50,9 @@ class SyntheticSpec:
             raise InvalidInputError(
                 f"unknown model {self.model!r}; valid: {', '.join(MODELS)}"
             )
-        if self.p < MODEL_SUBSPACE_DIM[self.model]:
+        if self.p < MODELS[self.model][0]:
             raise InvalidInputError(
-                f"model {self.model} requires p >= {MODEL_SUBSPACE_DIM[self.model]}"
+                f"model {self.model} requires p >= {MODELS[self.model][0]}"
             )
         if self.n < 2:
             raise InvalidInputError("n must be >= 2")
@@ -65,8 +70,7 @@ class TrueSubspace:
         b = np.asarray(self.basis, dtype=np.float64)
         if b.ndim == 1:
             b = b[:, None]
-        if not np.allclose(b.T @ b, np.eye(b.shape[1]), atol=1e-10):
-            raise InvalidInputError("true subspace basis must be orthonormal")
+        _require_orthonormal(b, 1e-10, "true subspace basis must be orthonormal")
         object.__setattr__(self, "basis", b)
 
     @property
@@ -80,18 +84,9 @@ def _leading_axes(p, r0):
 
 def model_signal(model, X):
     """Noise-free response surface of a synthetic model, one value per row."""
-    X = np.asarray(X, dtype=np.float64)
-    x1, x2 = X[:, 0], X[:, 1]
-    if model == "I":
-        return np.sin(x1) / x2**2
-    if model == "II":
-        return (x1 + 0.5) * (x2 - 0.5) ** 2
-    x3, x4 = X[:, 2], X[:, 3]
-    if model == "III":
-        return np.log(x1**2) * (x2**2 + x3**2 / 2 + x4**2 / 4)
-    if model == "IV":
-        return np.sin(x1) / (x2 * x3 * x4)
-    raise InvalidInputError(f"unknown model {model!r}")
+    if model not in MODELS:
+        raise InvalidInputError(f"unknown model {model!r}")
+    return MODELS[model][1](np.asarray(X, dtype=np.float64))
 
 
 def gen_model(spec):
@@ -114,7 +109,7 @@ def gen_model(spec):
     noise = rng.standard_normal(spec.n)
     vals = signal + spec.noise_scale * noise
     y = np.where(vals >= 0, 1, -1)
-    r0 = MODEL_SUBSPACE_DIM[spec.model]
+    r0 = MODELS[spec.model][0]
     return LabeledDataset(X, y), _leading_axes(spec.p, r0)
 
 
@@ -174,6 +169,19 @@ def gen_svm3d(n_per_class=200, seed=0):
 # subspace metrics
 
 
+def _require_orthonormal(mat, atol, message):
+    if not np.allclose(mat.T @ mat, np.eye(mat.shape[1]), atol=atol):
+        raise InvalidInputError(message)
+
+
+def _residual_norm(b_hat, b_true):
+    """``|b_true - b_hat b_hat^T b_true|_F`` for an orthonormal ``b_hat``, formed
+    from the residual, which keeps the distance of near-coincident spans that
+    ``r - |b_hat^T b_true|^2`` cancels to 0."""
+    residual = b_true - b_hat @ (b_hat.T @ b_true)
+    return float(np.linalg.norm(residual))
+
+
 def _basis_matrix(obj, name):
     if isinstance(obj, Basis):
         mat = obj.vectors
@@ -188,6 +196,15 @@ def _basis_matrix(obj, name):
     return mat
 
 
+def _basis_matrices(first, second, names):
+    a, b = _basis_matrix(first, names[0]), _basis_matrix(second, names[1])
+    if a.shape[0] != b.shape[0]:
+        raise InvalidInputError(
+            f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}"
+        )
+    return a, b
+
+
 def subspace_distance(estimated, truth):
     """Frobenius norm of the true basis's residual off the estimated span.
 
@@ -195,34 +212,19 @@ def subspace_distance(estimated, truth):
     sqrt(r0) when the two are orthogonal; invariant to rotations of
     either basis within its span.
     """
-    b_hat = _basis_matrix(estimated, "estimated")
-    b_true = _basis_matrix(truth, "truth")
-    if b_hat.shape[0] != b_true.shape[0]:
-        raise InvalidInputError(
-            f"ambient dimensions differ: {b_hat.shape[0]} vs {b_true.shape[0]}"
-        )
-    if not np.allclose(b_hat.T @ b_hat, np.eye(b_hat.shape[1]), atol=1e-8):
-        raise InvalidInputError("estimated basis must be orthonormal")
-    residual = b_true - b_hat @ (b_hat.T @ b_true)
-    return float(np.linalg.norm(residual))
+    b_hat, b_true = _basis_matrices(estimated, truth, ("estimated", "truth"))
+    _require_orthonormal(b_hat, 1e-8, "estimated basis must be orthonormal")
+    return _residual_norm(b_hat, b_true)
 
 
 def sin_distance(V, V_hat):
     """Frobenius norm of the sines of the principal angles between two
     equal-dimension subspaces; 0 iff the spans coincide."""
-    a = _basis_matrix(V, "V")
-    b = _basis_matrix(V_hat, "V_hat")
-    if a.shape[0] != b.shape[0]:
-        raise InvalidInputError(
-            f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}"
-        )
+    a, b = _basis_matrices(V, V_hat, ("V", "V_hat"))
     if a.shape[1] != b.shape[1]:
         raise InvalidInputError(
             f"subspace dimensions differ: {a.shape[1]} vs {b.shape[1]}"
         )
     for mat, name in ((a, "V"), (b, "V_hat")):
-        if not np.allclose(mat.T @ mat, np.eye(mat.shape[1]), atol=1e-8):
-            raise InvalidInputError(f"{name} must be orthonormal")
-    r = a.shape[1]
-    overlap = float(np.linalg.norm(a.T @ b) ** 2)
-    return float(np.sqrt(max(r - overlap, 0.0)))
+        _require_orthonormal(mat, 1e-8, f"{name} must be orthonormal")
+    return _residual_norm(b, a)

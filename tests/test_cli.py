@@ -9,10 +9,14 @@ import pytest
 from potd import cli, errors
 from potd.cli import main
 from potd.core import LabeledDataset
+from potd.baselines import sir_fit
 from potd.harness import (
+    SplitConfig,
     accuracy,
+    fit_method,
     knn_predict,
     load_csv_dataset,
+    run_real_benchmark,
     save_csv_dataset,
     stratified_split,
 )
@@ -534,6 +538,34 @@ class TestBenchReal:
         for row in json.loads(out.read_text())["rows"]:
             assert row["values"] == []
             assert "covariance is not finite" in row["failures"]["0"]
+
+
+class TestClampWarning:
+    @pytest.mark.parametrize("entry", ["sir_fit", "fit_method", "bench-real", "embed"])
+    def test_names_the_caller_outside_the_package(self, entry, tmp_path):
+        # binary SIR has one direction, so r = 2 is clamped at every entry
+        rng = np.random.default_rng(np.random.SeedSequence([79]))
+        X = rng.normal(size=(40, 3)) + np.repeat([[0.0], [2.0]], 20, axis=0)
+        data = LabeledDataset(X, np.repeat(["a", "b"], 20))
+        path = tmp_path / "binary.csv"
+        save_csv_dataset(data, str(path))
+        calls = {
+            "sir_fit": lambda: sir_fit(data, 2),
+            "fit_method": lambda: fit_method("SIR", data, 2),
+            "bench-real": lambda: run_real_benchmark(
+                data, ["SIR"], [2], split=SplitConfig(replications=1), K=5
+            ),
+            "embed": lambda: run_cli(
+                "embed", "--data", str(path), "--method", "SIR", "--r", "2",
+                "--output", str(tmp_path / "embedding.csv"),
+            ),
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            calls[entry]()
+        (warning,) = caught
+        assert str(warning.message) == "the fit found 1 direction(s); clamping r from 2 to 1"
+        assert warning.filename == __file__
 
 
 class TestOracleCheck:

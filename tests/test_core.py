@@ -135,6 +135,13 @@ class TestDisplacementMatrix:
         with pytest.raises(InvalidInputError):
             displacement_matrix(mu, mu, coupling)
 
+    def test_point_dimension_mismatch(self):
+        src = DiscreteMeasure.uniform([[0.0, 0.0]])
+        tgt = DiscreteMeasure.uniform([[1.0, 0.0, 0.0]])
+        coupling = CouplingMatrix([[1.0]], [1.0], [1.0])
+        with pytest.raises(InvalidInputError, match="^source and target point dimensions differ$"):
+            displacement_matrix(src, tgt, coupling)
+
 
 class TestStackedDisplacements:
     @pytest.mark.parametrize("mode", ["exact", "sinkhorn"])

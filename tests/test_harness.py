@@ -493,7 +493,13 @@ class TestRealBenchmark:
 
     @pytest.mark.parametrize(
         "case",
-        ["blobs-stratified", "blobs-random", "three-classes", "single-point-class"],
+        [
+            "blobs-stratified",
+            "blobs-random",
+            "three-classes",
+            "single-point-class",
+            "single-point-integer-class",
+        ],
     )
     def test_rows_match_per_dimension_evaluate_split(self, case, blobs_csv):
         # bench-real fits each baseline once per split and reuses SIR's
@@ -509,6 +515,8 @@ class TestRealBenchmark:
             # one training point in class "c": SAVE fails at every r below
             # p, and r = 5 = p fails the protocol's r < p rule first
             data, dims = three_class_dataset([30, 30, 2], p=5), [1, 3, 5, 2]
+            if case == "single-point-integer-class":
+                data = LabeledDataset(data.X, np.repeat([1, 2, 3], [30, 30, 2]))
         split = SplitConfig(replications=2, seed=8, stratified=stratified)
         report = run_real_benchmark(data, METHODS, dims, split=split, K=5)
         expected = [
@@ -518,12 +526,15 @@ class TestRealBenchmark:
         rows = {(row.method, row.r): row for row in report.rows}
         if case == "three-classes":
             assert [rows["SIR", r].effective_r for r in dims] == [1, 2, 2, 2]
-        if case == "single-point-class":
+        if case.startswith("single-point"):
             save = [rows["SAVE", r] for r in dims if r < data.p]
             assert all(row.values == [] for row in save)
             (message,) = {m for row in save for m in row.failures.values()}
-            assert message.startswith("DegenerateInputError:")
-            assert "has a single point" in message
+            label = "'c'" if case == "single-point-class" else "3"
+            assert message == (
+                f"DegenerateInputError: class {label} has a single point; "
+                "within-slice covariance is undefined"
+            )
             assert rows["PCA", 5].failures[0].endswith("r=5 must be smaller than p=5")
 
     def test_one_fit_per_baseline_and_split(self, monkeypatch, blobs_csv):

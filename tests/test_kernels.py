@@ -493,16 +493,44 @@ def test_traced_kernel_sites_are_called(monkeypatch, rng):
     }
 
 
+def potdbench_module(name):
+    """``potdbench/<name>.py``, loaded by path and only read."""
+    path = Path(__file__).resolve().parents[1] / "potdbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"potdbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_sites_resolve():
     """Every site the benchmark tracer wraps names an attribute that exists;
     a missing one is skipped there and only shows as ``trace.sites_missing``."""
-    path = Path(__file__).resolve().parents[1] / "potdbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("potdbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = potdbench_module("spans")
     missing = [
         f"{module}.{attr}"
         for module, attr, *_ in spans.SITES
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert spans.SITES and missing == []
+
+
+def test_benchmark_rounds_trace_and_time_their_fits(monkeypatch, tmp_path):
+    """One tiny round of each benchmark workload, traced and timed as the
+    benchmark runs it: no problems, every traced site present, and one timed
+    fit per successful POTD fit."""
+    spans, workloads = potdbench_module("spans"), potdbench_module("workloads")
+    monkeypatch.setattr(workloads, "OUT_DIR", tmp_path)
+    for make in workloads.WORKLOADS.values():
+        workload = make(tiny=True)
+        timer, tracer = workloads.FitTimer(), spans.Tracer()
+        try:
+            with spans.Patches() as patches:
+                patches.replace("potd.harness", "potd_fit", timer.wrap)
+                tracer.install(patches)
+                res = tracer.round_span(0, lambda: workload.run_round(1, 0, timer, False))
+        finally:
+            if hasattr(workload, "close"):
+                workload.close()
+        assert res.problems == [], workload.name
+        assert tracer.sites_missing == [], workload.name
+        assert len(timer.ms) == res.potd_ok > 0, workload.name

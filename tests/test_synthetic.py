@@ -63,6 +63,11 @@ class TestModelSignal:
         X = np.array([[np.pi / 2, 1.9, 0.0, 0.0]])
         assert model_signal("I", X)[0] > 0
 
+    def test_unknown_model_rejected_before_reading_X(self):
+        # two columns are too few for any model; the name is checked first
+        with pytest.raises(InvalidInputError, match="^unknown model 'V'$"):
+            model_signal("V", np.zeros((3, 2)))
+
 
 class TestGenModel:
     def test_deterministic_given_seed(self):
@@ -219,13 +224,21 @@ class TestSubspaceDistance:
         truth = TrueSubspace(np.eye(3)[:, :1])
         assert subspace_distance(basis, truth) == 0.0
 
+    def test_non_orthonormal_truth_rejected(self):
+        with pytest.raises(InvalidInputError, match="^true subspace basis must be orthonormal$"):
+            TrueSubspace(np.full((3, 2), 0.5))
+
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^ambient dimensions differ: 3 vs 4$"):
             subspace_distance(np.eye(3)[:, :1], np.eye(4)[:, :1])
 
     def test_non_orthonormal_estimate_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^estimated basis must be orthonormal$"):
             subspace_distance(np.full((3, 2), 0.5), np.eye(3)[:, :2])
+
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(InvalidInputError, match="^estimated must be a p-by-r matrix$"):
+            subspace_distance(np.zeros((2, 2, 2)), np.eye(2))
 
 
 class TestSinDistance:
@@ -250,5 +263,20 @@ class TestSinDistance:
 
     def test_unequal_dimensions_rejected(self):
         e = np.eye(4)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^subspace dimensions differ: 1 vs 2$"):
             sin_distance(e[:, :1], e[:, :2])
+
+    @pytest.mark.parametrize("name", ["V", "V_hat"])
+    def test_non_orthonormal_input_rejected(self, name):
+        e = np.eye(3)[:, :2]
+        args = {"V": e, "V_hat": e, name: np.full((3, 2), 0.5)}
+        with pytest.raises(InvalidInputError, match=f"^{name} must be orthonormal$"):
+            sin_distance(**args)
+
+    @pytest.mark.parametrize("theta", [1e-6, 1e-9, 1e-12])
+    def test_small_angle(self, theta):
+        # r - |V^T V_hat|^2 cancels to 0 once cos(theta)^2 rounds to 1; the
+        # residual off the span keeps the sine
+        e = np.eye(3)
+        v_hat = np.cos(theta) * e[:, :1] + np.sin(theta) * e[:, 1:2]
+        assert sin_distance(e[:, :1], v_hat) == pytest.approx(np.sin(theta), rel=1e-6, abs=0)
