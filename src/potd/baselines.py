@@ -10,28 +10,25 @@ fits once.
 
 import numpy as np
 
-from .core import Fit, centered_covariance, descending_eigh, whiten
+from .core import Fit, _class_codes, centered_covariance, descending_eigh, whiten
 from .errors import DegenerateInputError, InvalidInputError
 
 
-def _slice_stats(Z, y):
-    # plain Python labels, so that a message shows 'c' and not np.str_('c')
-    for label in np.unique(y).tolist():
-        block = Z[y == label]
+def _slice_stats(Z, labels, codes):
+    for c, label in enumerate(labels):
+        block = Z[codes == c]
         yield label, block, block.shape[0] / Z.shape[0]
 
 
 def _sir(data):
-    k = data.classes().shape[0]
-    if k < 2:
-        raise InvalidInputError("need at least 2 classes")
+    labels, codes = _class_codes(data.y)
     Z, W = whiten(data.X)
     between = np.zeros((data.p, data.p))
-    for _, block, weight in _slice_stats(Z, data.y):
+    for _, block, weight in _slice_stats(Z, labels, codes):
         mean = block.mean(axis=0)
         between += weight * np.outer(mean, mean)
     evals, evecs = descending_eigh(between)
-    return Fit(evecs[:, : k - 1], np.maximum(evals, 0.0), W)
+    return Fit(evecs[:, : len(labels) - 1], np.maximum(evals, 0.0), W)
 
 
 def sir_fit(data, r):
@@ -45,13 +42,12 @@ def sir_fit(data, r):
 
 
 def _save(data):
-    if data.classes().shape[0] < 2:
-        raise InvalidInputError("need at least 2 classes")
+    labels, codes = _class_codes(data.y)
     Z, W = whiten(data.X)
     p = data.p
     eye = np.eye(p)
     accum = np.zeros((p, p))
-    for label, block, weight in _slice_stats(Z, data.y):
+    for label, block, weight in _slice_stats(Z, labels, codes):
         if block.shape[0] < 2:
             raise DegenerateInputError(
                 f"class {label!r} has a single point; within-slice covariance "

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .core import LabeledDataset, estimate_dimension, potd_fit, project
+from .core import LabeledDataset, _potd, estimate_dimension, project
 from .errors import (
     DatasetError,
     DegenerateInputError,
@@ -36,9 +36,11 @@ from .harness import (
     run_real_benchmark,
     run_synthetic_benchmark,
     save_csv_dataset,
+    write_json_file,
     write_numeric_csv,
 )
 from .ot import (
+    SOLVER_MODES,
     DiscreteMeasure,
     SolverConfig,
     exact_ot,
@@ -46,7 +48,15 @@ from .ot import (
     squared_euclidean_cost,
     transport_cost,
 )
-from .synthetic import MODELS, SyntheticSpec, gen_cshape, gen_model, gen_svm3d, make_rng
+from .synthetic import (
+    MODELS,
+    STANDARDIZE_MODES,
+    SyntheticSpec,
+    gen_cshape,
+    gen_model,
+    gen_svm3d,
+    make_rng,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -154,9 +164,7 @@ def _write_meta(path, config, extra=None):
     }
     if extra:
         meta.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json_file(path, meta)
 
 
 def _solver_from_args(args):
@@ -171,27 +179,27 @@ def _solver_from_args(args):
 def _add_solver_flags(parser):
     parser.add_argument(
         "--solver",
-        choices=["auto", "exact", "sinkhorn"],
-        default="auto",
-        help="coupling solver; auto picks exact below the size limit (default: auto)",
+        choices=SOLVER_MODES,
+        default=SolverConfig.mode,
+        help="coupling solver; auto picks exact below the size limit (default: %(default)s)",
     )
     parser.add_argument(
         "--epsilon",
         type=float,
-        default=None,
+        default=SolverConfig.epsilon,
         help="entropic regularization; default is 0.05 x median cost",
     )
     parser.add_argument(
         "--max-iterations",
         type=int,
-        default=10_000,
-        help="scaling iteration budget (default: 10000)",
+        default=SolverConfig.max_iterations,
+        help="scaling iteration budget (default: %(default)s)",
     )
     parser.add_argument(
         "--marginal-tolerance",
         type=float,
-        default=1e-9,
-        help="L1 marginal tolerance for the regularized solver (default: 1e-9)",
+        default=SolverConfig.marginal_tolerance,
+        help="L1 marginal tolerance for the regularized solver (default: %(default)s)",
     )
 
 
@@ -253,14 +261,11 @@ def _cmd_fit(args):
     solver = _solver_from_args(args)
     if args.r is None and args.auto_dim is None:
         raise InvalidInputError("fit needs --r or --auto-dim")
+    fit = _potd(data, solver=solver, whiten_flag=args.whiten)
+    chosen_r = args.r
     if args.auto_dim is not None:
-        full_r = min(data.p, data.n * (data.classes().shape[0] - 1))
-        basis = potd_fit(data, full_r, solver=solver, whiten_flag=args.whiten)
-        chosen_r = estimate_dimension(basis.singular_values, args.auto_dim)
-        basis = basis.truncated(chosen_r)
-    else:
-        basis = potd_fit(data, args.r, solver=solver, whiten_flag=args.whiten)
-        chosen_r = args.r
+        chosen_r = estimate_dimension(fit.spectrum, args.auto_dim)
+    basis = fit.basis(chosen_r)
     write_numeric_csv(args.output, [f"v{j + 1}" for j in range(basis.dim)], basis.vectors)
     sv_path = f"{args.output}.singular_values.csv"
     write_numeric_csv(sv_path, ["singular_value"], basis.singular_values[:, None])
@@ -549,9 +554,9 @@ def build_parser():
     )
     p_gen.add_argument(
         "--standardize",
-        choices=["per-class", "pooled", "none"],
+        choices=STANDARDIZE_MODES,
         default="per-class",
-        help="cshape standardization (default: per-class)",
+        help="cshape standardization (default: %(default)s)",
     )
     p_gen.add_argument("--dump", required=True, help="CSV output path")
     _add_common_flags(p_gen)

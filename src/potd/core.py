@@ -305,6 +305,23 @@ def _fit(data, labelings, solver, whiten_flag):
     return Fit(vecs, svals, W)
 
 
+def _class_codes(y):
+    """The sorted distinct labels of ``y`` and each row's index into them.
+
+    Labels are plain Python values, so that a message shows 'c' and not
+    np.str_('c'). Fewer than 2 classes raise :class:`InvalidInputError`.
+    """
+    labels, codes = np.unique(y, return_inverse=True)
+    if labels.shape[0] < 2:
+        raise InvalidInputError("need at least 2 classes")
+    return labels.tolist(), codes
+
+
+def _potd(data, solver=None, whiten_flag=True):
+    """The :class:`Fit` behind :func:`potd_fit`, before ``r`` is chosen."""
+    return _fit(data, [_class_codes(data.y)[1]], solver, whiten_flag)
+
+
 def potd_fit(data, r, solver=None, whiten_flag=True):
     """Fit the transport-displacement subspace of a categorical dataset.
 
@@ -314,10 +331,7 @@ def potd_fit(data, r, solver=None, whiten_flag=True):
     :class:`DegenerateInputError` when the displacement spectrum is all
     zero, e.g. for classes with identical point clouds.
     """
-    labels, codes = np.unique(data.y, return_inverse=True)
-    if labels.shape[0] < 2:
-        raise InvalidInputError("need at least 2 classes")
-    return _fit(data, [codes], solver, whiten_flag).basis(r)
+    return _potd(data, solver, whiten_flag).basis(r)
 
 
 def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):

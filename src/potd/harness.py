@@ -107,9 +107,7 @@ class BenchmarkReport:
         payload = self.to_dict()
         if meta:
             payload["meta"] = meta
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json_file(path, payload)
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -265,6 +263,13 @@ def write_numeric_csv(path, header, rows, labels=None):
         for i, row in enumerate(rows):
             cells = [repr(float(v)) for v in row]
             writer.writerow(cells if labels is None else cells + [labels[i]])
+
+
+def write_json_file(path, payload):
+    """Write ``payload`` as JSON indented by 2, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def save_csv_dataset(dataset, path):

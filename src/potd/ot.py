@@ -28,6 +28,7 @@ from .errors import ConvergenceError, InvalidInputError, NumericError
 _HIGHS_NAMES = ("HighsBasis", "HighsBasisStatus", "HighsModelStatus", "HighsStatus", "_Highs")
 _EXACT_SOLVER_NAMES = ("linear_sum_assignment", *_HIGHS_NAMES)
 
+SOLVER_MODES = ("auto", "exact", "sinkhorn")
 WEIGHT_SUM_TOL = 1e-12
 EXACT_MARGINAL_TOL = 1e-10
 # dual-certificate tolerance of exact couplings, relative to the largest cost
@@ -232,7 +233,7 @@ class SolverConfig:
     exact_size_limit: int = 250_000
 
     def __post_init__(self):
-        if self.mode not in ("auto", "exact", "sinkhorn"):
+        if self.mode not in SOLVER_MODES:
             raise InvalidInputError(
                 f"mode must be 'auto', 'exact' or 'sinkhorn', got {self.mode!r}"
             )
@@ -720,6 +721,13 @@ def exact_ot(mu, nu, cost):
     return CouplingMatrix(plan, a, b, marginal_error=err, **certificate)
 
 
+def _reduced_cost(cost, u, v, out):
+    """Reduced costs ``cost_ij - u_i - v_j`` of the duals ``u, v``, written into ``out``."""
+    np.subtract(cost, u[:, None], out=out)
+    out -= v
+    return out
+
+
 def _certificate(plan, a, b, cost, u, v):
     """The dual certificate of ``plan`` over the full cost matrix.
 
@@ -728,8 +736,7 @@ def _certificate(plan, a, b, cost, u, v):
     cost is below, or the duality gap off zero by, more than
     ``CERTIFICATE_RTOL`` times the largest cost.
     """
-    work = np.subtract(cost, u[:, None], out=_buffer("scratch", *cost.shape))
-    work -= v
+    work = _reduced_cost(cost, u, v, _buffer("scratch", *cost.shape))
     min_reduced = float(work.min())
     gap = float(np.multiply(plan, cost, out=work).sum() - a @ u - b @ v)
     tol = CERTIFICATE_RTOL * float(cost.max())
@@ -789,9 +796,7 @@ def _crash_reduced_cost(unit, a, b):
     )[:2]
     u = np.where(np.isfinite(u), eps * u, 0.0)
     v = np.where(np.isfinite(v), eps * v, 0.0)
-    np.subtract(unit, u[:, None], out=reduced)
-    reduced -= v
-    return reduced, u, v
+    return _reduced_cost(unit, u, v, reduced), u, v
 
 
 def _shortlist_mask(reduced, a, b):
@@ -938,8 +943,7 @@ def _transportation_lp(a, b, cost):
         duals = np.asarray(solution.row_dual)
         u = duals[:n] + u_shift
         v = np.append(duals[n:], 0.0) + v_shift
-        np.subtract(unit, u[:, None], out=work)
-        work -= v
+        _reduced_cost(unit, u, v, work)
         np.less(work, -LP_TOL, out=entering)
         # on booleans, entering > mask is entering and not mask
         np.greater(entering, mask, out=entering)

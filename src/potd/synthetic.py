@@ -23,6 +23,8 @@ MODELS = {
     "IV": (4, lambda X: np.sin(X[:, 0]) / (X[:, 1] * X[:, 2] * X[:, 3])),
 }
 
+STANDARDIZE_MODES = ("per-class", "pooled", "none")
+
 
 def seed_sequence(seed, *key):
     """``SeedSequence([seed, *key])``; a negative seed raises :class:`InvalidInputError`."""
@@ -134,7 +136,7 @@ def gen_cshape(n_per_class=300, seed=0, standardize="per-class"):
     """
     if n_per_class < 10:
         raise InvalidInputError("n_per_class must be >= 10")
-    if standardize not in ("per-class", "pooled", "none"):
+    if standardize not in STANDARDIZE_MODES:
         raise InvalidInputError(
             "standardize must be 'per-class', 'pooled' or 'none'"
         )

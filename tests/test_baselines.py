@@ -52,7 +52,7 @@ class TestSir:
 
     def test_rejects_single_class(self):
         data = LabeledDataset(np.eye(3), np.array([1, 1, 1]))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^need at least 2 classes$"):
             sir_fit(data, 1)
 
 
@@ -70,10 +70,23 @@ class TestSave:
         basis = save_fit(data, 1)
         assert basis.singular_values[0] < 1e-6
 
+    def test_rejects_single_class(self):
+        data = LabeledDataset(np.eye(3), np.array(["a", "a", "a"]))
+        with pytest.raises(InvalidInputError, match="^need at least 2 classes$"):
+            save_fit(data, 1)
+
     def test_singleton_class_rejected(self, rng):
         X = np.vstack([rng.normal(size=(10, 3)), [[0.0, 0.0, 0.0]]])
         y = np.array([1] * 10 + [2])
-        with pytest.raises(DegenerateInputError):
+        message = "^class 2 has a single point; within-slice covariance is undefined$"
+        with pytest.raises(DegenerateInputError, match=message):
+            save_fit(LabeledDataset(X, y), 1)
+
+    def test_singleton_string_class_shows_the_plain_label(self, rng):
+        X = np.vstack([rng.normal(size=(10, 3)), [[0.0, 0.0, 0.0]]])
+        y = np.array(["a"] * 10 + ["c"])
+        message = "^class 'c' has a single point; within-slice covariance is undefined$"
+        with pytest.raises(DegenerateInputError, match=message):
             save_fit(LabeledDataset(X, y), 1)
 
 

@@ -47,6 +47,69 @@ def cshape_csv(tmp_path):
     return str(path)
 
 
+FIT_HELP = """\
+usage: potd fit [-h] --data DATA [--label-column LABEL_COLUMN]
+                [--delimiter DELIMITER] (--r R | --auto-dim THRESHOLD)
+                [--whiten | --no-whiten] [--solver {auto,exact,sinkhorn}]
+                [--epsilon EPSILON] [--max-iterations MAX_ITERATIONS]
+                [--marginal-tolerance MARGINAL_TOLERANCE] --output OUTPUT
+                [--seed SEED] [--config CONFIG]
+                [--log-level {debug,info,warning,error}]
+
+options:
+  -h, --help            show this help message and exit
+  --data DATA           input CSV path
+  --label-column LABEL_COLUMN
+                        label column name or 0-based index (default: label)
+  --delimiter DELIMITER
+                        CSV field delimiter (default: ,)
+  --r R                 number of directions to keep
+  --auto-dim THRESHOLD  choose r by cumulative singular-value ratio (e.g. 0.9)
+  --whiten, --no-whiten
+                        whiten predictors before fitting (default: on)
+  --solver {auto,exact,sinkhorn}
+                        coupling solver; auto picks exact below the size limit
+                        (default: auto)
+  --epsilon EPSILON     entropic regularization; default is 0.05 x median cost
+  --max-iterations MAX_ITERATIONS
+                        scaling iteration budget (default: 10000)
+  --marginal-tolerance MARGINAL_TOLERANCE
+                        L1 marginal tolerance for the regularized solver
+                        (default: 1e-09)
+  --output OUTPUT       basis CSV output path
+  --seed SEED           RNG seed (default: 42)
+  --config CONFIG       JSON file whose keys override the given flags
+  --log-level {debug,info,warning,error}
+                        logging verbosity (default: warning)
+"""
+
+GEN_HELP = """\
+usage: potd gen [-h] --model {I,II,III,IV,cshape,svm3d} [--n N] [--p P]
+                [--n-per-class N_PER_CLASS] [--noise-scale NOISE_SCALE]
+                [--standardize {per-class,pooled,none}] --dump DUMP
+                [--seed SEED] [--config CONFIG]
+                [--log-level {debug,info,warning,error}]
+
+options:
+  -h, --help            show this help message and exit
+  --model {I,II,III,IV,cshape,svm3d}
+                        generator to draw from
+  --n N                 sample size (default: 400)
+  --p P                 ambient dimension (default: 10)
+  --n-per-class N_PER_CLASS
+                        per-class size for cshape/svm3d (default: 300)
+  --noise-scale NOISE_SCALE
+                        label-noise scale for the sign models (default: 0.2)
+  --standardize {per-class,pooled,none}
+                        cshape standardization (default: per-class)
+  --dump DUMP           CSV output path
+  --seed SEED           RNG seed (default: 42)
+  --config CONFIG       JSON file whose keys override the given flags
+  --log-level {debug,info,warning,error}
+                        logging verbosity (default: warning)
+"""
+
+
 class TestHelpAndUsage:
     @pytest.mark.parametrize(
         "cmd",
@@ -62,6 +125,47 @@ class TestHelpAndUsage:
 
     def test_unknown_command_usage_error(self):
         assert run_cli("frobnicate") == 2
+
+    @pytest.mark.parametrize(
+        "cmd, text", [("fit", FIT_HELP), ("gen", GEN_HELP)], ids=["fit", "gen"]
+    )
+    def test_help_states_every_default_and_choice(self, cmd, text, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(cmd, "--help") == 0
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "fit --data d.csv --r 1 --output b.csv --solver x",
+                "argument --solver: invalid choice: 'x' (choose from 'auto', 'exact', 'sinkhorn')",
+            ),
+            (
+                "gen --model cshape --dump d.csv --standardize x",
+                "argument --standardize: invalid choice: 'x' "
+                "(choose from 'per-class', 'pooled', 'none')",
+            ),
+        ],
+        ids=["solver", "standardize"],
+    )
+    def test_choice_outside_the_list_exit_2(self, argv, message, capsys):
+        argv = argv.split()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"potd {argv[0]}: error: {message}"
+
+    def test_config_solver_outside_the_modes_exit_2(self, model_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver": "x"}))
+        out = tmp_path / "basis.csv"
+        assert run_cli(
+            "fit", "--data", model_csv, "--r", "1", "--output", str(out), "--config", str(cfg)
+        ) == 2
+        assert capsys.readouterr().err == (
+            "potd: error: invalid-input: config key 'solver' has invalid choice 'x'; "
+            "choose from auto, exact, sinkhorn\n"
+        )
+        assert not out.exists()
 
     NEGATIVE_SEED = "seed must be a nonnegative integer"
 
@@ -148,6 +252,26 @@ class TestFit:
             ) == 0
         meta = json.loads((tmp_path / "basis.csv.meta.json").read_text())
         assert meta["chosen_r"] == 2
+
+    @pytest.mark.parametrize("whiten", ["--whiten", "--no-whiten"])
+    def test_auto_dim_writes_what_the_chosen_r_writes(self, whiten, tmp_path):
+        data = tmp_path / "I.csv"
+        assert run_cli(
+            "gen", "--model", "I", "--n", "400", "--p", "10", "--seed", "1",
+            "--dump", str(data),
+        ) == 0
+        auto, fixed = tmp_path / "auto.csv", tmp_path / "fixed.csv"
+        assert run_cli(
+            "fit", "--data", str(data), "--auto-dim", "0.9", whiten, "--output", str(auto)
+        ) == 0
+        chosen_r = json.loads((tmp_path / "auto.csv.meta.json").read_text())["chosen_r"]
+        assert run_cli(
+            "fit", "--data", str(data), "--r", str(chosen_r), whiten, "--output", str(fixed)
+        ) == 0
+        for suffix in ("", ".singular_values.csv"):
+            assert (tmp_path / f"auto.csv{suffix}").read_bytes() == (
+                tmp_path / f"fixed.csv{suffix}"
+            ).read_bytes()
 
     def test_r_above_the_stack_rows_is_clamped(self, tmp_path):
         path = tmp_path / "two.csv"

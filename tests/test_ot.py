@@ -500,6 +500,27 @@ class TestExactOT:
         with pytest.raises(NumericError, match="transportation LP failed"):
             exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
 
+    def test_plan_off_its_marginals_raises(self, monkeypatch, rng):
+        mu, nu = random_instance(rng, 6, 5)
+        # a plan carrying half the mass: each marginal misses by 0.5 in L1
+        plan = 0.5 * np.outer(mu.weights, nu.weights)
+        monkeypatch.setattr(
+            ot, "_transportation_lp", lambda a, b, c: (plan, np.zeros(6), np.zeros(5))
+        )
+        message = "^exact solver returned marginal error 5.000e-01 above 1e-10$"
+        with pytest.raises(NumericError, match=message):
+            exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
+
+    def test_rejected_star_basis_raises(self, monkeypatch, rng):
+        class RejectingHighs(ot._Highs):
+            def setBasis(self, basis):
+                return ot.HighsStatus.kError
+
+        monkeypatch.setattr(ot, "_Highs", RejectingHighs)
+        mu, nu = random_instance(rng, 6, 5)
+        with pytest.raises(NumericError, match="^transportation LP rejected its star basis$"):
+            exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
+
     def test_lp_solve_is_silent(self, capfd, rng):
         mu, nu = random_instance(rng, 19, 21)
         exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
@@ -921,7 +942,8 @@ class TestTransportCost:
 
 class TestSolverConfig:
     def test_rejects_bad_mode(self):
-        with pytest.raises(InvalidInputError):
+        message = "^mode must be 'auto', 'exact' or 'sinkhorn', got 'magic'$"
+        with pytest.raises(InvalidInputError, match=message):
             SolverConfig(mode="magic")
 
     def test_rejects_nonpositive_epsilon(self):

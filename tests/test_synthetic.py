@@ -174,7 +174,8 @@ class TestGenCshape:
             gen_cshape(5, seed=0)
 
     def test_bad_standardize_rejected(self):
-        with pytest.raises(InvalidInputError):
+        message = "^standardize must be 'per-class', 'pooled' or 'none'$"
+        with pytest.raises(InvalidInputError, match=message):
             gen_cshape(50, seed=0, standardize="sideways")
 
 

@@ -13,6 +13,12 @@ numbers, and with ``--workers`` each worker process prints its own. Two
 checkouts give the same outputs when ``diff`` finds no difference between
 their digest files.
 
+The calls run in other directories than this one, so each ``PYTHONPATH``
+entry is made absolute first (an empty one names the current directory, as
+it does for Python). Before the first call, ``import potd`` is tried once in
+a call directory; if it fails, the script exits with status 1 and prints no
+digest, since every call would fail and the digests would hash empty outputs.
+
 The calls generate their own data, except ``bench-real``, which reads the
 bundled ``tests/data/blobs_n400_p10.csv`` of the checkout holding this
 script. Its splits score a 200 by 200 KNN, so ``bench-real-1600`` also runs
@@ -88,12 +94,28 @@ def _body(path):
     return (json.dumps(payload, indent=2) + "\n").encode()
 
 
+def absolute_pythonpath(value):
+    """``value`` with each entry made absolute against the current directory."""
+    return os.pathsep.join(os.path.abspath(entry) for entry in value.split(os.pathsep))
+
+
 def main():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env.pop("POTD_MAX_THREADS", None)
+    if "PYTHONPATH" in env:
+        env["PYTHONPATH"] = absolute_pythonpath(env["PYTHONPATH"])
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         shutil.copyfile(BLOBS_CSV, root / "blobs.csv")
+        probe = subprocess.run(
+            [sys.executable, "-c", "import potd"],
+            cwd=root, env=env, capture_output=True, check=False,
+        )
+        if probe.returncode != 0:
+            sys.exit(
+                f"cli_digest: cannot import potd with PYTHONPATH="
+                f"{env.get('PYTHONPATH', '')!r}:\n{probe.stderr.decode(errors='replace')}"
+            )
         for name, argv in CALLS:
             cwd = root / name
             cwd.mkdir()
