@@ -69,6 +69,7 @@ _USAGE_ERRORS = (
     DegenerateInputError,
     DatasetError,
     FileNotFoundError,
+    json.JSONDecodeError,
 )
 
 
@@ -108,12 +109,15 @@ def _config_value(action, key, value):
     """A ``--config`` value converted and checked as the flag's text would be.
 
     Lists are joined with commas, as the list flags are written; on/off
-    flags take JSON booleans, and flags without a default take null.
+    flags take JSON booleans, and flags without a default take null unless
+    they are required.
     """
     if action.nargs == 0:
         if not isinstance(value, bool):
             raise InvalidInputError(f"config key {key!r} must be true or false")
         return value
+    if value is None and action.required:
+        raise InvalidInputError(f"config key {key!r} cannot be null")
     if value is None and action.default is None:
         return None
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
@@ -259,8 +263,8 @@ def _add_bench_flags(parser):
 def _cmd_fit(args):
     data = load_csv_dataset(args.data, args.label_column, args.delimiter)
     solver = _solver_from_args(args)
-    if args.r is None and args.auto_dim is None:
-        raise InvalidInputError("fit needs --r or --auto-dim")
+    if (args.r is None) == (args.auto_dim is None):
+        raise InvalidInputError("fit needs exactly one of --r or --auto-dim")
     fit = _potd(data, solver=solver, whiten_flag=args.whiten)
     chosen_r = args.r
     if args.auto_dim is not None:
@@ -354,6 +358,8 @@ def _cmd_bench_synthetic(args):
 
 
 def _cmd_bench_real(args):
+    if args.setting is None:
+        args.setting = os.path.splitext(os.path.basename(args.data))[0]
     data = load_csv_dataset(args.data, args.label_column, args.delimiter)
     solver = _solver_from_args(args)
     split = SplitConfig(
@@ -658,12 +664,7 @@ def main(argv=None):
     try:
         _apply_config_file(parser, args)
         logging.basicConfig(level=getattr(logging, args.log_level.upper()))
-        if getattr(args, "setting", "unset") is None:
-            args.setting = os.path.splitext(os.path.basename(args.data))[0]
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        _print_error(exc)
-        return EXIT_USAGE
     except _USAGE_ERRORS as exc:
         _print_error(exc)
         return EXIT_USAGE

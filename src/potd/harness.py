@@ -137,8 +137,8 @@ def _check_known(kind, names, valid):
             )
 
 
-def _report_row(results, key, method, setting, r, metric_kind):
-    """Aggregate one cell over the per-replication ``results[rep][key]``.
+def _report_row(results, method, setting, r, metric_kind):
+    """Aggregate one cell over the per-replication ``results[rep][(method, r)]``.
 
     Each entry is ``(status, payload, effective_r)``; failed replications
     are kept by index and left out of the mean and sd.
@@ -146,7 +146,7 @@ def _report_row(results, key, method, setting, r, metric_kind):
     values, failures = [], {}
     effective_r = r
     for rep, res in enumerate(results):
-        status, payload, r_eff = res[key]
+        status, payload, r_eff = res[(method, r)]
         if status == "ok":
             values.append(payload)
             effective_r = r_eff
@@ -433,6 +433,32 @@ def evaluate_split(dataset, train_idx, test_idx, method, r, K=10, solver=None):
     return basis, acc, basis.dim
 
 
+def _replicate(train, methods, dims, solver, score):
+    """One training set's ``{(method, r): (status, score or message, effective_r)}``.
+
+    A baseline is fitted once (again for each ``r`` while its fit raises)
+    and POTD per ``r``. ``score(basis)`` runs once per method and basis
+    dimension, since ``basis(r)`` depends only on ``min(r, directions)``.
+    """
+    out = {}
+    for method in methods:
+        fit, scores = None, {}
+        for r in dims:
+            try:
+                if method == "POTD":
+                    basis = potd_fit(train, r, solver=solver)
+                else:
+                    if fit is None:
+                        fit = _baseline_fit(method, train)
+                    basis = fit.basis(r)
+                if basis.dim not in scores:
+                    scores[basis.dim] = score(basis)
+                out[(method, r)] = ("ok", scores[basis.dim], basis.dim)
+            except (PotdError, np.linalg.LinAlgError) as exc:
+                out[(method, r)] = ("error", f"{type(exc).__name__}: {exc}", r)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # synthetic benchmark
 
@@ -443,15 +469,8 @@ def _replication_seed(seed, *key):
 def _synthetic_rep(model, p, n, methods, solver, noise_scale, rep_seed):
     spec = SyntheticSpec(model=model, n=n, p=p, seed=rep_seed, noise_scale=noise_scale)
     data, truth = gen_model(spec)
-    r0 = truth.dim
-    out = {}
-    for method in methods:
-        try:
-            basis = fit_method(method, data, r0, solver=solver)
-            out[method] = ("ok", subspace_distance(basis, truth), basis.dim)
-        except (PotdError, np.linalg.LinAlgError) as exc:
-            out[method] = ("error", f"{type(exc).__name__}: {exc}", r0)
-    return out
+    score = partial(subspace_distance, truth=truth)
+    return _replicate(data, methods, [truth.dim], solver, score)
 
 
 def _run_tasks(func, seeds, workers):
@@ -526,7 +545,7 @@ def run_synthetic_benchmark(
             results = _run_tasks(task, seeds, workers)
             r0 = MODELS[model][0]
             rows += [
-                _report_row(results, m, m, f"{model}-{p}", r0, "subspace_distance")
+                _report_row(results, m, f"{model}-{p}", r0, "subspace_distance")
                 for m in methods
             ]
     return BenchmarkReport(kind="synthetic-benchmark", rows=rows, config=config)
@@ -542,48 +561,23 @@ def _split(split, y, rng):
     return splitter(y, split.test_fraction, rng)
 
 
-def _same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def _real_rep(dataset, methods, dims, split, K, solver, rep_seed):
     """One split's ``{(method, r): (status, accuracy or message, effective_r)}``.
 
-    Gives what :func:`evaluate_split` gives per (method, r), with less work:
-    a baseline is fitted once, at the first ``r`` below p, and each ``r``
-    takes ``basis(r)`` of that fit (a failed fit fails each of them). POTD
-    is fitted per ``r``. A basis with the same bits as the method's
-    previously scored one (SIR past its ``k - 1`` directions) reuses its
-    accuracy.
+    Gives what :func:`evaluate_split` gives per (method, r), through
+    :func:`_replicate`; an ``r`` of p or more fails the protocol's ``r < p``
+    rule without a fit.
     """
     rng = np.random.default_rng(np.random.SeedSequence(rep_seed))
     train_idx, test_idx = _split(split, dataset.y, rng)
     train = LabeledDataset(dataset.X[train_idx], dataset.y[train_idx])
     test_X, test_y = dataset.X[test_idx], dataset.y[test_idx]
-    out = {}
-    for method in methods:
-        fit = scored = None
-        for r in dims:
-            try:
-                if r >= dataset.p:
-                    raise InvalidInputError(f"r={r} must be smaller than p={dataset.p}")
-                if method == "POTD":
-                    basis = potd_fit(train, r, solver=solver)
-                else:
-                    if fit is None:
-                        try:
-                            fit = _baseline_fit(method, train)
-                        except (PotdError, np.linalg.LinAlgError) as exc:
-                            fit = exc
-                    if isinstance(fit, Exception):
-                        raise fit
-                    basis = fit.basis(r)
-                vectors = basis.vectors
-                if scored is None or not _same_bits(scored[0], vectors):
-                    scored = (vectors, _score(train, test_X, test_y, basis, K))
-                out[(method, r)] = ("ok", scored[1], basis.dim)
-            except (PotdError, np.linalg.LinAlgError) as exc:
-                out[(method, r)] = ("error", f"{type(exc).__name__}: {exc}", r)
+    score = partial(_score, train, test_X, test_y, K=K)
+    out = _replicate(train, methods, [r for r in dims if r < dataset.p], solver, score)
+    for r in dims:
+        if r >= dataset.p:
+            message = f"InvalidInputError: r={r} must be smaller than p={dataset.p}"
+            out.update(((method, r), ("error", message, r)) for method in methods)
     return out
 
 
@@ -637,7 +631,7 @@ def run_real_benchmark(
         partial(_real_rep, dataset, methods, dims, split, K, solver), seeds, workers
     )
     rows = [
-        _report_row(results, (method, r), method, setting, r, "accuracy")
+        _report_row(results, method, setting, r, "accuracy")
         for method in methods
         for r in dims
     ]

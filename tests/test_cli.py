@@ -366,6 +366,19 @@ class TestFit:
         assert line.startswith("potd: error: invalid-input: ")
         assert match in line
 
+    def test_config_setting_both_r_and_auto_dim_exit_2(self, model_csv, tmp_path, capsys):
+        # the flags are mutually exclusive, and so is a config that fills both
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"auto_dim": 0.9}))
+        out = tmp_path / "b.csv"
+        assert run_cli(
+            "fit", "--data", model_csv, "--r", "2", "--output", str(out),
+            "--config", str(cfg),
+        ) == 2
+        assert capsys.readouterr().err == (
+            "potd: error: invalid-input: fit needs exactly one of --r or --auto-dim\n"
+        )
+        assert not out.exists()
 
     def test_sidecar_config_fed_back(self, model_csv, tmp_path):
         out = tmp_path / "basis.csv"
@@ -396,6 +409,53 @@ class TestFit:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("potd: error: invalid-input: ")
         assert "'command'" in line and "'embed'" in line
+        assert not out.exists()
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            ("fit --data {data} --r 2 --output {out}", "output"),
+            ("fit --data {data} --r 2 --output {out}", "data"),
+            ("embed --data {data} --method PCA --r 2 --output {out}", "r"),
+            ("gen --model I --dump {out}", "model"),
+        ],
+        ids=["fit-output", "fit-data", "embed-r", "gen-model"],
+    )
+    def test_null_for_a_required_flag_exit_2(self, argv, key, model_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        out = tmp_path / "out.csv"
+        argv = argv.format(data=model_csv, out=out).split() + ["--config", str(cfg)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"potd: error: invalid-input: config key {key!r} cannot be null\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "{",
+                "j-s-o-n-decode: Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1)",
+            ),
+            ("[1]", "invalid-input: config file must contain a JSON object"),
+            ('{"whiten": "yes"}', "invalid-input: config key 'whiten' must be true or false"),
+        ],
+        ids=["malformed", "not-an-object", "not-a-boolean"],
+    )
+    def test_bad_config_file_exit_2(self, text, message, model_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "b.csv"
+        assert run_cli(
+            "fit", "--data", model_csv, "--r", "2", "--output", str(out),
+            "--config", str(cfg),
+        ) == 2
+        assert capsys.readouterr().err == f"potd: error: {message}\n"
         assert not out.exists()
 
 
@@ -582,6 +642,7 @@ class TestBenchReal:
         assert payload["config"]["K"] == 10
         assert payload["meta"]["cli_config"]["k"] == 10
         assert payload["config"]["setting"] == "model1"
+        assert payload["meta"]["cli_config"]["setting"] == "model1"
 
     def test_default_dims(self):
         from potd.cli import build_parser
@@ -700,6 +761,39 @@ class TestOracleCheck:
 
     def test_size_cap_exit_2(self):
         assert run_cli("oracle-check", "--size", "20") == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--size", "1"], "size must be >= 2"),
+            (["--epsilon-grid", "0"], "epsilon grid must contain positive factors"),
+        ],
+        ids=["size-below-two", "epsilon-grid-zero"],
+    )
+    def test_bad_size_or_grid_exit_2(self, argv, message, capsys):
+        assert run_cli("oracle-check", *argv) == 2
+        assert capsys.readouterr().err == f"potd: error: invalid-input: {message}\n"
+
+    def test_skewed_exact_cost_reports_violations(self, monkeypatch, capsys):
+        # a stand-in that adds 1 to every exact cost: the enumeration gap is
+        # 1 at each size, and the entropic cost at the smaller epsilon falls
+        # below the skewed exact one
+        transport_cost = cli.transport_cost
+        monkeypatch.setattr(
+            cli,
+            "transport_cost",
+            lambda coupling, cost: transport_cost(coupling, cost)
+            + (1.0 if coupling.dual_row is None else 0.0),
+        )
+        assert run_cli("oracle-check", "--size", "3", "--epsilon-grid", "0.5,0.1") == 1
+        out, err = capsys.readouterr()
+        assert "oracle check passed" not in out
+        assert out.count("<-- VIOLATION") == 3
+        assert err.splitlines() == [
+            "oracle violation: permutation oracle n=2 seed=42 gap=1.000e+00",
+            "oracle violation: permutation oracle n=3 seed=42 gap=1.000e+00",
+            "oracle violation: dominance violated at eps factor 0.1 seed=42",
+        ]
 
     def test_stdout_ignores_rounding_noise(self, monkeypatch, capsys):
         # gaps print relative to the largest cost and marginal errors in

@@ -336,7 +336,7 @@ def reference_rows(dataset, methods, dims, split, K):
                     out[(method, r)] = ("error", f"{type(exc).__name__}: {exc}", r)
         results.append(out)
     return [
-        harness._report_row(results, (method, r), method, "dataset", r, "accuracy")
+        harness._report_row(results, method, "dataset", r, "accuracy")
         for method in methods
         for r in dims
     ]
@@ -435,6 +435,29 @@ class TestSyntheticBenchmark:
         serial = run_synthetic_benchmark(workers=1, **kwargs)
         parallel = run_synthetic_benchmark(workers=2, **kwargs)
         assert serial.to_dict() == parallel.to_dict()
+
+    def test_one_fit_per_method_and_replication(self, monkeypatch):
+        # the synthetic benchmark fits through the same step as bench-real
+        calls = Counter()
+
+        def counting(attr):
+            fn = getattr(harness, attr)
+
+            def wrapped(*args, **kwargs):
+                calls[attr] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(harness, attr, wrapped)
+
+        for attr in ("_sir", "_save", "_pca", "potd_fit", "subspace_distance"):
+            counting(attr)
+        report = run_synthetic_benchmark(
+            ["I"], [5], METHODS, n=60, replications=2, seed=4, solver=EXACT
+        )
+        assert calls == {
+            "_sir": 2, "_save": 2, "_pca": 2, "potd_fit": 2, "subspace_distance": 8
+        }
+        assert [len(row.values) for row in report.rows] == [2, 2, 2, 2]
 
 
 class TestRealBenchmark:
