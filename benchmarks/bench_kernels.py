@@ -37,13 +37,15 @@ split of the bundled blobs data), projected to r=2 and r=8 with two
 labels, on a tie-heavy integer grid in the plane with three labels, and
 on 1,600 against 1,600 points at r=2 with two labels (the shape of the
 ``large-auto`` benchmark's KNN step), each with its traced peak bytes.
-``bench_real_round`` times one in-process ``cli.main(["bench-real", ...])``
-round on the bundled blobs CSV (4 stratified replications, dims 2,4,6,8,
-K=10, one worker, stdout captured), reporting the median wall time of
-``REAL_ROUNDS`` rounds after a warm-up round, and the calls that one round
-makes to ``knn_predict`` and to each fit function the harness looks up
-(the public ``*_fit`` names and, where the measured checkout has them, the
-private per-split baseline fits ``_sir``, ``_save`` and ``_pca``).
+``bench_real_round`` times one ``cli.main(["bench-real", ...])`` round on
+the bundled blobs CSV (4 stratified replications, dims 2,4,6,8, K=10, one
+worker, stdout captured) in a fresh interpreter, as a standalone
+``potd bench-real`` runs it, reporting the median wall time and the median
+minor page faults (``ru_minflt``) of ``REAL_ROUNDS`` rounds after a warm-up
+round, and the calls that one round makes to ``knn_predict`` and to each
+fit function the harness looks up (the public ``*_fit`` names and, where
+the measured checkout has them, the private per-split baseline fits
+``_sir``, ``_save`` and ``_pca``).
 ``cold_start`` runs commands in fresh interpreters with the measured
 ``src`` on ``PYTHONPATH``: ``import potd``, ``potd gen`` of model I at
 n=1600, p=10, a Sinkhorn ``potd fit`` of that CSV, a default ``potd fit``
@@ -86,7 +88,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-from scipy.optimize import linear_sum_assignment  # noqa: E402
 
 import potd  # noqa: E402
 from potd import cli, harness, ot  # noqa: E402
@@ -231,7 +232,7 @@ def blob_classes(n, draw):
 def bare_assignment_plan(cost):
     n = cost.shape[0]
     plan = np.zeros((n, n))
-    plan[linear_sum_assignment(cost)] = 1.0 / n
+    plan[ot.linear_sum_assignment(cost)] = 1.0 / n
     return plan
 
 
@@ -248,7 +249,7 @@ def bench_assignment():
             equal += bool(np.array_equal(exact_ot(mu, nu, cost).plan,
                                          bare_assignment_plan(cost)))
             ms.append(best_of(exact_ot, mu, nu, cost) * 1e3)
-            bare_ms.append(best_of(linear_sum_assignment, cost) * 1e3)
+            bare_ms.append(best_of(ot.linear_sum_assignment, cost) * 1e3)
         print(f"{f'{n}x{n}':>9} {np.median(ms):>8.3f} {np.median(bare_ms):>8.3f} "
               f"{equal:>3}/{ASSIGNMENT_DRAWS}")
         rows.append({"bench": "exact_ot_assignment", "n": n, "p": 10,
@@ -327,6 +328,9 @@ def bench_table_lp():
             crash.append(crash_sweeps)
             runs.append(solve_runs)
             iterations.append(solve_iterations)
+            # a solve with the library's own model class, so that the timed
+            # ones repeat it
+            exact_ot(mu, nu, cost)
             before = minflt()
             ms.append(best_of(exact_ot, mu, nu, cost, repeats=3) * 1e3)
             faults.append((minflt() - before) / 3)
@@ -525,17 +529,21 @@ def bench_real_round():
                 raise SystemExit(f"bench-real exited with {code}")
 
         calls = counted_calls(one_round, REAL_CALLS)
-        ms = []
+        ms, faults = [], []
         for _ in range(REAL_ROUNDS):
+            before = minflt()
             t0 = time.perf_counter()
             one_round()
             ms.append((time.perf_counter() - t0) * 1e3)
+            faults.append(minflt() - before)
     knn = calls.pop("knn_predict")
-    print(f"{'ms':>8} {'knn':>5} {'fits':>5}")
-    print(f"{np.median(ms):>8.2f} {knn:>5} {sum(calls.values()):>5}  {calls}")
+    print(f"{'ms':>8} {'minflt':>7} {'knn':>5} {'fits':>5}")
+    print(f"{np.median(ms):>8.2f} {np.median(faults):>7.1f} {knn:>5} "
+          f"{sum(calls.values()):>5}  {calls}")
     return [{"bench": "bench_real_round", "replications": 4, "dims": [2, 4, 6, 8],
              "K": 10, "rounds": REAL_ROUNDS, "median_ms": float(np.median(ms)),
-             "knn_predict_calls": knn, "fit_calls": calls, "ms": ms}]
+             "median_minflt": float(np.median(faults)), "knn_predict_calls": knn,
+             "fit_calls": calls, "ms": ms, "minflt": faults}]
 
 
 def cold_commands(tmp):
@@ -645,7 +653,8 @@ def main():
     rng = np.random.default_rng(np.random.SeedSequence([123]))
     rows = (bench_pairwise(rng) + bench_sinkhorn(rng) + bench_exact_lp(rng)
             + bench_assignment() + in_fresh_interpreter(bench_table_lp) + bench_large_coupling() + bench_solve_buffers()
-            + bench_fit_loop() + bench_knn(rng) + bench_real_round() + bench_cold_start())
+            + bench_fit_loop() + bench_knn(rng) + in_fresh_interpreter(bench_real_round)
+            + bench_cold_start())
     record = {"provenance": provenance(), "rows": rows}
     runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
     runs.append(record)

@@ -74,9 +74,13 @@ _USAGE_ERRORS = (
 
 
 def _error_kind(exc):
-    name = type(exc).__name__
-    name = name.removesuffix("Error")
-    return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
+    """The exception's class name without ``Error``, hyphenated and lower-case.
+
+    Words split where a lower-case letter or digit meets a capital and at
+    the end of an acronym, so ``JSONDecodeError`` gives ``json-decode``.
+    """
+    name = type(exc).__name__.removesuffix("Error")
+    return re.sub(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])", "-", name).lower()
 
 
 def _print_error(exc):

@@ -25,7 +25,7 @@ from .errors import (
     InvalidInputError,
     PotdError,
 )
-from .ot import _load_exact_solvers, _row_blocks, pairwise_sqdist
+from .ot import _buffer, _load_exact_solvers, _row_blocks, pairwise_sqdist
 from .synthetic import (
     MODELS,
     SyntheticSpec,
@@ -294,7 +294,11 @@ def knn_predict(train, test_points, K):
     ``SWEEP_BLOCK_BYTES`` of them (see :func:`potd.ot.pairwise_sqdist`), so
     no test-by-train array exists: the overflow check, the K-th distances,
     the tie-break and the votes are taken per block, and the votes are
-    integer counts per label.
+    integer counts per label. A block's distances and the copy partitioned
+    for its K-th distances live in the two halves of this thread's
+    ``"cost"`` buffer and its candidate mask in ``"flags"`` (see
+    :func:`potd.ot._buffer`), so a repeat call allocates no array of a
+    block's size.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
@@ -313,8 +317,14 @@ def knn_predict(train, test_points, K):
     n_test, n_train = test_points.shape[0], train.n
     n_labels = labels.shape[0]
     votes = np.empty((n_test, n_labels), dtype=np.intp)
-    for rows in _row_blocks(n_test, n_train):
-        block = pairwise_sqdist(test_points[rows], train.X)
+    blocks = _row_blocks(n_test, n_train)
+    # rows of the first block, the largest: distances, then the partition copy
+    size = min(blocks[0].stop, n_test)
+    work = _buffer("cost", 2 * size, n_train)
+    for rows in blocks:
+        points = test_points[rows]
+        count = points.shape[0]
+        block = pairwise_sqdist(points, train.X, work[:count])
         # an overflowed distance would rank as the largest or tie at inf; max
         # propagates NaN, which fails the comparison too
         if not block.max() < np.inf:
@@ -322,11 +332,18 @@ def knn_predict(train, test_points, K):
                 "squared distances overflow float64; rescale the points"
             )
         # every point within a row's K-th smallest distance is a candidate;
-        # the index list copies the column out, so the partitioned block is
-        # freed. The flat indices of the candidates give each one's row and
-        # training column, in row-major order
-        kth = np.partition(block, K - 1, axis=1)[:, [K - 1]]
-        row, col = np.divmod(np.flatnonzero(block <= kth), n_train)
+        # the K-th values do not depend on where the partition runs. The
+        # flat indices of the candidates give each one's row and training
+        # column, in row-major order
+        part = work[size : size + count]
+        np.copyto(part, block)
+        part.partition(K - 1, axis=1)
+        kth = part[:, [K - 1]]
+        # the compare reads the K-th distances copied across their rows,
+        # since numpy takes a buffer of up to 64 KiB for a broadcasting call
+        np.copyto(part, kth)
+        candidates = np.less_equal(block, part, out=_buffer("flags", count, n_train, bool))
+        row, col = np.divmod(np.flatnonzero(candidates), n_train)
         counts = np.bincount(row, minlength=block.shape[0])
         if counts.max() > K:
             # rows with ties at the K-th distance keep the tied points of
@@ -339,10 +356,11 @@ def knn_predict(train, test_points, K):
             through = rank[np.cumsum(counts) - 1]
             keep = ~tied | (rank <= (through - counts + K)[row])
             row, col = row[keep], col[keep]
-        # integer votes per (row, label) from the K points each row keeps
-        votes[rows] = np.bincount(
-            row * n_labels + codes[col], minlength=block.shape[0] * n_labels
-        ).reshape(-1, n_labels)
+        # integer votes per (row, label) from the K points each row keeps,
+        # counted on keys formed in place of the row indices
+        row *= n_labels
+        row += codes[col]
+        votes[rows] = np.bincount(row, minlength=count * n_labels).reshape(-1, n_labels)
     # argmax picks the first maximum, i.e. the smallest label on vote ties
     return labels[np.argmax(votes, axis=1)]
 
@@ -487,9 +505,9 @@ def _run_tasks(func, seeds, workers):
                 f"POTD_MAX_THREADS must be an integer, got {cap!r}"
             ) from None
     if workers > 1 and len(seeds) > 1:
-        # the pool and scipy.optimize stay out of ``import potd``; the exact
-        # solvers are loaded before the fork, so the workers inherit
-        # scipy.optimize instead of each importing it on its own
+        # the pool and the exact solvers stay out of ``import potd``; the
+        # solvers' two extension modules are loaded before the fork, so the
+        # workers inherit them instead of each loading them on its own
         from concurrent.futures import ProcessPoolExecutor
 
         _load_exact_solvers()

@@ -14,17 +14,22 @@ exact route doubles as the oracle for the regularized one in the
 verification suite.
 """
 
+import importlib.util
+import os
+import sys
 import threading
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, NumericError
 
-# scipy.optimize is most of the import time and memory of this package, and
-# only the exact solver uses it, so these names enter the module on the
-# first exact solve (see _load_exact_solvers); until then the module
-# __getattr__ serves them to outside readers
+# the exact solver's compiled solvers: scipy's assignment solver and its
+# HiGHS binding. Only the exact solver uses them, so these names enter the
+# module on the first exact solve, loaded from their two extension modules
+# without the rest of scipy.optimize (see _load_exact_solvers); until then
+# the module __getattr__ serves them to outside readers
 _HIGHS_NAMES = ("HighsBasis", "HighsBasisStatus", "HighsModelStatus", "HighsStatus", "_Highs")
 _EXACT_SOLVER_NAMES = ("linear_sum_assignment", *_HIGHS_NAMES)
 
@@ -64,6 +69,10 @@ POTENTIAL_BOUND = 1e150
 # bytes of kernel rows per block of a scaling sweep: a block read for its
 # row sums is still in cache (L2 of a current x86 core) for its column sums
 SWEEP_BLOCK_BYTES = 1 << 20
+# bytes of the outer-sum scratch of pairwise_sqdist: a few rows, reused
+# down the matrix, so that a small matrix (one KNN block of 200 by 200)
+# holds no second copy of itself
+SQDIST_SCRATCH_BYTES = 1 << 15
 # the over-relaxation schedule of the scaling sweeps (see _overrelaxation)
 OMEGA_MAX = 1.8
 SETTLE_RTOL = 0.1
@@ -72,7 +81,16 @@ STALL_RTOL = 1e-6
 
 
 def _load_exact_solvers():
-    """Import scipy's assignment solver and HiGHS binding into this module.
+    """Load scipy's assignment solver and HiGHS binding into this module.
+
+    They come from the extension modules ``scipy.optimize._lsap`` and
+    ``scipy.optimize._highspy._core`` (scipy >= 1.15), loaded from their
+    files (see :func:`_load_extension`), so ``scipy/optimize/__init__.py``,
+    which imports many times more than this package does, never runs. Its
+    public ``linprog`` could not serve anyway: it builds a fresh model on
+    every call and loops in Python over every column to fill bound
+    marginals, so each pricing round of the shortlist LP would pay a cold
+    solve plus that loop.
 
     Only names not set yet are filled, so one replaced from outside (a
     stand-in ``_Highs`` class, say) stays in place.
@@ -80,17 +98,41 @@ def _load_exact_solvers():
     names = globals()
     if all(name in names for name in _EXACT_SOLVER_NAMES):
         return
-    from scipy.optimize import linear_sum_assignment
-
-    # The HiGHS binding that scipy bundles (scipy >= 1.15). The public
-    # ``linprog`` cannot warm-start: it builds a fresh model on every call
-    # and loops in Python over every column to fill bound marginals, so each
-    # pricing round of the shortlist LP would pay a cold solve plus that loop.
-    from scipy.optimize._highspy import _core as highs
-
-    names.setdefault("linear_sum_assignment", linear_sum_assignment)
+    lsap = _load_extension("scipy.optimize._lsap")
+    highs = _load_extension("scipy.optimize._highspy._core")
+    names.setdefault("linear_sum_assignment", lsap.linear_sum_assignment)
     for name in _HIGHS_NAMES:
         names.setdefault(name, getattr(highs, name))
+
+
+def _load_extension(dotted):
+    """The extension module ``dotted`` of scipy, loaded from its file.
+
+    The file is found by the interpreter's own finder for extension
+    modules, in the directory that the dotted name gives under
+    ``scipy.__path__``, and the module is registered in ``sys.modules``
+    under that name. One already there is reused, so a later ``import
+    scipy.optimize`` hands back the same objects (and pybind11 never
+    registers the HiGHS types twice). Raises :class:`ImportError` when no
+    such file exists.
+    """
+    module = sys.modules.get(dotted)
+    if module is not None:
+        return module
+    import scipy
+
+    subdirs = dotted.split(".")[1:-1]
+    for root in scipy.__path__:
+        finder = FileFinder(os.path.join(root, *subdirs), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(dotted)
+        if spec is not None:
+            break
+    else:
+        raise ImportError(f"scipy has no extension module {dotted}", name=dotted)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[dotted] = module
+    return module
 
 
 def __getattr__(name):
@@ -251,8 +293,9 @@ def pairwise_sqdist(x, y, out=None):
     The result is the only array of that shape the call holds; it is
     written into ``out`` (a C-contiguous float64 array of that shape) when
     one is given. :func:`solve_coupling` passes its thread's cost buffer
-    there, and :func:`potd.harness.knn_predict` calls this on one row block
-    of test points at a time.
+    there, and :func:`potd.harness.knn_predict` passes part of it for one
+    row block of test points at a time. Its other temporaries are a
+    scratch of a few rows (``SQDIST_SCRATCH_BYTES``) and a few vectors.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -260,31 +303,31 @@ def pairwise_sqdist(x, y, out=None):
     # NaN; knn_predict and the coupling solvers reject such distances with
     # one error, so numpy's warnings would only add noise to it
     with np.errstate(over="ignore", invalid="ignore"):
-        xx = (x * x).sum(axis=1)
-        yy = (y * y).sum(axis=1)
         # |x|^2 + |y|^2 - 2 x.y in one n-by-m array: the product is one BLAS
-        # call on the whole matrices, doubled in place (exactly), and the
-        # outer sum is formed one row block at a time in a block-sized
-        # scratch array that every block reuses, so the bits are those of
-        # the out-of-place expression
+        # call on the whole matrices, doubled in place (exactly); the outer
+        # sum is formed a few rows at a time in one reused scratch, as the
+        # product [|x|^2, 1] [1, |y|^2]^T, whose entries add two exact
+        # products to zero and so are |x_i|^2 + |y_j|^2 rounded once, as
+        # numpy's add rounds them. The bits are those of the out-of-place
+        # expression; a broadcast add would cost two more calls per group of
+        # rows and a numpy buffer the size of the scratch
         d = np.matmul(x, y.T, out=out)
         d *= 2.0
-        blocks = _row_blocks(*d.shape)
-        # the first block is the largest; later blocks use leading rows of
+        xx1 = np.ones((x.shape[0], 2))
+        (x * x).sum(axis=1, out=xx1[:, 0])
+        yy1 = np.ones((2, y.shape[0]))
+        (y * y).sum(axis=1, out=yy1[1])
+        blocks = _row_blocks(*d.shape, SQDIST_SCRATCH_BYTES)
+        # the first group is the largest; later groups use leading rows of
         # its scratch
         scratch = np.empty_like(d[blocks[0]]) if blocks else None
         for rows in blocks:
             block = d[rows]
-            sums = scratch[: block.shape[0]]
-            # copying |y|^2 into the rows first spares numpy the buffers
-            # that a broadcast of both operands takes (64 kB each); the
-            # sum's bits do not depend on the order of its terms
-            sums[...] = yy
-            np.add(sums, xx[rows, None], out=sums)
+            sums = np.matmul(xx1[rows], yy1, out=scratch[: block.shape[0]])
             np.subtract(sums, block, out=block)
             # the expansion can go slightly negative for near-coincident
             # points; squared distances are nonnegative by definition, and
-            # the clamp is elementwise, so it runs while the block is in cache
+            # the clamp is elementwise, so it runs while the rows are in cache
             np.maximum(block, 0.0, out=block)
     return d
 
@@ -340,10 +383,10 @@ def _overrelaxation(history):
     return min(OMEGA_MAX, 2.0 / (1.0 + (1.0 - kappa) ** 0.5)) if kappa < 1.0 else omega
 
 
-def _row_blocks(n, m):
+def _row_blocks(n, m, block_bytes=SWEEP_BLOCK_BYTES):
     """Slices of consecutive rows of an n-by-m float64 array, about
-    ``SWEEP_BLOCK_BYTES`` each."""
-    step = max(1, SWEEP_BLOCK_BYTES // (8 * max(m, 1)))
+    ``block_bytes`` each (at least one row)."""
+    step = max(1, block_bytes // (8 * max(m, 1)))
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
@@ -508,7 +551,8 @@ def squared_euclidean_cost(source, target):
     return pairwise_sqdist(src, tgt)
 
 
-# the reused n-by-m arrays of each thread (see _buffer)
+# the reused n-by-m arrays of each thread (see _buffer), and its HiGHS
+# model (see _highs_model)
 _thread_buffers = threading.local()
 
 
@@ -520,8 +564,11 @@ def _buffer(name, n, m, dtype=np.float64):
     solve turns it into its scaled negative cost in place); the exact
     solver keeps its unit-scaled cost in ``"unit"``, its reduced costs in
     ``"reduced"``, its other float temporaries in ``"scratch"`` and its
-    boolean masks in ``"support"`` and ``"flags"``. Nothing outside this
-    module holds a buffer. Each is kept between solves and grows only: a
+    boolean masks in ``"support"`` and ``"flags"``.
+    :func:`potd.harness.knn_predict` borrows ``"cost"`` and ``"flags"``
+    between solves: one half of ``"cost"`` holds a row block's distances,
+    the other the copy it partitions for their K-th values, and ``"flags"``
+    its candidate mask. Each is kept between solves and grows only: a
     larger shape drops it before allocating the larger one, and it is freed
     when its thread ends. Reuse is the point: glibc hands a freed array of
     this size back to the operating system, and the next solve then faults
@@ -871,6 +918,27 @@ def _star_basis(n, m, flat, star):
     return basis
 
 
+def _highs_model():
+    """This thread's HiGHS model, empty, with ``HIGHS_OPTIONS`` set.
+
+    One model per thread is kept beside its buffers and emptied by
+    ``clearModel()``, which keeps the options, before each solve, so
+    HiGHS's own memory stays resident instead of being freed and faulted
+    in again by the next solve. A model is reused only when ``_Highs`` is
+    exactly its class, so a stand-in class set from outside takes effect
+    on the next solve, and a real model replaces it once it is gone.
+    """
+    highs = getattr(_thread_buffers, "highs", None)
+    if type(highs) is _Highs:
+        highs.clearModel()
+        return highs
+    highs = _Highs()
+    for option, value in HIGHS_OPTIONS.items():
+        highs.setOptionValue(option, value)
+    _thread_buffers.highs = highs
+    return highs
+
+
 def _transportation_lp(a, b, cost):
     """Exact transportation plan by the shortlist method.
 
@@ -893,11 +961,11 @@ def _transportation_lp(a, b, cost):
     entry of each row and the column-sum slacks. Its duals are zero and
     every shifted cost is nonnegative, so it is dual feasible and the dual
     simplex (Huangfu & Hall, Math. Prog. Comp. 2018) starts at the crash
-    duals instead of at zero. One HiGHS model holds the LP for the whole
-    solve: each pricing round appends only the entering columns, so the
-    dual simplex restarts from the basis of the previous round. Costs are
-    scaled to a unit maximum so the solver tolerances are relative to the
-    cost range.
+    duals instead of at zero. One HiGHS model, this thread's (see
+    :func:`_highs_model`), holds the LP for the whole solve: each pricing
+    round appends only the entering columns, so the dual simplex restarts
+    from the basis of the previous round. Costs are scaled to a unit
+    maximum so the solver tolerances are relative to the cost range.
 
     Returns ``(plan, u, v)`` with dual potentials in cost units.
     """
@@ -913,9 +981,7 @@ def _transportation_lp(a, b, cost):
     shifted -= row_min[:, None]
     u_shift += row_min
     mask[np.arange(n), star] = True
-    highs = _Highs()
-    for option, value in HIGHS_OPTIONS.items():
-        highs.setOptionValue(option, value)
+    highs = _highs_model()
     # row-sum constraints for every source atom, column-sum constraints for
     # all but the last target atom (the dropped one is implied by mass balance)
     b_eq = np.concatenate([a, b[:-1]])

@@ -439,7 +439,7 @@ class TestConfigFile:
         [
             (
                 "{",
-                "j-s-o-n-decode: Expecting property name enclosed in double quotes: "
+                "json-decode: Expecting property name enclosed in double quotes: "
                 "line 1 column 2 (char 1)",
             ),
             ("[1]", "invalid-input: config file must contain a JSON object"),
@@ -528,6 +528,21 @@ class TestExitCodes:
         assert run_cli("fit", "--data", "d.csv", "--r", "1", "--output", "b.csv") == code
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"potd: error: {kind}: no luck on two lines"
+
+    @pytest.mark.parametrize(
+        "exc, kind",
+        [
+            (json.JSONDecodeError("x", "{", 1), "json-decode"),
+            (OSError(), "os"),
+            (errors.InvalidInputError(), "invalid-input"),
+            (FileNotFoundError(), "file-not-found"),
+            (IsADirectoryError(), "is-a-directory"),
+            (np.linalg.LinAlgError(), "lin-alg"),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else value,
+    )
+    def test_error_kind_splits_words_and_keeps_acronyms_whole(self, exc, kind):
+        assert cli._error_kind(exc) == kind
 
 
 class TestGen:

@@ -227,6 +227,17 @@ class TestKnn:
         floats = test_x.shape[0] * train_x.shape[0]
         assert traced_peak(knn_predict, train, test_x, K) <= 1.35 * 8 * floats
 
+    def test_repeat_call_allocates_no_block_sized_array(self, rng):
+        # the shape of one bench-real split: the distances, their partition
+        # copy and the candidate mask live in this thread's buffers, which
+        # the first call has grown; each is 0.125 of 8 n m bytes or more
+        n = m = 200
+        train = LabeledDataset(rng.normal(size=(m, 2)), rng.integers(0, 2, size=m))
+        test_x = rng.normal(size=(n, 2))
+        first = knn_predict(train, test_x, 10)
+        assert traced_peak(knn_predict, train, test_x, 10) < 0.2 * 8 * n * m
+        assert np.array_equal(knn_predict(train, test_x, 10), first)
+
     @pytest.mark.parametrize("points", ["normal", "grid"])
     def test_no_test_by_train_array(self, rng, points):
         # distances are computed one row block of test points at a time

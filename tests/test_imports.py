@@ -1,8 +1,9 @@
-"""What ``import potd`` loads, and when scipy.optimize joins it.
+"""What ``import potd`` loads, and that scipy.optimize never joins it.
 
-The suite itself imports scipy.optimize (the LP oracle of ``test_ot``), so
-the module checks run in fresh interpreters. Their scripts start together
-and run side by side, since each one pays for the scipy import.
+The exact solver loads scipy's two compiled solver modules from their
+files, without the ``scipy.optimize`` package. The suite itself imports
+scipy.optimize (the LP oracle of ``test_ot``), so the module checks run in
+fresh interpreters. Their scripts start together and run side by side.
 """
 
 import json
@@ -15,14 +16,17 @@ import pytest
 
 from potd import ot
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+BLOBS_CSV = ROOT / "tests" / "data" / "blobs_n400_p10.csv"
+EXTENSIONS = ("scipy.optimize._lsap", "scipy.optimize._highspy._core")
 
-LOADED = """
+LOADED = f"""
 import sys
 
 def loaded():
-    return {name: name in sys.modules
-            for name in ("scipy.optimize", "concurrent.futures.process")}
+    return {{name: name in sys.modules
+             for name in {("scipy.optimize", "concurrent.futures.process", *EXTENSIONS)!r}}}
 """
 
 SCRIPTS = {
@@ -48,6 +52,16 @@ report["cli"] = loaded()
 exact_ot(DiscreteMeasure.uniform(np.arange(3.0)), DiscreteMeasure.uniform(np.arange(4.0)),
          np.arange(12.0).reshape(3, 4))
 report["exact"] = loaded()
+# the package imported after the solve hands back the loaded modules
+import scipy.optimize
+from scipy.optimize._highspy import _core
+
+from potd import ot
+
+report["reimport"] = {
+    "linear_sum_assignment": scipy.optimize.linear_sum_assignment is ot.linear_sum_assignment,
+    "_Highs": _core._Highs is ot._Highs,
+}
 print(json.dumps(report))
 """,
     # a worker pool whose tasks never solve
@@ -64,6 +78,20 @@ if __name__ == "__main__":
     report["after"] = loaded()
     print(json.dumps(report))
 """,
+    # one bench-real replication on the bundled blobs CSV, whose equal
+    # training classes take the assignment path
+    "bench-real": LOADED + """
+import json
+import os
+import tempfile
+
+import potd.cli
+
+with tempfile.TemporaryDirectory() as tmp:
+    code = potd.cli.main(["bench-real", "--data", sys.argv[1], "--replications", "1",
+                          "--output", os.path.join(tmp, "report.json")])
+print(json.dumps({"exit": code, "after": loaded()}))
+""",
 }
 
 
@@ -78,7 +106,7 @@ def reports(tmp_path_factory):
         path = tmp / f"{name}.py"
         path.write_text(script)
         procs[name] = subprocess.Popen(
-            [sys.executable, str(path)], cwd=tmp, env=env,
+            [sys.executable, str(path), str(BLOBS_CSV)], cwd=tmp, env=env,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
     out = {}
@@ -90,25 +118,38 @@ def reports(tmp_path_factory):
 
 
 def test_import_leaves_out_scipy_optimize_and_process_pools(reports):
-    assert reports["cli"]["import"] == {
-        "scipy.optimize": False, "concurrent.futures.process": False,
-    }
+    assert not any(reports["cli"]["import"].values())
 
 
 def test_gen_and_sinkhorn_fit_leave_out_scipy_optimize(reports):
     assert reports["cli"]["cli"]["scipy.optimize"] is False
 
 
-def test_first_exact_solve_imports_scipy_optimize(reports):
-    assert reports["cli"]["exact"]["scipy.optimize"] is True
+def solvers_only(report):
+    """Both solver modules are loaded and the scipy.optimize package is not."""
+    return report["scipy.optimize"] is False and all(report[name] for name in EXTENSIONS)
 
 
-def test_pool_imports_scipy_optimize_before_it_forks(reports):
+def test_exact_solve_loads_only_the_solver_modules(reports):
+    assert not any(reports["cli"]["cli"][name] for name in EXTENSIONS)
+    assert solvers_only(reports["cli"]["exact"])
+
+
+def test_pool_loads_only_the_solver_modules_before_it_forks(reports):
     pool = reports["pool"]
-    assert pool["before"]["scipy.optimize"] is False
+    assert not any(pool["before"][name] for name in (*EXTENSIONS, "scipy.optimize"))
     assert pool["results"] == [1, 2]
-    # the tasks never solve, so only the parent can have imported it
-    assert pool["after"]["scipy.optimize"] is True
+    # the tasks never solve, so only the parent can have loaded them
+    assert solvers_only(pool["after"])
+
+
+def test_bench_real_leaves_out_scipy_optimize(reports):
+    assert reports["bench-real"]["exit"] == 0
+    assert solvers_only(reports["bench-real"]["after"])
+
+
+def test_scipy_optimize_imported_after_a_solve_shares_its_solvers(reports):
+    assert reports["cli"]["reimport"] == {"linear_sum_assignment": True, "_Highs": True}
 
 
 @pytest.fixture
@@ -134,6 +175,18 @@ def test_loader_keeps_a_replaced_name(unloaded, monkeypatch):
     ot._load_exact_solvers()
     assert ot._Highs is stand_in
     assert callable(ot.linear_sum_assignment)
+
+
+def test_loader_reuses_a_registered_module(monkeypatch):
+    stand_in = object()
+    monkeypatch.setitem(sys.modules, "scipy.optimize._lsap", stand_in)
+    assert ot._load_extension("scipy.optimize._lsap") is stand_in
+
+
+def test_missing_extension_module_raises_import_error():
+    with pytest.raises(ImportError, match="scipy.optimize._no_such_module") as raised:
+        ot._load_extension("scipy.optimize._no_such_module")
+    assert raised.value.name == "scipy.optimize._no_such_module"
 
 
 def test_unknown_attribute_still_raises():

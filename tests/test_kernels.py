@@ -211,6 +211,12 @@ class TestPairwiseSqdist:
         floats = x.shape[0] * y.shape[0]
         assert traced_peak(pairwise_sqdist, x, y) <= 1.15 * 8 * floats
 
+    def test_a_matrix_of_one_row_block_holds_no_second_copy(self, rng):
+        # the shape of one bench-real KNN block: the outer-sum scratch is a
+        # few rows, not a block the size of the result
+        x, y = memory_points(rng, "normal", 200, 200)
+        assert traced_peak(pairwise_sqdist, x, y) <= 1.15 * 8 * 200 * 200
+
     def test_numpy_matches_reference(self, rng):
         x = rng.normal(size=(7, 4))
         y = rng.normal(size=(5, 4))

@@ -518,8 +518,36 @@ class TestExactOT:
 
         monkeypatch.setattr(ot, "_Highs", RejectingHighs)
         mu, nu = random_instance(rng, 6, 5)
+        cost = squared_euclidean_cost(mu.points, nu.points)
         with pytest.raises(NumericError, match="^transportation LP rejected its star basis$"):
-            exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
+            exact_ot(mu, nu, cost)
+        monkeypatch.undo()
+        # the thread holds the stand-in model; the next solve replaces it
+        assert exact_ot(mu, nu, cost).duality_gap is not None
+        assert type(ot._thread_buffers.highs) is ot._Highs
+
+    def test_reused_model_solves_as_a_fresh_one(self, rng):
+        # clearModel() empties the thread's model and keeps its options, so
+        # a solve on it matches one on a model made for it alone
+        mu, nu = random_instance(rng, 9, 11)
+        exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
+        model = ot._thread_buffers.highs
+        for _ in range(10):
+            n = int(rng.integers(20, 60))
+            m = n + int(rng.integers(1, 10))
+            mu = DiscreteMeasure(rng.normal(size=(n, 4)), integer_weights(rng, n))
+            nu = DiscreteMeasure(rng.normal(size=(m, 4)) + 0.5, integer_weights(rng, m))
+            cost = squared_euclidean_cost(mu.points, nu.points)
+            reused = exact_ot(mu, nu, cost)
+            assert ot._thread_buffers.highs is model
+            del ot._thread_buffers.highs
+            fresh = exact_ot(mu, nu, cost)
+            ot._thread_buffers.highs = model
+            assert np.array_equal(reused.plan, fresh.plan)
+            for field in ("min_reduced_cost", "duality_gap", "marginal_error"):
+                assert getattr(reused, field) == getattr(fresh, field)
+        for option, value in ot.HIGHS_OPTIONS.items():
+            assert model.getOptionValue(option)[1] == value
 
     def test_lp_solve_is_silent(self, capfd, rng):
         mu, nu = random_instance(rng, 19, 21)
