@@ -163,15 +163,14 @@ def _apply_config_file(parser, args):
         setattr(args, attr, _config_value(actions[attr], key, value))
 
 
-def _write_meta(path, config, extra=None):
+def _write_meta(path, args, **extra):
     meta = {
         "tool": "potd",
         "version": __version__,
-        "config": config,
+        "config": _resolved_config(args),
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        **extra,
     }
-    if extra:
-        meta.update(extra)
     write_json_file(path, meta)
 
 
@@ -278,9 +277,7 @@ def _cmd_fit(args):
     sv_path = f"{args.output}.singular_values.csv"
     write_numeric_csv(sv_path, ["singular_value"], basis.singular_values[:, None])
     _write_meta(
-        f"{args.output}.meta.json",
-        _resolved_config(args),
-        extra={"chosen_r": int(chosen_r), "singular_values_path": sv_path},
+        f"{args.output}.meta.json", args, chosen_r=int(chosen_r), singular_values_path=sv_path
     )
     print(f"wrote basis ({basis.ambient_dim} x {basis.dim}) to {args.output}")
     return EXIT_OK
@@ -296,11 +293,7 @@ def _cmd_embed(args):
     basis = fit_method(args.method, data, args.r, solver=solver)
     coords = project(data.X, basis)
     write_numeric_csv(args.output, [f"z{j + 1}" for j in range(basis.dim)], coords, data.y)
-    _write_meta(
-        f"{args.output}.meta.json",
-        _resolved_config(args),
-        extra={"effective_r": int(basis.dim)},
-    )
+    _write_meta(f"{args.output}.meta.json", args, effective_r=int(basis.dim))
     print(f"wrote {coords.shape[0]} x {coords.shape[1]} embedding to {args.output}")
     return EXIT_OK
 
@@ -324,7 +317,7 @@ def _cmd_gen(args):
     else:
         data, _ = gen_svm3d(args.n_per_class, args.seed)
     save_csv_dataset(data, args.dump)
-    _write_meta(f"{args.dump}.meta.json", _resolved_config(args))
+    _write_meta(f"{args.dump}.meta.json", args)
     print(f"wrote {data.n} x {data.p} dataset to {args.dump}")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .ot import DiscreteMeasure, solve_coupling
+from .ot import DiscreteMeasure, _columns, solve_coupling
 
 ORTHONORMAL_TOL = 1e-10
 RANK_REL_TOL = 1e-10
@@ -33,11 +33,17 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 def apply_sign_convention(vectors):
     """Flip column signs so each column's largest-magnitude entry is positive."""
     vectors = np.array(vectors, dtype=np.float64)
-    for j in range(vectors.shape[1]):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return vectors
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return np.negative(vectors, out=vectors, where=peaks < 0)
+
+
+def _require_orthonormal(mat, atol, message):
+    """Raise :class:`InvalidInputError` with ``message`` unless ``mat.T @ mat``
+    is the identity by numpy's ``allclose`` rule (``atol``, rtol 1e-5; NaN and
+    inf fail), without the overhead that is most of ``allclose``'s time."""
+    eye = np.eye(mat.shape[1])
+    if not np.all(np.abs(mat.T @ mat - eye) <= atol + 1e-5 * eye):
+        raise InvalidInputError(message)
 
 
 def orthonormalize(vectors):
@@ -61,16 +67,11 @@ class Basis:
     singular_values: np.ndarray
 
     def __post_init__(self):
-        vecs = np.asarray(self.vectors, dtype=np.float64)
-        if vecs.ndim == 1:
-            vecs = vecs[:, None]
+        vecs = _columns(self.vectors)
+        if vecs.ndim != 2 or vecs.shape[0] < 1:
+            raise InvalidInputError("basis vectors must be a nonempty p-by-r matrix")
         vecs = apply_sign_convention(vecs)
-        # the rule of np.allclose(gram, eye, atol=ORTHONORMAL_TOL) (rtol
-        # 1e-5; NaN and inf fail the comparison) without its overhead, which
-        # is most of the check's time on a small gram matrix
-        eye = np.eye(vecs.shape[1])
-        if not np.all(np.abs(vecs.T @ vecs - eye) <= ORTHONORMAL_TOL + 1e-5 * eye):
-            raise InvalidInputError("basis columns must be orthonormal")
+        _require_orthonormal(vecs, ORTHONORMAL_TOL, "basis columns must be orthonormal")
         sv = np.asarray(self.singular_values, dtype=np.float64).ravel()
         if np.any(np.diff(sv) > 1e-8):
             raise InvalidInputError("singular values must be nonincreasing")

@@ -30,6 +30,7 @@ from .synthetic import (
     MODELS,
     SyntheticSpec,
     gen_model,
+    make_rng,
     seed_sequence,
     subspace_distance,
 )
@@ -135,6 +136,14 @@ def _check_known(kind, names, valid):
             raise InvalidInputError(
                 f"unknown {kind} {name!r}; valid {kind}s: {', '.join(valid)}"
             )
+
+
+def _nonempty(name, values):
+    """``values`` as a list; an empty one raises :class:`InvalidInputError`."""
+    values = list(values)
+    if not values:
+        raise InvalidInputError(f"no {name} given")
+    return values
 
 
 def _report_row(results, method, setting, r, metric_kind):
@@ -534,10 +543,10 @@ def run_synthetic_benchmark(
     aggregated per (model, p, method) cell. Per-cell fit errors are
     recorded without aborting the run.
     """
-    models = list(models)
+    models = _nonempty("models", models)
     _check_known("model", models, MODELS)
-    p_values = [int(p) for p in p_values]
-    methods = list(methods)
+    p_values = [int(p) for p in _nonempty("p_values", p_values)]
+    methods = _nonempty("methods", methods)
     _check_known("method", methods, METHODS)
     if replications < 1:
         raise InvalidInputError("replications must be >= 1")
@@ -586,8 +595,7 @@ def _real_rep(dataset, methods, dims, split, K, solver, rep_seed):
     :func:`_replicate`; an ``r`` of p or more fails the protocol's ``r < p``
     rule without a fit.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(rep_seed))
-    train_idx, test_idx = _split(split, dataset.y, rng)
+    train_idx, test_idx = _split(split, dataset.y, make_rng(rep_seed))
     train = LabeledDataset(dataset.X[train_idx], dataset.y[train_idx])
     test_X, test_y = dataset.X[test_idx], dataset.y[test_idx]
     score = partial(_score, train, test_X, test_y, K=K)
@@ -616,9 +624,9 @@ def run_real_benchmark(
     """
     if split is None:
         split = SplitConfig()
-    methods = list(methods)
+    methods = _nonempty("methods", methods)
     _check_known("method", methods, METHODS)
-    dims = [int(r) for r in dims]
+    dims = [int(r) for r in _nonempty("dims", dims)]
     for r in dims:
         if r < 1:
             raise InvalidInputError(f"dims must be >= 1, got {r}")
@@ -627,7 +635,7 @@ def run_real_benchmark(
     if K < 1:
         raise InvalidInputError("K must be >= 1")
     # the split sizes do not depend on the rng, only which rows are drawn
-    train_idx, test_idx = _split(split, dataset.y, np.random.default_rng(0))
+    train_idx, test_idx = _split(split, dataset.y, make_rng(0))
     if test_idx.shape[0] == 0:
         raise InvalidInputError(
             f"test_fraction={split.test_fraction:g} leaves no test points"

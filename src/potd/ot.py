@@ -151,10 +151,14 @@ def _finite_nonnegative(values):
     return values.min() >= 0.0 and values.max() < np.inf
 
 
+def _columns(arr):
+    """``arr`` as a float64 array, a vector as a matrix of one column."""
+    mat = np.asarray(arr, dtype=np.float64)
+    return mat[:, None] if mat.ndim == 1 else mat
+
+
 def _as_points(name, arr):
-    pts = np.asarray(arr, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _columns(arr)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise InvalidInputError(f"{name} must be a nonempty n-by-p matrix")
     if not np.all(np.isfinite(pts)):
@@ -785,7 +789,7 @@ def _certificate(plan, a, b, cost, u, v):
     """
     work = _reduced_cost(cost, u, v, _buffer("scratch", *cost.shape))
     min_reduced = float(work.min())
-    gap = float(np.multiply(plan, cost, out=work).sum() - a @ u - b @ v)
+    gap = float(_plan_cost(plan, cost, work) - a @ u - b @ v)
     tol = CERTIFICATE_RTOL * float(cost.max())
     if min_reduced < -tol or abs(gap) > tol:
         raise NumericError(
@@ -1057,4 +1061,9 @@ def transport_cost(coupling, cost):
             f"cost shape {cost.shape} does not match plan shape "
             f"{coupling.plan.shape}"
         )
-    return float(np.sum(coupling.plan * cost))
+    return float(_plan_cost(coupling.plan, cost))
+
+
+def _plan_cost(plan, cost, out=None):
+    """``<plan, cost>``, with the entrywise product formed in ``out`` if given."""
+    return np.multiply(plan, cost, out=out).sum()

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, LabeledDataset
+from .core import Basis, LabeledDataset, _require_orthonormal
 from .errors import InvalidInputError
+from .ot import _columns
 
 # each sign model's informative dimension and noise-free signal; the order
 # fixes the seed codes 1-4. The signal reads exactly the leading coordinate
@@ -69,9 +70,7 @@ class TrueSubspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.float64)
-        if b.ndim == 1:
-            b = b[:, None]
+        b = _columns(self.basis)
         _require_orthonormal(b, 1e-10, "true subspace basis must be orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -171,11 +170,6 @@ def gen_svm3d(n_per_class=200, seed=0):
 # subspace metrics
 
 
-def _require_orthonormal(mat, atol, message):
-    if not np.allclose(mat.T @ mat, np.eye(mat.shape[1]), atol=atol):
-        raise InvalidInputError(message)
-
-
 def _residual_norm(b_hat, b_true):
     """``|b_true - b_hat b_hat^T b_true|_F`` for an orthonormal ``b_hat``, formed
     from the residual, which keeps the distance of near-coincident spans that
@@ -190,9 +184,7 @@ def _basis_matrix(obj, name):
     elif isinstance(obj, TrueSubspace):
         mat = obj.basis
     else:
-        mat = np.asarray(obj, dtype=np.float64)
-        if mat.ndim == 1:
-            mat = mat[:, None]
+        mat = _columns(obj)
     if mat.ndim != 2:
         raise InvalidInputError(f"{name} must be a p-by-r matrix")
     return mat

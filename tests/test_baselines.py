@@ -111,6 +111,11 @@ class TestPca:
         with pytest.raises(InvalidInputError):
             pca_fit(rng.normal(size=(10, 3)), 4)
 
+    @pytest.mark.parametrize("X", [np.zeros(5), np.zeros((1, 3))], ids=["vector", "one-row"])
+    def test_rejects_a_non_matrix(self, X):
+        with pytest.raises(InvalidInputError, match="^X must be a matrix with at least 2 rows$"):
+            pca_fit(X, 1)
+
 
 class TestAffineInvariance:
     @pytest.mark.parametrize("fit", [sir_fit, save_fit])

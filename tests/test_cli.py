@@ -209,6 +209,36 @@ class TestHelpAndUsage:
         # rejected before any replication runs, so no report is written
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            ("bench-real --data {data} --methods , --dims 2", "methods"),
+            ("bench-real --data {data} --methods PCA --dims ,", "dims"),
+            ("bench-synthetic --models , --methods PCA --n 60", "models"),
+            ("bench-synthetic --models I --p-values , --methods PCA --n 60", "p_values"),
+            ("bench-synthetic --models I --methods , --n 60", "methods"),
+        ],
+        ids=["bench-real-methods", "bench-real-dims", "models", "p-values", "methods"],
+    )
+    def test_empty_list_exit_2(self, argv, name, model_csv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = argv.format(data=model_csv).split() + ["--replications", "1", "--output", str(out)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"potd: error: invalid-input: no {name} given\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", ["7", "-1"])
+    def test_label_column_index_out_of_range_exit_2(self, column, model_csv, tmp_path, capsys):
+        # the file has seven columns: six features and the label
+        out = tmp_path / "b.csv"
+        argv = ["fit", "--data", model_csv, "--r", "1", "--output", str(out)]
+        assert run_cli(*argv, "--label-column", column) == 2
+        assert capsys.readouterr().err == (
+            f"potd: error: dataset-schema: {model_csv}: label column index {column} "
+            "out of range for 7 columns\n"
+        )
+        assert not out.exists()
+
 
 class TestFit:
     def test_writes_orthonormal_basis(self, model_csv, tmp_path):
@@ -808,6 +838,30 @@ class TestOracleCheck:
             "oracle violation: permutation oracle n=2 seed=42 gap=1.000e+00",
             "oracle violation: permutation oracle n=3 seed=42 gap=1.000e+00",
             "oracle violation: dominance violated at eps factor 0.1 seed=42",
+        ]
+
+    def test_rising_entropic_gap_reports_violations(self, monkeypatch, capsys):
+        # a stand-in that puts the entropic costs at 1.5 and then 2 times the
+        # last exact cost: the gap rises as epsilon falls, and the final one
+        # is 100% of the exact cost
+        transport_cost = cli.transport_cost
+        exact, factors = [], iter([1.5, 2.0])
+
+        def skewed(coupling, cost):
+            value = transport_cost(coupling, cost)
+            if coupling.dual_row is None:
+                exact.append(value)
+                return value
+            return next(factors) * exact[-1]
+
+        monkeypatch.setattr(cli, "transport_cost", skewed)
+        assert run_cli("oracle-check", "--size", "3", "--epsilon-grid", "0.5,0.1") == 1
+        out, err = capsys.readouterr()
+        assert "oracle check passed" not in out
+        assert out.count("<-- VIOLATION") == 1
+        assert err.splitlines() == [
+            "oracle violation: gap not nonincreasing at eps factor 0.1 seed=42",
+            "oracle violation: final gap 100.00% above 1% at smallest epsilon seed=42",
         ]
 
     def test_stdout_ignores_rounding_noise(self, monkeypatch, capsys):

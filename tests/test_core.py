@@ -1,6 +1,8 @@
 """Core fitting tests: whitening, displacements, the subspace fit and its
 invariants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ import potd.core
 import potd.ot
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from potd.core import (
     Basis,
     LabeledDataset,
+    apply_sign_convention,
     displacement_matrix,
     estimate_dimension,
     potd_fit,
@@ -45,6 +49,24 @@ class TestLabeledDataset:
         y = np.array(list(np.repeat([0.0, 1.0], [20, 19])) + [np.nan], dtype=dtype)
         with pytest.raises(InvalidInputError, match="NaN labels, first at row 39"):
             LabeledDataset(rng.normal(size=(40, 3)), y)
+
+    ROWS = "X must be a matrix with at least 2 rows"
+    ENTRIES = "y must be a vector with one entry per row of X"
+
+    @pytest.mark.parametrize(
+        "X, y, message",
+        [
+            (np.zeros(4), np.arange(4), ROWS),
+            (np.zeros((1, 3)), np.arange(1), ROWS),
+            ([[0.0, 1.0], [np.inf, 2.0]], [0, 1], "X contains non-finite entries"),
+            (np.zeros((3, 2)), [0, 1], ENTRIES),
+            (np.zeros((3, 2)), np.zeros((3, 1)), ENTRIES),
+        ],
+        ids=["vector", "one-row", "non-finite", "short-y", "matrix-y"],
+    )
+    def test_rejects_bad_arrays(self, X, y, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            LabeledDataset(X, y)
 
 
 class TestReversedInstance:
@@ -90,6 +112,10 @@ class TestWhiten:
     def test_requires_more_rows_than_columns(self, rng):
         with pytest.raises(InvalidInputError):
             whiten(rng.normal(size=(3, 5)))
+
+    def test_requires_a_matrix(self):
+        with pytest.raises(InvalidInputError, match="^X must be a matrix$"):
+            whiten(np.zeros(5))
 
     def test_constant_column_names_direction(self, rng):
         X = rng.normal(size=(50, 4))
@@ -332,6 +358,11 @@ class TestPotdFitContinuous:
         with pytest.raises(InvalidInputError, match="5.0"):
             potd_fit_continuous(data, 1, cuts=[5.0], solver=EXACT)
 
+    def test_no_cut_rejected(self, rng):
+        data = LabeledDataset(rng.normal(size=(30, 3)), rng.uniform(0, 1, 30))
+        with pytest.raises(InvalidInputError, match="^need at least one cut$"):
+            potd_fit_continuous(data, 1, cuts=[], solver=EXACT)
+
     def test_non_numeric_response_rejected(self, rng):
         data = LabeledDataset(rng.normal(size=(30, 3)), np.repeat(["a", "b"], 15))
         with pytest.raises(InvalidInputError, match="numeric response"):
@@ -452,6 +483,10 @@ class TestEstimateDimension:
     def test_flat_spectrum_full_dimension(self):
         assert estimate_dimension([1.0, 1.0, 1.0, 1.0], 1.0) == 4
 
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInputError, match="^singular_values must be nonempty$"):
+            estimate_dimension([], 0.9)
+
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             estimate_dimension([0.0, 0.0], 0.9)
@@ -536,6 +571,38 @@ class TestBasis:
         basis = Basis(vecs, np.array([2.0, 1.0]))
         assert basis.vectors[1, 0] > 0  # largest-magnitude entry flipped positive
         assert basis.vectors[2, 1] > 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(0, 5)),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan]), st.floats(-2.0, 2.0)
+            ),
+        )
+    )
+    def test_sign_convention_matches_the_column_loop(self, vectors):
+        # the per-column loop it replaced: flip a column whose first
+        # largest-magnitude entry is negative; ties, signed zeros and NaN
+        # keep their bits
+        expected = vectors.copy()
+        for j in range(expected.shape[1]):
+            k = int(np.argmax(np.abs(expected[:, j])))
+            if expected[k, j] < 0:
+                expected[:, j] = -expected[:, j]
+        assert apply_sign_convention(vectors).tobytes() == expected.tobytes()
+
+    def test_vector_is_one_column(self):
+        basis = Basis(np.array([-0.6, -0.8]), np.array([1.0]))
+        assert basis.dim == 1
+        assert np.array_equal(basis.vectors, [[0.6], [0.8]])
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 2), (2, 2, 1)])
+    def test_rejects_an_empty_or_three_dimensional_array(self, shape):
+        message = "^basis vectors must be a nonempty p-by-r matrix$"
+        with pytest.raises(InvalidInputError, match=message):
+            Basis(np.zeros(shape), np.ones(1))
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(InvalidInputError):

@@ -1,6 +1,7 @@
 """Ingestion, splitting, KNN and benchmark-orchestration tests."""
 
 import json
+import re
 from collections import Counter
 from dataclasses import asdict
 
@@ -100,6 +101,21 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv_dataset("/does/not/exist.csv", "label")
 
+    @pytest.mark.parametrize(
+        "text, message", [("", "file is empty"), ("f1,label\n", "no data rows")]
+    )
+    def test_no_data_rows(self, tmp_path, text, message):
+        # a bad label column index is tested through the CLI, in test_cli.py
+        path = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(DatasetSchemaError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_csv_dataset(path, "label")
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "f1,label\n\n1.5,a\n\n2.5,b\n\n")
+        data = load_csv_dataset(path, "label")
+        assert np.array_equal(data.X, [[1.5], [2.5]])
+        assert list(data.y) == ["a", "b"]
+
     def test_absent_label_column(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "f1,f2\n1,2\n")
         with pytest.raises(DatasetSchemaError, match="label"):
@@ -180,7 +196,12 @@ class TestKnn:
 
     @pytest.mark.parametrize(
         "points, match",
-        [(np.zeros((0, 2)), "no test points"), (np.array([[0.0, np.nan]]), "non-finite")],
+        [
+            (np.zeros((0, 2)), "no test points"),
+            (np.array([[0.0, np.nan]]), "non-finite"),
+            (np.zeros((1, 3)), "^test points must be a matrix with 2 columns$"),
+            (np.zeros(2), "^test points must be a matrix with 2 columns$"),
+        ],
     )
     def test_rejected_test_points(self, rng, points, match):
         train = LabeledDataset(rng.normal(size=(5, 2)), np.array([1, 1, 2, 2, 2]))
@@ -278,6 +299,24 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             accuracy([1], [1, 2])
+
+    def test_empty_vectors(self):
+        with pytest.raises(InvalidInputError, match="^cannot score empty label vectors$"):
+            accuracy([], [])
+
+
+class TestSplitConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"test_fraction": 0.0}, r"test_fraction must be in \(0, 1\)"),
+            ({"test_fraction": 1.0}, r"test_fraction must be in \(0, 1\)"),
+            ({"replications": 0}, "replications must be >= 1"),
+        ],
+    )
+    def test_rejects_bad_settings(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            SplitConfig(**kwargs)
 
 
 class TestSplits:
@@ -421,6 +460,12 @@ class TestSyntheticBenchmark:
         with pytest.raises(InvalidInputError):
             run_synthetic_benchmark(["I"], [5], ["LDA"], n=50, replications=1, seed=0)
 
+    @pytest.mark.parametrize("empty", ["models", "p_values", "methods"])
+    def test_empty_list_rejected(self, empty):
+        lists = {"models": ["I"], "p_values": [5], "methods": ["PCA"], empty: []}
+        with pytest.raises(InvalidInputError, match=f"^no {empty} given$"):
+            run_synthetic_benchmark(**lists, n=50, replications=1, seed=0)
+
     @pytest.mark.parametrize("model, code", [("I", 1), ("II", 2), ("III", 3), ("IV", 4)])
     def test_replication_draws_are_pinned(self, model, code):
         # every synthetic report derives its draws from these model codes
@@ -499,6 +544,17 @@ class TestRealBenchmark:
         )
         (row,) = report.rows
         assert row.r == 4 and row.effective_r == 1
+
+    @pytest.mark.parametrize("empty", ["methods", "dims"])
+    def test_empty_list_rejected(self, empty):
+        lists = {"methods": ["PCA"], "dims": [2], empty: []}
+        with pytest.raises(InvalidInputError, match=f"^no {empty} given$"):
+            run_real_benchmark(blob_dataset(n_per=30, p=4), **lists)
+
+    def test_one_class_rejected(self):
+        data = LabeledDataset(np.arange(12.0).reshape(6, 2), np.zeros(6))
+        with pytest.raises(InvalidInputError, match="^dataset must have at least 2 classes$"):
+            run_real_benchmark(data, methods=["PCA"], dims=[1])
 
     def test_k_below_one_rejected_before_any_replication(self, monkeypatch):
         def no_replication(*args):

@@ -274,6 +274,13 @@ class TestCostMatrix:
         shifted = squared_euclidean_cost(x + shift, y + shift)
         assert np.allclose(base, shifted, atol=1e-10)
 
+    @pytest.mark.parametrize("mode", ["exact", "sinkhorn"])
+    def test_solvers_reject_a_cost_of_the_wrong_shape(self, mode, rng):
+        mu, nu = random_instance(rng, 3, 4)
+        message = r"^cost shape \(4, 3\) does not match measure sizes \(3, 4\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            solve_coupling(mu, nu, np.ones((4, 3)), SolverConfig(mode=mode))
+
     @pytest.mark.parametrize("bad", BAD_ENTRIES)
     @pytest.mark.parametrize("mode", ["exact", "sinkhorn"])
     def test_solvers_reject_each_bad_cost_entry(self, bad, mode, rng):
@@ -294,6 +301,21 @@ class TestCouplingMatrix:
             InvalidInputError, match="^coupling entries must be finite and nonnegative$"
         ):
             CouplingMatrix(plan, [0.5, 0.5], np.full(3, 1.0 / 3.0))
+
+    @pytest.mark.parametrize(
+        "plan, row, col, message",
+        [
+            (np.full(2, 0.5), [1.0], [0.5, 0.5], "coupling plan must be a matrix"),
+            (
+                np.full((2, 2), 0.25), [0.5, 0.5], [1.0],
+                "coupling shape does not match its marginals",
+            ),
+        ],
+        ids=["vector", "shape"],
+    )
+    def test_rejects_a_bad_shape(self, plan, row, col, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            CouplingMatrix(plan, row, col)
 
     def test_empty_plan_is_accepted(self):
         assert CouplingMatrix(np.zeros((0, 0)), [], []).plan.shape == (0, 0)
@@ -317,6 +339,9 @@ class TestExactOT:
         coupling = exact_ot(mu, nu, squared_euclidean_cost(mu.points, nu.points))
         assert len(calls) == 1
         assert (coupling.duality_gap is not None) == certified
+        # Python floats: tools/bits_digest.py hashes the certificate's repr
+        certificate = {type(coupling.duality_gap), type(coupling.min_reduced_cost)}
+        assert certificate == {float if certified else type(None)}
         assert max(coupling.marginal_errors()) == coupling.marginal_error <= 1e-10
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -973,6 +998,18 @@ class TestSolverConfig:
         message = "^mode must be 'auto', 'exact' or 'sinkhorn', got 'magic'$"
         with pytest.raises(InvalidInputError, match=message):
             SolverConfig(mode="magic")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_iterations": 0}, "max_iterations must be a positive integer"),
+            ({"marginal_tolerance": 0.0}, "marginal_tolerance must be positive"),
+            ({"marginal_tolerance": np.nan}, "marginal_tolerance must be positive"),
+        ],
+    )
+    def test_rejects_a_bad_budget_or_tolerance(self, kwargs, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            SolverConfig(**kwargs)
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(InvalidInputError):

@@ -131,6 +131,14 @@ class TestGenModel:
         with pytest.raises(InvalidInputError):
             SyntheticSpec("V", 100, 5, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, noise_scale, message",
+        [(1, 0.2, "n must be >= 2"), (100, -0.1, "noise_scale must be nonnegative")],
+    )
+    def test_bad_size_or_noise_rejected(self, n, noise_scale, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            SyntheticSpec("I", n, 5, seed=0, noise_scale=noise_scale)
+
 
 class TestGenCshape:
     def test_shape_and_labels(self):
@@ -180,6 +188,10 @@ class TestGenCshape:
 
 
 class TestGenSvm3d:
+    def test_too_small_rejected(self):
+        with pytest.raises(InvalidInputError, match="^n_per_class must be >= 2$"):
+            gen_svm3d(1, seed=0)
+
     def test_moment_structure(self):
         data, truth = gen_svm3d(4000, seed=11)
         first = data.X[data.y == 1]
@@ -224,6 +236,15 @@ class TestSubspaceDistance:
         basis = Basis(np.eye(3)[:, :1], np.array([1.0]))
         truth = TrueSubspace(np.eye(3)[:, :1])
         assert subspace_distance(basis, truth) == 0.0
+
+    @pytest.mark.parametrize("entry", ["TrueSubspace", "estimated", "truth"])
+    def test_vector_is_one_column(self, entry):
+        vector, axis = np.array([0.0, -0.6, 0.8]), np.eye(3)[:, 1:2]
+        if entry == "TrueSubspace":
+            assert np.array_equal(TrueSubspace(vector).basis, vector[:, None])
+        else:
+            args = {"estimated": axis, "truth": axis, entry: vector}
+            assert subspace_distance(**args) == pytest.approx(0.8, abs=1e-15)
 
     def test_non_orthonormal_truth_rejected(self):
         with pytest.raises(InvalidInputError, match="^true subspace basis must be orthonormal$"):
@@ -273,6 +294,26 @@ class TestSinDistance:
         args = {"V": e, "V_hat": e, name: np.full((3, 2), 0.5)}
         with pytest.raises(InvalidInputError, match=f"^{name} must be orthonormal$"):
             sin_distance(**args)
+
+    # the orthonormality check of Basis (TestBasis::test_column_norm_tolerance)
+    # serves these too: a diagonal entry may be off by 1e-5 relative,
+    # whatever the atol
+    @pytest.mark.parametrize("norm_error, accepted", [(2e-5, False), (5e-6, True)])
+    @pytest.mark.parametrize("entry", ["TrueSubspace", "subspace_distance", "sin_distance"])
+    def test_shares_the_basis_norm_tolerance(self, entry, norm_error, accepted):
+        vectors = np.eye(3)[:, :2]
+        vectors[:, 1] *= 1.0 + norm_error
+        axes = np.eye(3)[:, :2]
+        check, message = {
+            "TrueSubspace": (lambda: TrueSubspace(vectors), "true subspace basis"),
+            "subspace_distance": (lambda: subspace_distance(vectors, axes), "estimated basis"),
+            "sin_distance": (lambda: sin_distance(vectors, axes), "V"),
+        }[entry]
+        if accepted:
+            check()
+        else:
+            with pytest.raises(InvalidInputError, match=f"^{message} must be orthonormal$"):
+                check()
 
     @pytest.mark.parametrize("theta", [1e-6, 1e-9, 1e-12])
     def test_small_angle(self, theta):
