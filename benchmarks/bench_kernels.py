@@ -52,8 +52,11 @@ n=1600, p=10, a Sinkhorn ``potd fit`` of that CSV, a default ``potd fit``
 of the bundled blobs CSV (its equal classes take the assignment path) and
 a ``potd bench-real`` of 10 replications on it. Each gets the median wall
 time and median peak resident set size (the child's ``ru_maxrss``, read by
-a small launcher process) of 7 runs, and whether ``scipy.optimize`` was
-imported, read off one more run under ``-X importtime``.
+a small launcher process) of 7 runs, and which of ``scipy``,
+``scipy.optimize``, the two solver modules ``scipy.optimize._lsap`` and
+``scipy.optimize._highspy._core`` and ``numpy.ma`` were loaded, read from
+``sys.modules`` at the exit of one more run (``-X importtime`` does not
+see the solver modules, which ``potd.ot`` loads from their files).
 
 Every run appends one record, its rows plus provenance (git SHA of the
 measured ``potd`` checkout, suffixed ``-dirty`` when it has uncommitted
@@ -583,9 +586,25 @@ print(json.dumps(out))
 """
 
 
-def imports_scipy_optimize(importtime_log):
-    return any(line.rsplit("|", 1)[-1].strip() == "scipy.optimize"
-               for line in importtime_log.splitlines())
+# Runs one cold-start command (``-c CODE`` or ``-m MODULE``, with its
+# arguments) and writes which of the given modules were loaded at its exit.
+LOADED_PROBE = """
+import atexit, json, runpy, sys
+names, out, (flag, target, *args) = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3:]
+
+def record():
+    with open(out, "w") as f:
+        json.dump({name: name in sys.modules for name in names}, f)
+
+atexit.register(record)
+sys.argv = [flag if flag == "-c" else target, *args]
+if flag == "-c":
+    exec(compile(target, "<string>", "exec"), {"__name__": "__main__"})
+else:
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+"""
+COLD_MODULES = ("scipy", "scipy.optimize", "scipy.optimize._lsap",
+                "scipy.optimize._highspy._core", "numpy.ma")
 
 
 def src_env():
@@ -598,7 +617,7 @@ def src_env():
 def bench_cold_start():
     env = src_env()
     print(f"\ncold start in fresh interpreters (median of {COLD_RUNS})")
-    print(f"{'command':>14} {'s':>7} {'MB':>7} {'scipy.optimize':>15}")
+    print(f"{'command':>14} {'s':>7} {'MB':>7}  loaded")
     commands = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in cold_commands(Path(tmp)):
@@ -608,17 +627,20 @@ def bench_cold_start():
                 env=env, cwd=tmp, capture_output=True, text=True, check=True,
             ).stdout)
             seconds, rss = [run[0] for run in runs], [run[1] for run in runs]
-            loaded = imports_scipy_optimize(subprocess.run(
-                [sys.executable, "-X", "importtime", *args],
-                env=env, cwd=tmp, capture_output=True, text=True, check=True,
-            ).stderr)
-            print(f"{name:>14} {np.median(seconds):>7.3f} {np.median(rss):>7.1f} "
-                  f"{str(loaded):>15}")
+            probe_out = Path(tmp) / "loaded.json"
+            subprocess.run(
+                [sys.executable, "-c", LOADED_PROBE, json.dumps(COLD_MODULES), str(probe_out),
+                 *args],
+                env=env, cwd=tmp, capture_output=True, check=True,
+            )
+            loaded = json.loads(probe_out.read_text())
+            print(f"{name:>14} {np.median(seconds):>7.3f} {np.median(rss):>7.1f}  "
+                  f"{', '.join(n for n in COLD_MODULES if loaded[n]) or '-'}")
             shown = " ".join(args).replace(tmp, "<tmp>").replace(str(ROOT), "<repo>")
             commands.append({"command": name, "args": shown,
                              "median_s": float(np.median(seconds)),
                              "median_maxrss_mb": float(np.median(rss)),
-                             "scipy_optimize_loaded": loaded, "s": seconds,
+                             "loaded": loaded, "s": seconds,
                              "maxrss_mb": rss})
     return [{"bench": "cold_start", "runs": COLD_RUNS, "commands": commands}]
 

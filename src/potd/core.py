@@ -91,6 +91,17 @@ class Basis:
         return Fit(self.vectors, self.singular_values, None).basis(r)
 
 
+def _distinct(values):
+    """The sorted distinct entries of ``values``, as ``np.unique`` gives them.
+
+    A plain ``np.unique`` (no ``return_*`` flag) checks its input with
+    ``np.ma.is_masked``, whose first call imports ``numpy.ma``, a package
+    nothing else here needs, into every process; asking for the counts
+    takes the sorting path, which has no such check.
+    """
+    return np.unique(values, return_counts=True)[0]
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Predictor matrix with a response vector (categorical or real)."""
@@ -125,7 +136,7 @@ class LabeledDataset:
         return self.X.shape[1]
 
     def classes(self):
-        return np.unique(self.y)
+        return _distinct(self.y)
 
     def class_counts(self):
         labels, counts = np.unique(self.y, return_counts=True)
@@ -356,7 +367,7 @@ def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):
         raise InvalidInputError("need at least one cut")
     sides = [np.where(y < c, 0, 1) for c in cuts]
     for c, side in zip(cuts, sides):
-        if len(np.unique(side)) < 2:
+        if side.all() or not side.any():
             raise InvalidInputError(f"cut {c!r} leaves one side of the split empty")
     return _fit(data, sides, solver, whiten_flag).basis(r)
 

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .baselines import _pca, _save, _sir, pca_fit, save_fit, sir_fit
-from .core import LabeledDataset, potd_fit, project
+from .core import LabeledDataset, _distinct, potd_fit, project
 from .errors import (
     DatasetParseError,
     DatasetSchemaError,
@@ -25,7 +25,7 @@ from .errors import (
     InvalidInputError,
     PotdError,
 )
-from .ot import _buffer, _load_exact_solvers, _row_blocks, pairwise_sqdist
+from .ot import _SOLVER_MODULES, _buffer, _load_solvers, _row_blocks, pairwise_sqdist
 from .synthetic import (
     MODELS,
     SyntheticSpec,
@@ -138,11 +138,21 @@ def _check_known(kind, names, valid):
             )
 
 
-def _nonempty(name, values):
-    """``values`` as a list; an empty one raises :class:`InvalidInputError`."""
+def _entries(name, values, convert=None):
+    """``values`` as a list, each entry passed through ``convert`` if given.
+
+    An empty list, or one that repeats an entry (after ``convert``), raises
+    :class:`InvalidInputError`: a repeated entry would be fitted and
+    reported twice.
+    """
     values = list(values)
     if not values:
         raise InvalidInputError(f"no {name} given")
+    if convert is not None:
+        values = [convert(value) for value in values]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise InvalidInputError(f"{name} repeats {value!r}")
     return values
 
 
@@ -250,7 +260,7 @@ def load_csv_dataset(path, label_column, delimiter=","):
         raise DatasetSchemaError(f"{path}: no data rows")
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
-    if np.unique(y).shape[0] < 2:
+    if _distinct(y).shape[0] < 2:
         raise DegenerateInputError(f"{path}: all rows share a single class")
     dataset = LabeledDataset(X, y)
     logger.info(
@@ -393,7 +403,7 @@ def stratified_split(y, test_fraction, rng):
     """Per-class random split keeping every class in the training half."""
     y = np.asarray(y)
     train_parts, test_parts = [], []
-    for label in np.unique(y):
+    for label in _distinct(y):
         idx = np.nonzero(y == label)[0]
         perm = rng.permutation(idx)
         n_test = min(int(round(idx.shape[0] * test_fraction)), idx.shape[0] - 1)
@@ -519,7 +529,7 @@ def _run_tasks(func, seeds, workers):
         # workers inherit them instead of each loading them on its own
         from concurrent.futures import ProcessPoolExecutor
 
-        _load_exact_solvers()
+        _load_solvers(*_SOLVER_MODULES)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(func, seeds))
     return [func(seed) for seed in seeds]
@@ -543,10 +553,10 @@ def run_synthetic_benchmark(
     aggregated per (model, p, method) cell. Per-cell fit errors are
     recorded without aborting the run.
     """
-    models = _nonempty("models", models)
+    models = _entries("models", models)
     _check_known("model", models, MODELS)
-    p_values = [int(p) for p in _nonempty("p_values", p_values)]
-    methods = _nonempty("methods", methods)
+    p_values = _entries("p_values", p_values, int)
+    methods = _entries("methods", methods)
     _check_known("method", methods, METHODS)
     if replications < 1:
         raise InvalidInputError("replications must be >= 1")
@@ -624,9 +634,9 @@ def run_real_benchmark(
     """
     if split is None:
         split = SplitConfig()
-    methods = _nonempty("methods", methods)
+    methods = _entries("methods", methods)
     _check_known("method", methods, METHODS)
-    dims = [int(r) for r in _nonempty("dims", dims)]
+    dims = _entries("dims", dims, int)
     for r in dims:
         if r < 1:
             raise InvalidInputError(f"dims must be >= 1, got {r}")

@@ -25,13 +25,17 @@ import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, NumericError
 
-# the exact solver's compiled solvers: scipy's assignment solver and its
-# HiGHS binding. Only the exact solver uses them, so these names enter the
-# module on the first exact solve, loaded from their two extension modules
-# without the rest of scipy.optimize (see _load_exact_solvers); until then
-# the module __getattr__ serves them to outside readers
-_HIGHS_NAMES = ("HighsBasis", "HighsBasisStatus", "HighsModelStatus", "HighsStatus", "_Highs")
-_EXACT_SOLVER_NAMES = ("linear_sum_assignment", *_HIGHS_NAMES)
+# the exact solver's compiled solvers, by the scipy extension module that
+# holds them: the assignment solver and the HiGHS binding. Each path of the
+# exact solver loads only its own module on its first solve, from the file
+# and without the rest of scipy (see _load_solvers); until then the module
+# __getattr__ serves the names to outside readers
+_SOLVER_MODULES = {
+    "scipy.optimize._lsap": ("linear_sum_assignment",),
+    "scipy.optimize._highspy._core": (
+        "HighsBasis", "HighsBasisStatus", "HighsModelStatus", "HighsStatus", "_Highs",
+    ),
+}
 
 SOLVER_MODES = ("auto", "exact", "sinkhorn")
 WEIGHT_SUM_TOL = 1e-12
@@ -80,13 +84,12 @@ RISE_GRACE = 6
 STALL_RTOL = 1e-6
 
 
-def _load_exact_solvers():
-    """Load scipy's assignment solver and HiGHS binding into this module.
+def _load_solvers(*modules):
+    """Load the solver names of the given ``_SOLVER_MODULES`` into this module.
 
-    They come from the extension modules ``scipy.optimize._lsap`` and
-    ``scipy.optimize._highspy._core`` (scipy >= 1.15), loaded from their
-    files (see :func:`_load_extension`), so ``scipy/optimize/__init__.py``,
-    which imports many times more than this package does, never runs. Its
+    Each module is loaded from its file (see :func:`_load_extension`), so
+    neither ``scipy/__init__.py`` nor ``scipy/optimize/__init__.py``, which
+    imports many times more than this package does, runs. The latter's
     public ``linprog`` could not serve anyway: it builds a fresh model on
     every call and loops in Python over every column to fill bound
     marginals, so each pricing round of the shortlist LP would pay a cold
@@ -96,21 +99,20 @@ def _load_exact_solvers():
     stand-in ``_Highs`` class, say) stays in place.
     """
     names = globals()
-    if all(name in names for name in _EXACT_SOLVER_NAMES):
-        return
-    lsap = _load_extension("scipy.optimize._lsap")
-    highs = _load_extension("scipy.optimize._highspy._core")
-    names.setdefault("linear_sum_assignment", lsap.linear_sum_assignment)
-    for name in _HIGHS_NAMES:
-        names.setdefault(name, getattr(highs, name))
+    for dotted in modules:
+        if not all(name in names for name in _SOLVER_MODULES[dotted]):
+            module = _load_extension(dotted)
+            for name in _SOLVER_MODULES[dotted]:
+                names.setdefault(name, getattr(module, name))
 
 
 def _load_extension(dotted):
     """The extension module ``dotted`` of scipy, loaded from its file.
 
     The file is found by the interpreter's own finder for extension
-    modules, in the directory that the dotted name gives under
-    ``scipy.__path__``, and the module is registered in ``sys.modules``
+    modules, in the directory that the dotted name gives under scipy's
+    package directory, which ``find_spec`` reports without running
+    ``scipy/__init__.py``; the module is registered in ``sys.modules``
     under that name. One already there is reused, so a later ``import
     scipy.optimize`` hands back the same objects (and pybind11 never
     registers the HiGHS types twice). Raises :class:`ImportError` when no
@@ -119,10 +121,8 @@ def _load_extension(dotted):
     module = sys.modules.get(dotted)
     if module is not None:
         return module
-    import scipy
-
     subdirs = dotted.split(".")[1:-1]
-    for root in scipy.__path__:
+    for root in importlib.util.find_spec("scipy").submodule_search_locations:
         finder = FileFinder(os.path.join(root, *subdirs), (ExtensionFileLoader, EXTENSION_SUFFIXES))
         spec = finder.find_spec(dotted)
         if spec is not None:
@@ -137,9 +137,10 @@ def _load_extension(dotted):
 
 def __getattr__(name):
     # PEP 562: reached only for names not yet in the module
-    if name in _EXACT_SOLVER_NAMES:
-        _load_exact_solvers()
-        return globals()[name]
+    for dotted, names in _SOLVER_MODULES.items():
+        if name in names:
+            _load_solvers(dotted)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -750,10 +751,10 @@ def exact_ot(mu, nu, cost):
     array a solve allocates. A given ``cost`` is never written.
     """
     cost = _check_cost(mu, nu, cost)
-    _load_exact_solvers()
     a, b = mu.weights, nu.weights
     n, m = cost.shape
     if n == m and _is_uniform(a) and _is_uniform(b):
+        _load_solvers("scipy.optimize._lsap")
         reduced = np.subtract(cost, cost.min(axis=1)[:, None], out=_buffer("reduced", n, m))
         reduced -= reduced.min(axis=0)
         rows, cols = linear_sum_assignment(reduced)
@@ -973,6 +974,7 @@ def _transportation_lp(a, b, cost):
 
     Returns ``(plan, u, v)`` with dual potentials in cost units.
     """
+    _load_solvers("scipy.optimize._highspy._core")
     n, m = cost.shape
     scale = float(cost.max())
     if scale <= 0.0:

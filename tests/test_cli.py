@@ -227,6 +227,25 @@ class TestHelpAndUsage:
         assert capsys.readouterr().err == f"potd: error: invalid-input: no {name} given\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("bench-real --data {data} --methods PCA,SIR,PCA --dims 2", "methods repeats 'PCA'"),
+            ("bench-real --data {data} --methods PCA --dims 2,02", "dims repeats 2"),
+            ("bench-synthetic --models I,I --methods PCA --n 60", "models repeats 'I'"),
+            ("bench-synthetic --models I --p-values 10,10 --methods PCA --n 60",
+             "p_values repeats 10"),
+            ("bench-synthetic --models I --methods PCA,PCA --n 60", "methods repeats 'PCA'"),
+        ],
+        ids=["bench-real-methods", "bench-real-dims", "models", "p-values", "methods"],
+    )
+    def test_repeated_entry_exit_2(self, argv, message, model_csv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = argv.format(data=model_csv).split() + ["--replications", "1", "--output", str(out)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"potd: error: invalid-input: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("column", ["7", "-1"])
     def test_label_column_index_out_of_range_exit_2(self, column, model_csv, tmp_path, capsys):
         # the file has seven columns: six features and the label

@@ -68,6 +68,17 @@ class TestLabeledDataset:
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             LabeledDataset(X, y)
 
+    @pytest.mark.parametrize(
+        "y, classes",
+        [(np.array(["b", "a", "c", "a"]), np.array(["a", "b", "c"])),
+         (np.array([3, 1, 3, 2]), np.array([1, 2, 3]))],
+        ids=["strings", "integers"],
+    )
+    def test_classes_are_the_sorted_distinct_labels(self, y, classes):
+        got = LabeledDataset(np.arange(8.0).reshape(4, 2), y).classes()
+        assert got.dtype == y.dtype
+        assert np.array_equal(got, classes)
+
 
 class TestReversedInstance:
     """Under the squared-Euclidean cost the reversed instance's plan is the
@@ -355,8 +366,16 @@ class TestPotdFitContinuous:
         X = rng.uniform(-2, 2, (30, 3))
         y = rng.uniform(0, 1, 30)
         data = LabeledDataset(X, y)
-        with pytest.raises(InvalidInputError, match="5.0"):
+        message = "cut np.float64(5.0) leaves one side of the split empty"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             potd_fit_continuous(data, 1, cuts=[5.0], solver=EXACT)
+
+    def test_cut_below_every_response_rejected(self, rng):
+        # the other empty side, after a cut that splits the sample
+        data = LabeledDataset(rng.uniform(-2, 2, (30, 3)), rng.uniform(0, 1, 30))
+        message = "cut np.float64(-1.0) leaves one side of the split empty"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            potd_fit_continuous(data, 1, cuts=[0.5, -1.0], solver=EXACT)
 
     def test_no_cut_rejected(self, rng):
         data = LabeledDataset(rng.normal(size=(30, 3)), rng.uniform(0, 1, 30))

@@ -123,7 +123,8 @@ class TestLoadCsv:
 
     def test_single_class_file(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "f1,label\n1,a\n2,a\n")
-        with pytest.raises(DegenerateInputError):
+        message = f"{path}: all rows share a single class"
+        with pytest.raises(DegenerateInputError, match=f"^{re.escape(message)}$"):
             load_csv_dataset(path, "label")
 
     def test_ragged_row(self, tmp_path):
@@ -327,6 +328,15 @@ class TestSplits:
         assert len(train) + len(test) == len(y)
         assert len(np.intersect1d(train, test)) == 0
 
+    def test_string_labels_split_as_their_sorted_codes(self):
+        # classes are drawn in sorted-label order, whatever the labels' type
+        y = np.array(["b", "c", "a"] * 8 + ["c"] * 5)
+        codes = np.unique(y, return_inverse=True)[1]
+        by_label = stratified_split(y, 0.4, np.random.default_rng(np.random.SeedSequence([7])))
+        by_code = stratified_split(codes, 0.4, np.random.default_rng(np.random.SeedSequence([7])))
+        assert all(np.array_equal(a, b) for a, b in zip(by_label, by_code))
+        assert [len(part) for part in by_label] == [18, 11]
+
     def test_split_determinism(self):
         y = np.repeat([0, 1], 20)
         rng_a = np.random.default_rng(np.random.SeedSequence([5]))
@@ -466,6 +476,20 @@ class TestSyntheticBenchmark:
         with pytest.raises(InvalidInputError, match=f"^no {empty} given$"):
             run_synthetic_benchmark(**lists, n=50, replications=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "name, values, message",
+        [
+            ("models", ["I", "II", "I"], "models repeats 'I'"),
+            # compared as the integers they convert to
+            ("p_values", [5, "5"], "p_values repeats 5"),
+            ("methods", ["PCA", "SIR", "PCA"], "methods repeats 'PCA'"),
+        ],
+    )
+    def test_repeated_entry_rejected(self, name, values, message):
+        lists = {"models": ["I"], "p_values": [5], "methods": ["PCA"], name: values}
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            run_synthetic_benchmark(**lists, n=50, replications=1, seed=0)
+
     @pytest.mark.parametrize("model, code", [("I", 1), ("II", 2), ("III", 3), ("IV", 4)])
     def test_replication_draws_are_pinned(self, model, code):
         # every synthetic report derives its draws from these model codes
@@ -549,6 +573,19 @@ class TestRealBenchmark:
     def test_empty_list_rejected(self, empty):
         lists = {"methods": ["PCA"], "dims": [2], empty: []}
         with pytest.raises(InvalidInputError, match=f"^no {empty} given$"):
+            run_real_benchmark(blob_dataset(n_per=30, p=4), **lists)
+
+    @pytest.mark.parametrize(
+        "name, values, message",
+        [
+            ("methods", ["POTD", "POTD"], "methods repeats 'POTD'"),
+            # compared as the integers they convert to
+            ("dims", [1, 2, 2.0], "dims repeats 2"),
+        ],
+    )
+    def test_repeated_entry_rejected(self, name, values, message):
+        lists = {"methods": ["PCA"], "dims": [2], name: values}
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             run_real_benchmark(blob_dataset(n_per=30, p=4), **lists)
 
     def test_one_class_rejected(self):

@@ -1,9 +1,11 @@
-"""What ``import potd`` loads, and that scipy.optimize never joins it.
+"""What ``import potd`` and each coupling path load.
 
-The exact solver loads scipy's two compiled solver modules from their
-files, without the ``scipy.optimize`` package. The suite itself imports
-scipy.optimize (the LP oracle of ``test_ot``), so the module checks run in
-fresh interpreters. Their scripts start together and run side by side.
+Each path of the exact solver loads its one compiled solver module of
+scipy from its file, without running ``scipy/__init__.py`` or the
+``scipy.optimize`` package, and no path imports ``numpy.ma``. The suite
+itself imports scipy.optimize (the LP oracle of ``test_ot``), so the
+module checks run in fresh interpreters. Their scripts start together and
+run side by side.
 """
 
 import json
@@ -13,24 +15,27 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.optimize
 
 from potd import ot
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 BLOBS_CSV = ROOT / "tests" / "data" / "blobs_n400_p10.csv"
-EXTENSIONS = ("scipy.optimize._lsap", "scipy.optimize._highspy._core")
+LSAP, HIGHS = EXTENSIONS = ("scipy.optimize._lsap", "scipy.optimize._highspy._core")
 
 LOADED = f"""
 import sys
 
 def loaded():
     return {{name: name in sys.modules
-             for name in {("scipy.optimize", "concurrent.futures.process", *EXTENSIONS)!r}}}
+             for name in {("scipy", "scipy.optimize", "numpy.ma", "concurrent.futures.process",
+                           *EXTENSIONS)!r}}}
 """
 
 SCRIPTS = {
-    # the CLI's numpy-only paths, then one exact solve
+    # the CLI's numpy-only paths, a continuous fit, then an LP solve and an
+    # assignment solve
     "cli": LOADED + """
 import json
 import os
@@ -40,7 +45,7 @@ import numpy as np
 
 import potd
 import potd.cli
-from potd.ot import DiscreteMeasure, exact_ot
+from potd.ot import DiscreteMeasure, SolverConfig, exact_ot
 
 report = {"import": loaded()}
 with tempfile.TemporaryDirectory() as tmp:
@@ -48,11 +53,19 @@ with tempfile.TemporaryDirectory() as tmp:
     potd.cli.main(["gen", "--model", "I", "--n", "200", "--p", "4", "--dump", data])
     potd.cli.main(["fit", "--data", data, "--r", "2", "--solver", "sinkhorn",
                    "--output", os.path.join(tmp, "basis.csv")])
-report["cli"] = loaded()
+    report["cli"] = loaded()
+    dataset = potd.load_csv_dataset(data, "label")
+# given cuts: the default ones come from np.quantile, which imports numpy.ma
+potd.potd_fit_continuous(potd.LabeledDataset(dataset.X, dataset.X[:, 0]), 1, cuts=[-0.5, 0.5],
+                         solver=SolverConfig(mode="sinkhorn"))
+report["continuous"] = loaded()
 exact_ot(DiscreteMeasure.uniform(np.arange(3.0)), DiscreteMeasure.uniform(np.arange(4.0)),
          np.arange(12.0).reshape(3, 4))
 report["exact"] = loaded()
-# the package imported after the solve hands back the loaded modules
+exact_ot(DiscreteMeasure.uniform(np.arange(3.0)), DiscreteMeasure.uniform(np.arange(3.0)),
+         np.arange(9.0).reshape(3, 3))
+report["assignment"] = loaded()
+# the package imported after the solves hands back the loaded modules
 import scipy.optimize
 from scipy.optimize._highspy import _core
 
@@ -117,35 +130,43 @@ def reports(tmp_path_factory):
     return out
 
 
+def loaded_names(report):
+    return {name for name, present in report.items() if present}
+
+
 def test_import_leaves_out_scipy_optimize_and_process_pools(reports):
     assert not any(reports["cli"]["import"].values())
 
 
 def test_gen_and_sinkhorn_fit_leave_out_scipy_optimize(reports):
-    assert reports["cli"]["cli"]["scipy.optimize"] is False
+    # no solver module, and no numpy.ma either
+    assert loaded_names(reports["cli"]["cli"]) == set()
 
 
-def solvers_only(report):
-    """Both solver modules are loaded and the scipy.optimize package is not."""
-    return report["scipy.optimize"] is False and all(report[name] for name in EXTENSIONS)
+def test_continuous_fit_leaves_out_numpy_ma(reports):
+    assert loaded_names(reports["cli"]["continuous"]) == set()
 
 
 def test_exact_solve_loads_only_the_solver_modules(reports):
-    assert not any(reports["cli"]["cli"][name] for name in EXTENSIONS)
-    assert solvers_only(reports["cli"]["exact"])
+    # the LP loads HiGHS alone, without scipy's package init; the
+    # assignment solve then adds its own module
+    assert loaded_names(reports["cli"]["exact"]) == {HIGHS}
+    assert loaded_names(reports["cli"]["assignment"]) == {LSAP, HIGHS}
 
 
 def test_pool_loads_only_the_solver_modules_before_it_forks(reports):
     pool = reports["pool"]
-    assert not any(pool["before"][name] for name in (*EXTENSIONS, "scipy.optimize"))
+    assert loaded_names(pool["before"]) == set()
     assert pool["results"] == [1, 2]
     # the tasks never solve, so only the parent can have loaded them
-    assert solvers_only(pool["after"])
+    assert loaded_names(pool["after"]) == {"concurrent.futures.process", LSAP, HIGHS}
 
 
 def test_bench_real_leaves_out_scipy_optimize(reports):
+    # equal training classes: every coupling is an assignment, so HiGHS,
+    # scipy's package init and numpy.ma stay out
     assert reports["bench-real"]["exit"] == 0
-    assert solvers_only(reports["bench-real"]["after"])
+    assert loaded_names(reports["bench-real"]["after"]) == {LSAP}
 
 
 def test_scipy_optimize_imported_after_a_solve_shares_its_solvers(reports):
@@ -155,9 +176,10 @@ def test_scipy_optimize_imported_after_a_solve_shares_its_solvers(reports):
 @pytest.fixture
 def unloaded(monkeypatch):
     """``potd.ot`` as it is before its first exact solve."""
-    ot._load_exact_solvers()
-    for name in ot._EXACT_SOLVER_NAMES:
-        monkeypatch.delitem(vars(ot), name)
+    ot._load_solvers(*ot._SOLVER_MODULES)
+    for names in ot._SOLVER_MODULES.values():
+        for name in names:
+            monkeypatch.delitem(vars(ot), name)
 
 
 def test_highs_names_resolve_before_any_solve(unloaded):
@@ -165,14 +187,17 @@ def test_highs_names_resolve_before_any_solve(unloaded):
 
     assert ot._Highs is _core._Highs
     assert ot.HighsModelStatus is _core.HighsModelStatus
-    # the first read filled the module, so later reads skip the loader
-    assert all(name in vars(ot) for name in ot._EXACT_SOLVER_NAMES)
+    # the first read filled the HiGHS names only, so later reads skip the
+    # loader and the assignment solver waits for a read of its own
+    assert all(name in vars(ot) for name in ot._SOLVER_MODULES[HIGHS])
+    assert "linear_sum_assignment" not in vars(ot)
+    assert ot.linear_sum_assignment is scipy.optimize.linear_sum_assignment
 
 
 def test_loader_keeps_a_replaced_name(unloaded, monkeypatch):
     stand_in = object()
     monkeypatch.setitem(vars(ot), "_Highs", stand_in)
-    ot._load_exact_solvers()
+    ot._load_solvers(*ot._SOLVER_MODULES)
     assert ot._Highs is stand_in
     assert callable(ot.linear_sum_assignment)
 
