@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .core import LabeledDataset, _potd, estimate_dimension, project
+from .core import LabeledDataset, potd_fit, project
 from .errors import (
     DatasetError,
     DegenerateInputError,
@@ -266,19 +266,11 @@ def _add_bench_flags(parser):
 def _cmd_fit(args):
     data = load_csv_dataset(args.data, args.label_column, args.delimiter)
     solver = _solver_from_args(args)
-    if (args.r is None) == (args.auto_dim is None):
-        raise InvalidInputError("fit needs exactly one of --r or --auto-dim")
-    fit = _potd(data, solver=solver, whiten_flag=args.whiten)
-    chosen_r = args.r
-    if args.auto_dim is not None:
-        chosen_r = estimate_dimension(fit.spectrum, args.auto_dim)
-    basis = fit.basis(chosen_r)
+    basis = potd_fit(data, args.r, solver=solver, whiten_flag=args.whiten)
     write_numeric_csv(args.output, [f"v{j + 1}" for j in range(basis.dim)], basis.vectors)
     sv_path = f"{args.output}.singular_values.csv"
     write_numeric_csv(sv_path, ["singular_value"], basis.singular_values[:, None])
-    _write_meta(
-        f"{args.output}.meta.json", args, chosen_r=int(chosen_r), singular_values_path=sv_path
-    )
+    _write_meta(f"{args.output}.meta.json", args, singular_values_path=sv_path)
     print(f"wrote basis ({basis.ambient_dim} x {basis.dim}) to {args.output}")
     return EXIT_OK
 
@@ -500,15 +492,7 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="fit the transport-displacement basis")
     _add_dataset_flags(p_fit)
-    group = p_fit.add_mutually_exclusive_group(required=True)
-    group.add_argument("--r", type=int, help="number of directions to keep")
-    group.add_argument(
-        "--auto-dim",
-        type=float,
-        default=None,
-        metavar="THRESHOLD",
-        help="choose r by cumulative singular-value ratio (e.g. 0.9)",
-    )
+    p_fit.add_argument("--r", type=int, required=True, help="number of directions to keep")
     p_fit.add_argument(
         "--whiten",
         action=argparse.BooleanOptionalAction,

@@ -86,10 +86,6 @@ class Basis:
     def ambient_dim(self):
         return self.vectors.shape[0]
 
-    def truncated(self, r):
-        """Basis of the leading ``r`` columns, by the rule of :meth:`Fit.basis`."""
-        return Fit(self.vectors, self.singular_values, None).basis(r)
-
 
 def _distinct(values):
     """The sorted distinct entries of ``values``, as ``np.unique`` gives them.
@@ -368,25 +364,8 @@ def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):
     sides = [np.where(y < c, 0, 1) for c in cuts]
     for c, side in zip(cuts, sides):
         if side.all() or not side.any():
-            raise InvalidInputError(f"cut {c!r} leaves one side of the split empty")
+            raise InvalidInputError(f"cut {float(c)} leaves one side of the split empty")
     return _fit(data, sides, solver, whiten_flag).basis(r)
-
-
-def estimate_dimension(singular_values, threshold=0.9):
-    """Smallest r whose cumulative singular-value ratio reaches threshold."""
-    sv = np.asarray(singular_values, dtype=np.float64).ravel()
-    if sv.shape[0] < 1:
-        raise InvalidInputError("singular_values must be nonempty")
-    if not 0 < threshold <= 1:
-        raise InvalidInputError(f"threshold must be in (0, 1], got {threshold}")
-    if np.any(sv < -1e-12) or np.any(np.diff(sv) > 1e-8):
-        raise InvalidInputError("singular values must be nonnegative and nonincreasing")
-    sv = np.maximum(sv, 0.0)
-    total = sv.sum()
-    if total <= 0:
-        raise DegenerateInputError("all singular values are zero")
-    ratios = np.cumsum(sv) / total
-    return int(np.argmax(ratios >= threshold - 1e-12)) + 1
 
 
 def second_order_displacement(source, target, coupling):

@@ -388,9 +388,12 @@ def _overrelaxation(history):
     return min(OMEGA_MAX, 2.0 / (1.0 + (1.0 - kappa) ** 0.5)) if kappa < 1.0 else omega
 
 
-def _row_blocks(n, m, block_bytes=SWEEP_BLOCK_BYTES):
+def _row_blocks(n, m, block_bytes=None):
     """Slices of consecutive rows of an n-by-m float64 array, about
-    ``block_bytes`` each (at least one row)."""
+    ``block_bytes`` each (at least one row; default ``SWEEP_BLOCK_BYTES``,
+    read at the call)."""
+    if block_bytes is None:
+        block_bytes = SWEEP_BLOCK_BYTES
     step = max(1, block_bytes // (8 * max(m, 1)))
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 

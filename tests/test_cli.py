@@ -49,9 +49,9 @@ def cshape_csv(tmp_path):
 
 FIT_HELP = """\
 usage: potd fit [-h] --data DATA [--label-column LABEL_COLUMN]
-                [--delimiter DELIMITER] (--r R | --auto-dim THRESHOLD)
-                [--whiten | --no-whiten] [--solver {auto,exact,sinkhorn}]
-                [--epsilon EPSILON] [--max-iterations MAX_ITERATIONS]
+                [--delimiter DELIMITER] --r R [--whiten | --no-whiten]
+                [--solver {auto,exact,sinkhorn}] [--epsilon EPSILON]
+                [--max-iterations MAX_ITERATIONS]
                 [--marginal-tolerance MARGINAL_TOLERANCE] --output OUTPUT
                 [--seed SEED] [--config CONFIG]
                 [--log-level {debug,info,warning,error}]
@@ -64,7 +64,6 @@ options:
   --delimiter DELIMITER
                         CSV field delimiter (default: ,)
   --r R                 number of directions to keep
-  --auto-dim THRESHOLD  choose r by cumulative singular-value ratio (e.g. 0.9)
   --whiten, --no-whiten
                         whiten predictors before fitting (default: on)
   --solver {auto,exact,sinkhorn}
@@ -153,6 +152,26 @@ class TestHelpAndUsage:
         argv = argv.split()
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"potd {argv[0]}: error: {message}"
+
+    NO_R = "potd fit: error: the following arguments are required: --r"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("fit --data {data} --output {out}", NO_R),
+            ("fit --data {data} --auto-dim 0.9 --output {out}", NO_R),
+            (
+                "fit --data {data} --r 2 --auto-dim 0.9 --output {out}",
+                "potd: error: unrecognized arguments: --auto-dim 0.9",
+            ),
+        ],
+        ids=["no-r", "auto-dim-for-r", "auto-dim-beside-r"],
+    )
+    def test_fit_needs_r_exit_2(self, argv, message, model_csv, tmp_path, capsys):
+        out = tmp_path / "basis.csv"
+        assert run_cli(*argv.format(data=model_csv, out=out).split()) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
+        assert not out.exists()
 
     def test_config_solver_outside_the_modes_exit_2(self, model_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -274,53 +293,6 @@ class TestFit:
         assert sv[0] == "singular_value"
         meta = json.loads((tmp_path / "basis.csv.meta.json").read_text())
         assert meta["config"]["r"] == 2
-        assert meta["chosen_r"] == 2
-
-    def test_auto_dim_on_planar_data(self, tmp_path):
-        # the optimal matching pairs (0,0)->(0,3) and (10,0)->(14,0), so the
-        # displacement rows span exactly two directions with comparable
-        # weight; coordinates 3..5 contribute nothing
-        X = np.array(
-            [
-                [0.0, 0.0, 0.0, 0.0, 0.0],
-                [10.0, 0.0, 0.0, 0.0, 0.0],
-                [0.0, 3.0, 0.0, 0.0, 0.0],
-                [14.0, 0.0, 0.0, 0.0, 0.0],
-            ]
-        )
-        y = np.array(["a", "a", "b", "b"])
-        path = tmp_path / "planar.csv"
-        save_csv_dataset(LabeledDataset(X, y), str(path))
-        out = tmp_path / "basis.csv"
-        # --auto-dim asks for every direction the fit has, so none is clamped
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run_cli(
-                "fit", "--data", str(path), "--auto-dim", "0.9", "--no-whiten",
-                "--output", str(out),
-            ) == 0
-        meta = json.loads((tmp_path / "basis.csv.meta.json").read_text())
-        assert meta["chosen_r"] == 2
-
-    @pytest.mark.parametrize("whiten", ["--whiten", "--no-whiten"])
-    def test_auto_dim_writes_what_the_chosen_r_writes(self, whiten, tmp_path):
-        data = tmp_path / "I.csv"
-        assert run_cli(
-            "gen", "--model", "I", "--n", "400", "--p", "10", "--seed", "1",
-            "--dump", str(data),
-        ) == 0
-        auto, fixed = tmp_path / "auto.csv", tmp_path / "fixed.csv"
-        assert run_cli(
-            "fit", "--data", str(data), "--auto-dim", "0.9", whiten, "--output", str(auto)
-        ) == 0
-        chosen_r = json.loads((tmp_path / "auto.csv.meta.json").read_text())["chosen_r"]
-        assert run_cli(
-            "fit", "--data", str(data), "--r", str(chosen_r), whiten, "--output", str(fixed)
-        ) == 0
-        for suffix in ("", ".singular_values.csv"):
-            assert (tmp_path / f"auto.csv{suffix}").read_bytes() == (
-                tmp_path / f"fixed.csv{suffix}"
-            ).read_bytes()
 
     def test_r_above_the_stack_rows_is_clamped(self, tmp_path):
         path = tmp_path / "two.csv"
@@ -403,7 +375,7 @@ class TestFit:
         ) == 0
         assert out.read_text().splitlines()[0] == "v1,v2,v3"
 
-    @pytest.mark.parametrize("value, match", [("two", "'r'"), (None, "--r or --auto-dim")])
+    @pytest.mark.parametrize("value, match", [("two", "'r'"), (None, "'r' cannot be null")])
     def test_config_bad_value_exit_2(self, value, match, model_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"r": value}))
@@ -416,7 +388,7 @@ class TestFit:
         assert match in line
 
     def test_config_setting_both_r_and_auto_dim_exit_2(self, model_csv, tmp_path, capsys):
-        # the flags are mutually exclusive, and so is a config that fills both
+        # a config holding auto_dim, as older sidecars do, names an unknown key
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"auto_dim": 0.9}))
         out = tmp_path / "b.csv"
@@ -425,7 +397,7 @@ class TestFit:
             "--config", str(cfg),
         ) == 2
         assert capsys.readouterr().err == (
-            "potd: error: invalid-input: fit needs exactly one of --r or --auto-dim\n"
+            "potd: error: invalid-input: unknown config key 'auto_dim'\n"
         )
         assert not out.exists()
 

@@ -17,7 +17,6 @@ from potd.core import (
     LabeledDataset,
     apply_sign_convention,
     displacement_matrix,
-    estimate_dimension,
     potd_fit,
     potd_fit_continuous,
     project,
@@ -366,14 +365,14 @@ class TestPotdFitContinuous:
         X = rng.uniform(-2, 2, (30, 3))
         y = rng.uniform(0, 1, 30)
         data = LabeledDataset(X, y)
-        message = "cut np.float64(5.0) leaves one side of the split empty"
+        message = "cut 5.0 leaves one side of the split empty"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             potd_fit_continuous(data, 1, cuts=[5.0], solver=EXACT)
 
     def test_cut_below_every_response_rejected(self, rng):
         # the other empty side, after a cut that splits the sample
         data = LabeledDataset(rng.uniform(-2, 2, (30, 3)), rng.uniform(0, 1, 30))
-        message = "cut np.float64(-1.0) leaves one side of the split empty"
+        message = "cut -1.0 leaves one side of the split empty"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             potd_fit_continuous(data, 1, cuts=[0.5, -1.0], solver=EXACT)
 
@@ -489,34 +488,6 @@ class TestAffineEquivariance:
         assume(sv[0] - sv[1] > 1e-6 * sv[0])
         expected, _ = np.linalg.qr(np.linalg.solve(A, base.vectors))
         assert subspace_distance(moved, expected) <= 1e-9
-
-
-class TestEstimateDimension:
-    def test_dominant_first_value(self):
-        assert estimate_dimension([1.0, 0.0, 0.0], 0.9) == 1
-
-    def test_cumulative_ratios(self):
-        assert estimate_dimension([3.0, 1.0, 1.0, 1.0], 0.5) == 1
-        assert estimate_dimension([3.0, 1.0, 1.0, 1.0], 0.75) == 3
-
-    def test_flat_spectrum_full_dimension(self):
-        assert estimate_dimension([1.0, 1.0, 1.0, 1.0], 1.0) == 4
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError, match="^singular_values must be nonempty$"):
-            estimate_dimension([], 0.9)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            estimate_dimension([0.0, 0.0], 0.9)
-
-    def test_bad_threshold(self):
-        with pytest.raises(InvalidInputError):
-            estimate_dimension([1.0], 1.5)
-
-    def test_increasing_values_rejected(self):
-        with pytest.raises(InvalidInputError):
-            estimate_dimension([1.0, 2.0], 0.9)
 
 
 class TestSecondOrderDisplacement:
@@ -649,9 +620,3 @@ class TestBasis:
     def test_rejects_increasing_singular_values(self):
         with pytest.raises(InvalidInputError, match="^singular values must be nonincreasing$"):
             Basis(np.eye(2), np.array([1.0, 2.0]))
-
-    def test_truncated_keeps_leading_columns(self):
-        basis = Basis(np.eye(3), np.array([3.0, 2.0, 1.0]))
-        cut = basis.truncated(2)
-        assert cut.vectors.shape == (3, 2)
-        assert np.array_equal(cut.singular_values, basis.singular_values)

@@ -113,9 +113,11 @@ def assert_matches_reference(neg_cost, log_a, log_b, u0, v0):
     assert err == pytest.approx(max(row_err, col_err), abs=1e-12)
 
 
-def block_bytes(rows, m):
-    """``SWEEP_BLOCK_BYTES`` that walks an n-by-m kernel ``rows`` rows at a time."""
-    return rows * m * np.dtype(np.float64).itemsize
+def walk_in_blocks(patch, rows, n, m):
+    """Set ``SWEEP_BLOCK_BYTES`` so that an n-by-m kernel is walked ``rows``
+    rows at a time, and check that this takes more than one block."""
+    patch.setattr(ot, "SWEEP_BLOCK_BYTES", rows * m * np.dtype(np.float64).itemsize)
+    assert len(ot._row_blocks(n, m)) == -(-n // rows) > 1
 
 
 def count_log_sum_exp(monkeypatch):
@@ -268,15 +270,16 @@ class TestSinkhornScaling:
     def test_matches_log_domain_reference_in_row_blocks(self, instance, rows):
         # the drawn kernels are at most 40 by 40, one block at the module's
         # block size; a few rows per block walk them in several
+        assume(instance[0].shape[0] > rows)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ot, "SWEEP_BLOCK_BYTES", block_bytes(rows, instance[0].shape[1]))
+            walk_in_blocks(patch, rows, *instance[0].shape)
             assert_matches_reference(*instance)
 
     @pytest.mark.parametrize(
         "n, m, warm",
         [
             (10, 7, False),  # three blocks of 3 rows and one of 1
-            (1, 6, False),
+            (6, 6, False),  # two full blocks
             (8, 1, False),
             (11, 5, False),  # a last block of 2 rows
             (11, 5, True),
@@ -291,7 +294,7 @@ class TestSinkhornScaling:
         u0 = v0 = None
         if warm:
             u0, v0 = rng.normal(scale=5.0, size=n), rng.normal(scale=5.0, size=m)
-        monkeypatch.setattr(ot, "SWEEP_BLOCK_BYTES", block_bytes(3, m))
+        walk_in_blocks(monkeypatch, 3, n, m)
         assert_matches_reference(neg_cost, log_a, log_b, u0, v0)
 
     def test_cold_start_makes_one_log_sum_exp_pass(self, rng, monkeypatch):
@@ -329,8 +332,9 @@ class TestSinkhornScaling:
         # the plan is scaled block by block on return; a few rows per block
         # walk the drawn kernels in several
         neg_cost, log_a, log_b, u0, v0 = instance
+        assume(neg_cost.shape[0] > rows)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ot, "SWEEP_BLOCK_BYTES", block_bytes(rows, neg_cost.shape[1]))
+            walk_in_blocks(patch, rows, *neg_cost.shape)
             plan, u, v, _, _ = scaling_with_plan(neg_cost, log_a, log_b, budget, u0, v0)
         assert_plan_of_potentials(plan, neg_cost, u, v)
 

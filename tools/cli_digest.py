@@ -48,8 +48,6 @@ CALLS = (
     ("gen-svm3d", ["gen", "--model", "svm3d", "--n-per-class", "100", "--seed", "3",
                    "--dump", "svm3d.csv"]),
     ("fit-r2", ["fit", "--data", "../gen-I/I.csv", "--r", "2", "--output", "basis.csv"]),
-    ("fit-auto-dim", ["fit", "--data", "../gen-I/I.csv", "--auto-dim", "0.9", "--no-whiten",
-                      "--output", "basis.csv"]),
     ("fit-sinkhorn", ["fit", "--data", "../gen-svm3d/svm3d.csv", "--r", "2",
                       "--solver", "sinkhorn", "--output", "basis.csv"]),
     *(
