@@ -25,12 +25,20 @@ timed at the ``large-auto`` shape: the whitened sign-label classes of model
 I at p=10, n=1600 (about 800 by 800, above the exact size limit, so the
 default config solves them by Sinkhorn), with the cost left to the solver,
 over the first 12 seeds, reporting the median time, sweeps and log-sum-exp
-passes over the n-by-m cost per solve. The same solve at seed 3 (822 by
-778) is timed and traced twice: as the first solve of a fresh thread, which
+passes over the n-by-m cost per solve. ``solve_coupling_small_eps`` times
+the same solves at epsilon = median / 100 of each cost (a fifth of the
+default), where most sweeps run in the log domain, and also reports the
+``pairwise_sqdist`` calls per solve: the solve writes its cost again from
+the points before each log-sum-exp pass of a log-domain sweep. The same
+default solve at seed 3 (822 by 778) is timed and traced twice: as the first solve of a fresh thread, which
 allocates the thread's cost buffer, and as a repeat solve in a thread that
 holds it. ``fit_loop`` runs 10 back-to-back ``potd_fit`` calls of model I
 at n=1600, p=10, r=2 in a fresh interpreter, reporting the median time and
-minor page faults (``ru_minflt``) per fit. Each timing is the best of a
+minor page faults (``ru_minflt``) per fit, the interpreter's peak resident
+set size (``ru_maxrss``; the interpreter is started by a small launcher
+process, see ``COLD_LAUNCHER``) after them, and the peak bytes ``tracemalloc``
+traces during one more fit, also in units of ``8 n m``, the bytes of one
+float array of the fit's n-by-m class pair. Each timing is the best of a
 few repeats. BLAS runs on one thread. ``knn_predict`` is timed at K=10 on
 200 test against 200 training points (the shape of one ``bench-real``
 split of the bundled blobs data), projected to r=2 and r=8 with two
@@ -353,22 +361,31 @@ def bench_table_lp():
     return rows
 
 
-def counted_solve(mu, nu):
-    """Sweeps and log-sum-exp passes of one default ``solve_coupling``."""
-    log_sum_exp = ot._log_sum_exp
-    passes = 0
+def counted_solve(mu, nu, config=None):
+    """Sweeps, log-sum-exp passes and distance matrices (``pairwise_sqdist``
+    calls, by that name or by ``_rewrite_sqdist`` where the measured checkout
+    has it) of one ``solve_coupling`` (default config unless ``config`` is
+    given)."""
+    calls = Counter()
+    names = ("_log_sum_exp", "pairwise_sqdist", "_rewrite_sqdist")
+    originals = {name: getattr(ot, name) for name in names if hasattr(ot, name)}
 
-    def counted(*args):
-        nonlocal passes
-        passes += 1
-        return log_sum_exp(*args)
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    ot._log_sum_exp = counted
+        return wrapped
+
+    for name, fn in originals.items():
+        setattr(ot, name, counted(name, fn))
     try:
-        coupling = solve_coupling(mu, nu)
+        coupling = solve_coupling(mu, nu, config=config)
     finally:
-        ot._log_sum_exp = log_sum_exp
-    return coupling.iterations, passes
+        for name, fn in originals.items():
+            setattr(ot, name, fn)
+    return (coupling.iterations, calls["_log_sum_exp"],
+            calls["pairwise_sqdist"] + calls["_rewrite_sqdist"])
 
 
 def bench_large_coupling():
@@ -378,7 +395,7 @@ def bench_large_coupling():
     shapes, ms, sweeps, passes = [], [], [], []
     for seed in range(LARGE_SEEDS):
         mu, nu = sign_classes("I", LARGE_N, 10, seed)
-        solve_sweeps, solve_passes = counted_solve(mu, nu)
+        solve_sweeps, solve_passes, _ = counted_solve(mu, nu)
         shapes.append([mu.size, nu.size])
         sweeps.append(solve_sweeps)
         passes.append(solve_passes)
@@ -391,6 +408,32 @@ def bench_large_coupling():
              "median_log_sum_exp_passes": float(np.median(passes)),
              "shapes": shapes, "ms": ms, "sweeps": sweeps,
              "log_sum_exp_passes": passes}]
+
+
+def bench_small_eps_coupling():
+    print(f"\nentropic coupling at the large-auto shape, epsilon = median / 100 "
+          f"(model I sign classes, n={LARGE_N}, {LARGE_SEEDS} seeds)")
+    print(f"{'ms':>8} {'sweeps':>7} {'lse':>5} {'sqdist':>7}")
+    shapes, ms, sweeps, passes, writes = [], [], [], [], []
+    for seed in range(LARGE_SEEDS):
+        mu, nu = sign_classes("I", LARGE_N, 10, seed)
+        median = float(np.median(pairwise_sqdist(mu.points, nu.points)))
+        config = ot.SolverConfig(mode="sinkhorn", epsilon=median / 100)
+        solve_sweeps, solve_passes, solve_writes = counted_solve(mu, nu, config)
+        shapes.append([mu.size, nu.size])
+        sweeps.append(solve_sweeps)
+        passes.append(solve_passes)
+        writes.append(solve_writes)
+        ms.append(best_of(solve_coupling, mu, nu, None, config) * 1e3)
+    print(f"{np.median(ms):>8.2f} {np.median(sweeps):>7.1f} {np.median(passes):>5.1f} "
+          f"{np.median(writes):>7.1f}")
+    return [{"bench": "solve_coupling_small_eps", "model": "I", "n": LARGE_N, "p": 10,
+             "epsilon": "median / 100", "seeds": list(range(LARGE_SEEDS)),
+             "median_ms": float(np.median(ms)), "median_sweeps": float(np.median(sweeps)),
+             "median_log_sum_exp_passes": float(np.median(passes)),
+             "median_pairwise_sqdist_calls": float(np.median(writes)),
+             "shapes": shapes, "ms": ms, "sweeps": sweeps, "log_sum_exp_passes": passes,
+             "pairwise_sqdist_calls": writes}]
 
 
 def in_fresh_interpreter(bench):
@@ -438,7 +481,8 @@ def bench_solve_buffers():
 # arrays that the allocator handed back to the operating system and that
 # the next fit takes again.
 FIT_LOOP = """
-import json, os, resource, sys, time
+import json, os, resource, sys, time, tracemalloc
+import numpy as np
 from potd.core import potd_fit
 from potd.synthetic import SyntheticSpec, gen_model
 data, _ = gen_model(SyntheticSpec("I", int(sys.argv[1]), 10, 1))
@@ -449,24 +493,38 @@ for _ in range(int(sys.argv[2])):
     potd_fit(data, 2)
     out.append([time.perf_counter() - t0,
                 resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults])
-print(json.dumps(out))
+# ru_maxrss is in KB
+maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+tracemalloc.start()
+potd_fit(data, 2)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+n, m = np.unique(data.y, return_counts=True)[1].tolist()
+print(json.dumps({"runs": out, "maxrss_mb": maxrss_mb, "peak_bytes": peak, "n": n, "m": m}))
 """
 
 
 def bench_fit_loop():
     print(f"\n{FIT_LOOP_FITS} back-to-back potd_fit calls in a fresh interpreter "
           f"(model I, n={LARGE_N}, p=10, r=2)")
-    runs = json.loads(subprocess.run(
-        [sys.executable, "-c", FIT_LOOP, str(LARGE_N), str(FIT_LOOP_FITS)],
+    # started from a bare interpreter, whose resident size its ru_maxrss
+    # starts at, instead of from this process
+    loop = json.loads(subprocess.run(
+        [sys.executable, "-c", "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)",
+         sys.executable, "-c", FIT_LOOP, str(LARGE_N), str(FIT_LOOP_FITS)],
         env=src_env(), capture_output=True, text=True, check=True,
     ).stdout)
-    ms = [run[0] * 1e3 for run in runs]
-    faults = [run[1] for run in runs]
-    print(f"{'ms/fit':>8} {'minflt/fit':>11}")
-    print(f"{np.median(ms):>8.2f} {np.median(faults):>11.1f}")
+    ms = [run[0] * 1e3 for run in loop["runs"]]
+    faults = [run[1] for run in loop["runs"]]
+    peak_nm = loop["peak_bytes"] / (8 * loop["n"] * loop["m"])
+    print(f"{'ms/fit':>8} {'minflt/fit':>11} {'maxrss MB':>10} {'peak/8nm':>9}")
+    print(f"{np.median(ms):>8.2f} {np.median(faults):>11.1f} {loop['maxrss_mb']:>10.1f} "
+          f"{peak_nm:>9.3f}")
     return [{"bench": "fit_loop", "model": "I", "n": LARGE_N, "p": 10, "r": 2,
              "fits": FIT_LOOP_FITS, "median_ms": float(np.median(ms)),
-             "median_minflt": float(np.median(faults)), "ms": ms, "minflt": faults}]
+             "median_minflt": float(np.median(faults)), "maxrss_mb": loop["maxrss_mb"],
+             "class_sizes": [loop["n"], loop["m"]], "repeat_fit_peak_bytes": loop["peak_bytes"],
+             "repeat_fit_peak_8nm": peak_nm, "ms": ms, "minflt": faults}]
 
 
 def bench_knn(rng):
@@ -674,7 +732,8 @@ def provenance():
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([123]))
     rows = (bench_pairwise(rng) + bench_sinkhorn(rng) + bench_exact_lp(rng)
-            + bench_assignment() + in_fresh_interpreter(bench_table_lp) + bench_large_coupling() + bench_solve_buffers()
+            + bench_assignment() + in_fresh_interpreter(bench_table_lp) + bench_large_coupling()
+            + bench_small_eps_coupling() + bench_solve_buffers()
             + bench_fit_loop() + bench_knn(rng) + in_fresh_interpreter(bench_real_round)
             + bench_cold_start())
     record = {"provenance": provenance(), "rows": rows}

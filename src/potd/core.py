@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .ot import DiscreteMeasure, _columns, solve_coupling
+from .ot import DiscreteMeasure, _buffer_cost, _columns, solve_coupling
 
 ORTHONORMAL_TOL = 1e-10
 RANK_REL_TOL = 1e-10
@@ -221,9 +221,12 @@ def _pair_blocks(source, target, solver):
 
     The plan for (j, i) is the transpose of the one for (i, j) — the cost
     matrix transposes — so one solve gives both blocks, and the plan is
-    dropped when they are formed.
+    dropped when they are formed. The solve is lent this thread's cost
+    buffer (see :func:`potd.ot._buffer_cost`), so an entropic plan is that
+    buffer, and both blocks are formed before the next solve reuses it.
     """
-    plan = solve_coupling(source, target, config=solver).plan
+    cost = _buffer_cost(source, target)
+    plan = solve_coupling(source, target, cost=cost, config=solver).plan
     return _displacements(source, plan, target), _displacements(target, plan.T, source)
 
 
@@ -325,6 +328,25 @@ def _class_codes(y):
     return labels.tolist(), codes
 
 
+def _default_cuts(y):
+    """The 1/3 and 2/3 quantiles of ``y``, bitwise those of ``np.quantile``.
+
+    numpy's default (linear) method puts quantile ``q`` at the virtual
+    index ``(n - 1) q`` of the sorted values and interpolates its two
+    neighbours by its ``_lerp`` rule, which is repeated here on
+    ``np.sort(y)``: ``np.quantile`` itself calls a plain ``np.unique``,
+    whose first call imports ``numpy.ma`` (see :func:`_distinct`).
+    """
+    ordered = np.sort(y)
+    virtual = (ordered.shape[0] - 1) * np.array([1 / 3, 2 / 3])
+    below = np.floor(virtual).astype(np.intp)
+    lower, upper = ordered[below], ordered[below + 1]
+    t = virtual - below
+    diff = upper - lower
+    # from the lower neighbour below the midpoint, from the upper one above
+    return np.where(t >= 0.5, upper - diff * (1 - t), lower + diff * t)
+
+
 def _potd(data, solver=None, whiten_flag=True):
     """The :class:`Fit` behind :func:`potd_fit`, before ``r`` is chosen."""
     return _fit(data, [_class_codes(data.y)[1]], solver, whiten_flag)
@@ -357,7 +379,7 @@ def potd_fit_continuous(data, r, cuts=None, solver=None, whiten_flag=True):
             f"continuous fit needs a numeric response, got dtype {data.y.dtype}"
         ) from None
     if cuts is None:
-        cuts = np.quantile(y, [1 / 3, 2 / 3])
+        cuts = _default_cuts(y)
     cuts = np.atleast_1d(np.asarray(cuts, dtype=np.float64))
     if cuts.shape[0] < 1:
         raise InvalidInputError("need at least one cut")

@@ -75,8 +75,14 @@ POTENTIAL_BOUND = 1e150
 SWEEP_BLOCK_BYTES = 1 << 20
 # bytes of the outer-sum scratch of pairwise_sqdist: a few rows, reused
 # down the matrix, so that a small matrix (one KNN block of 200 by 200)
-# holds no second copy of itself
+# holds no second copy of itself. A matrix of more than SQDIST_SCRATCH_PARTS
+# times that (an entropic cost) takes that fraction of itself, so that its
+# row groups stay few: at 822 by 778 one call took 1.86 against 2.30 ms
 SQDIST_SCRATCH_BYTES = 1 << 15
+SQDIST_SCRATCH_PARTS = 32
+# bytes of the row blocks of a column log-sum-exp pass that leaves the
+# scaled cost as it is (see _column_log_sum_exp)
+LSE_BLOCK_BYTES = 1 << 18
 # the over-relaxation schedule of the scaling sweeps (see _overrelaxation)
 OMEGA_MAX = 1.8
 SETTLE_RTOL = 0.1
@@ -297,10 +303,11 @@ def pairwise_sqdist(x, y, out=None):
 
     The result is the only array of that shape the call holds; it is
     written into ``out`` (a C-contiguous float64 array of that shape) when
-    one is given. :func:`solve_coupling` passes its thread's cost buffer
+    one is given. :func:`_buffer_cost` passes its thread's cost buffer
     there, and :func:`potd.harness.knn_predict` passes part of it for one
     row block of test points at a time. Its other temporaries are a
-    scratch of a few rows (``SQDIST_SCRATCH_BYTES``) and a few vectors.
+    scratch of a few rows (``SQDIST_SCRATCH_BYTES``, or a
+    ``SQDIST_SCRATCH_PARTS``-th of a large result) and a few vectors.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -322,7 +329,7 @@ def pairwise_sqdist(x, y, out=None):
         (x * x).sum(axis=1, out=xx1[:, 0])
         yy1 = np.ones((2, y.shape[0]))
         (y * y).sum(axis=1, out=yy1[1])
-        blocks = _row_blocks(*d.shape, SQDIST_SCRATCH_BYTES)
+        blocks = _row_blocks(*d.shape, max(SQDIST_SCRATCH_BYTES, d.nbytes // SQDIST_SCRATCH_PARTS))
         # the first group is the largest; later groups use leading rows of
         # its scratch
         scratch = np.empty_like(d[blocks[0]]) if blocks else None
@@ -337,6 +344,13 @@ def pairwise_sqdist(x, y, out=None):
     return d
 
 
+# an entropic solve writes a lent cost again through this name, bound at
+# import: the writes are part of the solve, and their number varies with its
+# log-domain sweeps, so tracers that wrap the module attribute
+# ``pairwise_sqdist`` to count distance matrices must not see them
+_rewrite_sqdist = pairwise_sqdist
+
+
 def _log_sum_exp(neg_cost, pot, axis, work):
     """``log(sum(exp(neg_cost + pot), axis))``, shifted by each line's maximum.
 
@@ -344,14 +358,53 @@ def _log_sum_exp(neg_cost, pot, axis, work):
     ``axis=0``, ``v`` for the row sums at ``axis=1``); ``None`` stands for
     zero potentials, whose add is skipped. Returns the sums and the per-line
     shift; the n-by-m buffer ``work`` is left holding
-    ``exp(neg_cost + pot - shift)``.
+    ``exp(neg_cost + pot - shift)``. With ``work=None`` (column sums of a
+    given ``pot`` only) ``neg_cost`` is left as it is, and the sums, with the
+    same bits, are taken in row blocks (see :func:`_column_log_sum_exp`).
     """
+    if work is None:
+        if neg_cost.shape[1] > 1:
+            return _column_log_sum_exp(neg_cost, pot)
+        # numpy sums a single column pairwise, not row by row; it is small
+        work = np.empty_like(neg_cost)
     values = neg_cost if pot is None else np.add(neg_cost, np.expand_dims(pot, 1 - axis), out=work)
     shift = values.max(axis=axis, keepdims=True)
     np.subtract(values, shift, out=work)
     np.exp(work, out=work)
     lse = shift + np.log(work.sum(axis=axis, keepdims=True))
     return lse.ravel(), shift.ravel()
+
+
+def _column_log_sum_exp(neg_cost, u):
+    """The column pass of :func:`_log_sum_exp` in row blocks of about
+    ``LSE_BLOCK_BYTES``, held in one scratch, without writing ``neg_cost``.
+
+    A first walk takes each column's maximum of ``neg_cost + u[:, None]``,
+    a second the sums of its shifted exponentials. numpy sums a C-contiguous
+    matrix of two or more columns over axis 0 row by row, in order; each
+    block is summed with the running sums as its first row, so the sums are
+    added in that order too and have the bits of the pass over the whole
+    matrix.
+    """
+    n, m = neg_cost.shape
+    blocks = _row_blocks(n, m, LSE_BLOCK_BYTES)
+    # row 0 carries the running sums into each block's sum
+    scratch = np.empty((neg_cost[blocks[0]].shape[0] + 1, m))
+    shift = np.full(m, -np.inf)
+    for rows in blocks:
+        block = neg_cost[rows]
+        part = np.add(block, u[rows, None], out=scratch[1 : 1 + block.shape[0]])
+        np.maximum(shift, part.max(axis=0), out=shift)
+    sums = np.zeros(m)
+    for rows in blocks:
+        block = neg_cost[rows]
+        part = scratch[: 1 + block.shape[0]]
+        part[0] = sums
+        np.add(block, u[rows, None], out=part[1:])
+        part[1:] -= shift
+        np.exp(part[1:], out=part[1:])
+        part.sum(axis=0, out=sums)
+    return shift + np.log(sums), shift
 
 
 def _in_bounds(factors):
@@ -427,7 +480,7 @@ def _row_sweep(kernel, beta, a, alpha, omega, col_scale=None):
 
 
 def sinkhorn_scaling(
-    neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None, out=None
+    neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None, refill=None
 ):
     """Over-relaxed Sinkhorn iterations on the scaled negative cost ``K = -C/eps``.
 
@@ -461,18 +514,26 @@ def sinkhorn_scaling(
     place to ``diag(alpha) Kt diag(beta)`` in one blocked pass, is the
     returned plan, so no fresh ``exp`` pass forms it.
 
-    The kernel is the one n-by-m array the call allocates, unless ``out``
-    (a C-contiguous float64 array of the cost's shape, whatever it holds)
-    is given to hold it; the returned plan is then ``out``. ``neg_cost`` is
-    only read.
+    A log-domain sweep takes its column sums in row blocks, which leave
+    ``K`` as it is for its row pass (see :func:`_column_log_sum_exp`).
+    Without ``refill`` the kernel is the one n-by-m array the call
+    allocates, and ``neg_cost`` is only read. With it, the call allocates
+    no n-by-m array: the kernel is formed in ``neg_cost`` itself (a
+    C-contiguous float64 array), which becomes the returned plan, and
+    ``refill()``, which must write the same ``K`` into ``neg_cost`` again,
+    runs once before each log-domain sweep, since the kernel has
+    overwritten ``K`` by then.
     """
-    neg_cost = np.ascontiguousarray(neg_cost, dtype=np.float64)
+    if refill is None:
+        neg_cost = np.ascontiguousarray(neg_cost, dtype=np.float64)
+        kernel = np.empty(neg_cost.shape)
+    else:
+        kernel = neg_cost
     n, m = neg_cost.shape
     a = np.exp(log_a)
     b = np.exp(log_b)
     u = np.zeros(n) if u0 is None else np.array(u0, dtype=np.float64)
     v = np.zeros(m) if v0 is None else np.array(v0, dtype=np.float64)
-    kernel = np.empty((n, m)) if out is None else out
     alpha = np.ones(n)
     beta = np.ones(m)
     # degenerate potentials (NaN, infinite) are reported by the caller
@@ -505,8 +566,11 @@ def sinkhorn_scaling(
             else:
                 u += np.log(alpha)
                 v += np.log(beta)
+                if refill is not None:  # the kernel has overwritten K
+                    refill()
                 if sweeps > 1:  # the first sweep's column update is done
-                    lse_cols, _ = _log_sum_exp(neg_cost, u, 0, kernel)
+                    # in row blocks, which leave K for the row pass
+                    lse_cols, _ = _log_sum_exp(neg_cost, u, 0, None)
                     v = (1.0 - omega) * v + omega * (log_b - lse_cols)
                 lse_rows, shift = _log_sum_exp(neg_cost, v, 1, kernel)
                 u = (1.0 - omega) * u + omega * (log_a - lse_rows)
@@ -568,8 +632,8 @@ def _buffer(name, n, m, dtype=np.float64):
     """This thread's buffer ``name``, as an n-by-m array of ``dtype``.
 
     The solvers hold their n-by-m work here: ``"cost"`` is the cost that
-    :func:`solve_coupling` computes when it is not given one (an entropic
-    solve turns it into its scaled negative cost in place); the exact
+    :func:`_buffer_cost` writes (an entropic solve lent it holds its
+    scaled negative cost, its kernel and its plan there in turn); the exact
     solver keeps its unit-scaled cost in ``"unit"``, its reduced costs in
     ``"reduced"``, its other float temporaries in ``"scratch"`` and its
     boolean masks in ``"support"`` and ``"flags"``.
@@ -590,25 +654,42 @@ def _buffer(name, n, m, dtype=np.float64):
     return flat[: n * m].reshape(n, m)
 
 
+def _buffer_cost(mu, nu):
+    """The squared Euclidean cost of the points of ``mu`` and ``nu``, in
+    this thread's ``"cost"`` buffer (see :func:`_buffer`).
+
+    A cost from here is lent to the solve it is given to: an entropic solve
+    of the same ``mu`` and ``nu`` works in it and writes it again from
+    those points when it needs it back (see :func:`sinkhorn`).
+    """
+    # the measures checked their points when they were built
+    _check_same_dim(mu.points, nu.points)
+    return pairwise_sqdist(mu.points, nu.points, _buffer("cost", mu.size, nu.size))
+
+
 def _in_cost_buffer(cost):
     return cost.base is not None and cost.base is getattr(_thread_buffers, "cost", None)
 
 
 def _median(values, work=None):
-    """Median of all entries, equal to ``np.median`` bitwise.
+    """Median of all entries of a nonnegative array, equal to ``np.median``.
 
     One ``partition`` of a flat copy, made in ``work`` (a C-contiguous
     float64 array of as many entries, left partitioned) when it is given;
-    the lower middle value of an even size is then the largest entry below
-    the split. ``np.median`` partitions around both middle positions, which
+    ``work`` may be ``values`` itself, which is then partitioned in place.
+    The lower middle value of an even size is the largest entry below the
+    split. ``np.median`` partitions around both middle positions, which
     took 13.7 ms against 2.6 ms on an 822-by-778 cost (one core of a 2-vCPU
-    x86 VM).
+    x86 VM). The partition compares the entries' int64 bit patterns, which
+    order nonnegative doubles as their values do (a -0.0 sorts below
+    0.0): 0.52 against 1.03 ms for the float partition there.
     """
     values = np.asarray(values, dtype=np.float64)
     flat = np.empty(values.size) if work is None else work.reshape(-1)
-    np.copyto(flat.reshape(values.shape), values)
+    if work is not values:
+        np.copyto(flat.reshape(values.shape), values)
     k = flat.shape[0] // 2
-    flat.partition(k)
+    flat.view(np.int64).partition(k)
     if flat.shape[0] % 2:
         return float(flat[k])
     return float((flat[:k].max() + flat[k]) / 2)
@@ -619,7 +700,9 @@ def default_epsilon(cost, work=None):
 
     When that is zero (a zero median, or one so small that the product
     underflows) it is 0.05 times the largest cost, and 1 for an all-zero
-    cost. ``work`` is the median's scratch (see :func:`_median`).
+    cost. ``cost`` is nonnegative. ``work`` is the median's scratch, and
+    may be ``cost`` itself, which is then left partitioned (see
+    :func:`_median`).
     """
     eps = 0.05 * _median(cost, work)
     if eps <= 0.0:
@@ -662,22 +745,40 @@ def sinkhorn(mu, nu, cost, config, init=None):
     after ``config.max_iterations`` sweeps, and :class:`NumericError` when
     the potentials degenerate (remedy: increase epsilon).
 
-    The solve allocates one n-by-m array: the median's scratch for the
-    default epsilon, then the kernel of :func:`sinkhorn_scaling`, then the
-    returned plan. The scaled negative cost ``-cost / eps`` is a second
-    one, except for a cost in this thread's cost buffer (one that
-    :func:`solve_coupling` computed), which it overwrites. A cost the
-    caller gives is never written.
+    The solve works in one n-by-m array, which holds in turn the median's
+    copy for the default epsilon, the scaled negative cost ``-cost / eps``,
+    the kernel of :func:`sinkhorn_scaling` and the returned plan. For a
+    cost the caller gives, which is never written, the solve allocates
+    that array. A cost lent from this thread's cost buffer (see
+    :func:`_buffer_cost`) is that array itself, so the solve allocates
+    none: the median partitions the cost in place, and the cost is written
+    again from the points of ``mu`` and ``nu``, with the same bits,
+    whenever the scaled cost is needed back. The plan is then the buffer,
+    valid until the thread's next solve or KNN call.
     """
     cost = _check_cost(mu, nu, cost)
     if config.mode != "sinkhorn":
         raise InvalidInputError("sinkhorn() requires a config with mode='sinkhorn'")
-    plan = np.empty(cost.shape)
-    eps = config.epsilon if config.epsilon is not None else default_epsilon(cost, plan)
-    # a cost over a tiny epsilon can overflow to -inf; the potentials then
-    # degenerate, which is reported below as one error
-    with np.errstate(over="ignore"):
-        neg_cost = np.divide(cost, -eps, out=cost if _in_cost_buffer(cost) else None)
+    lent = _in_cost_buffer(cost)
+    neg_cost = cost if lent else np.empty(cost.shape)
+
+    def scale(source):
+        # a cost over a tiny epsilon can overflow to -inf; the potentials
+        # then degenerate, which is reported below as one error
+        with np.errstate(over="ignore"):
+            np.divide(source, -eps, out=neg_cost)
+
+    def refill():
+        # the median or the kernel has overwritten a lent cost; its points
+        # give it back
+        scale(_rewrite_sqdist(mu.points, nu.points, cost) if lent else cost)
+
+    if config.epsilon is None:
+        eps = default_epsilon(cost, neg_cost)
+        refill()
+    else:
+        eps = config.epsilon
+        scale(cost)
     log_a = np.log(mu.weights)
     log_b = np.log(nu.weights)
     u0 = v0 = None
@@ -687,7 +788,7 @@ def sinkhorn(mu, nu, cost, config, init=None):
         v0 = _check_init("dual_col", dual_col, nu.size) / eps
     # all positional: wrappers that replace sinkhorn_scaling may take ``*args`` only
     u, v, iterations, err, plan = sinkhorn_scaling(
-        neg_cost, log_a, log_b, config.max_iterations, config.marginal_tolerance, u0, v0, plan
+        neg_cost, log_a, log_b, config.max_iterations, config.marginal_tolerance, u0, v0, refill
     )
     if _degenerate(u, v):
         raise NumericError(
@@ -839,15 +940,17 @@ def _crash_reduced_cost(unit, a, b):
     if not unit.any():
         np.copyto(reduced, unit)
         return reduced, np.zeros(n), np.zeros(m)
-    scratch = _buffer("scratch", n, m)
-    eps = default_epsilon(unit, scratch)
-    # the scaled cost is read by the sweeps, whose kernel is the scratch;
-    # the reduced costs take its buffer once they are done
-    with np.errstate(over="ignore"):
-        neg_unit = np.divide(unit, -eps, out=reduced)
-    # all positional, as in sinkhorn()
+    eps = default_epsilon(unit, reduced)
+
+    def refill():
+        with np.errstate(over="ignore"):
+            np.divide(unit, -eps, out=reduced)
+
+    # the sweeps form their kernel in the scaled cost's buffer, which the
+    # reduced costs take once they are done; all positional, as in sinkhorn()
+    refill()
     u, v = _crash_scaling(
-        neg_unit, np.log(a), np.log(b), CRASH_SWEEPS, CRASH_TOL, None, None, scratch
+        reduced, np.log(a), np.log(b), CRASH_SWEEPS, CRASH_TOL, None, None, refill
     )[:2]
     u = np.where(np.isfinite(u), eps * u, 0.0)
     v = np.where(np.isfinite(v), eps * v, 0.0)
@@ -1039,23 +1142,24 @@ def solve_coupling(mu, nu, cost=None, config=None):
 
     Without ``cost``, the squared Euclidean cost is computed into this
     thread's cost buffer, which is reused across solves (see
-    :func:`_buffer`); an entropic solve then overwrites it with its
-    scaled negative cost, so it holds two n-by-m arrays: that buffer and the
-    kernel that becomes the plan (see :func:`sinkhorn`). A given ``cost``
-    is never written.
+    :func:`_buffer_cost`), and an entropic solve works in that buffer (see
+    :func:`sinkhorn`); its plan is returned as a copy, so the solve holds
+    two n-by-m arrays. A given ``cost`` is never written, unless it is lent
+    from that buffer: an entropic plan is then the buffer itself, which the
+    thread's next solve or KNN call overwrites.
     """
     if config is None:
         config = SolverConfig()
-    if cost is None:
-        # the measures checked their points when they were built
-        _check_same_dim(mu.points, nu.points)
-        cost = pairwise_sqdist(mu.points, nu.points, _buffer("cost", mu.size, nu.size))
+    computed = cost is None
+    if computed:
+        cost = _buffer_cost(mu, nu)
     mode = config.mode
     if mode == "auto":
         mode = "exact" if mu.size * nu.size <= config.exact_size_limit else "sinkhorn"
     if mode == "exact":
         return exact_ot(mu, nu, cost)
-    return sinkhorn(mu, nu, cost, replace(config, mode="sinkhorn"))
+    coupling = sinkhorn(mu, nu, cost, replace(config, mode="sinkhorn"))
+    return replace(coupling, plan=coupling.plan.copy()) if computed else coupling
 
 
 def transport_cost(coupling, cost):

@@ -2,6 +2,7 @@
 invariants."""
 
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -332,7 +333,50 @@ class TestPotdFit:
         assert len(lp_calls) == int(unequal)
 
 
+class TestFitMemory:
+    def test_fit_holds_one_n_by_m_array(self):
+        # model I at n=1600, seed 3: sign classes of 822 and 778 points,
+        # which auto sends to Sinkhorn. The fit lends its solve the cost
+        # buffer and reads the plan there, so a repeat fit allocates only
+        # arrays of n-by-p size, and a thread's first fit adds the buffer
+        data, _ = gen_model(SyntheticSpec("I", 1600, 10, 3))
+        n, m = sorted(np.unique(data.y, return_counts=True)[1], reverse=True)
+        assert (n, m) == (822, 778) and n * m > SolverConfig().exact_size_limit
+        floats = 8 * n * m
+        peaks = []
+        thread = threading.Thread(target=lambda: peaks.append(traced_peak(potd_fit, data, 2)))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and len(peaks) == 1
+        potd_fit(data, 2)
+        repeat = traced_peak(potd_fit, data, 2)
+        assert repeat <= 0.2 * floats
+        assert peaks[0] <= floats + repeat + 0.01 * floats
+
+
 class TestPotdFitContinuous:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(2, 60),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(allow_nan=False)
+            ),
+        )
+    )
+    def test_default_cuts_equal_numpy_quantiles(self, y):
+        # drawn sizes put the virtual indices at every fraction, with ties,
+        # signed zeros, infinities and differences that overflow
+        with np.errstate(all="ignore"):
+            cuts = potd.core._default_cuts(y)
+            expected = np.quantile(y, [1 / 3, 2 / 3])
+        assert np.array_equal(cuts, expected, equal_nan=True)
+        # np.quantile partitions, which may order -0.0 and 0.0 unlike a
+        # sort, so only a zero cut's sign can differ, and only then
+        if not np.signbit(y[y == 0.0]).any():
+            assert cuts.tobytes() == expected.tobytes()
+
     def test_median_cut_equals_binary_fit(self, rng):
         X = rng.uniform(-2, 2, (60, 4))
         y = X[:, 0] + 0.3 * rng.standard_normal(60)

@@ -55,8 +55,8 @@ with tempfile.TemporaryDirectory() as tmp:
                    "--output", os.path.join(tmp, "basis.csv")])
     report["cli"] = loaded()
     dataset = potd.load_csv_dataset(data, "label")
-# given cuts: the default ones come from np.quantile, which imports numpy.ma
-potd.potd_fit_continuous(potd.LabeledDataset(dataset.X, dataset.X[:, 0]), 1, cuts=[-0.5, 0.5],
+# default cuts, which np.quantile would compute by importing numpy.ma
+potd.potd_fit_continuous(potd.LabeledDataset(dataset.X, dataset.X[:, 0]), 1,
                          solver=SolverConfig(mode="sinkhorn"))
 report["continuous"] = loaded()
 exact_ot(DiscreteMeasure.uniform(np.arange(3.0)), DiscreteMeasure.uniform(np.arange(4.0)),
@@ -144,6 +144,7 @@ def test_gen_and_sinkhorn_fit_leave_out_scipy_optimize(reports):
 
 
 def test_continuous_fit_leaves_out_numpy_ma(reports):
+    # a fit with default cuts: no numpy.ma, and no solver module either
     assert loaded_names(reports["cli"]["continuous"]) == set()
 
 

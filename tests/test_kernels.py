@@ -384,6 +384,46 @@ class TestSinkhornScaling:
         assert abs(sweeps - ref_sweeps) <= 1
         assert np.max(np.abs(plan_of(neg_cost, u, v) - plan_of(neg_cost, ref_u, ref_v))) <= 1e-12
 
+    def test_in_place_kernel_matches_a_separate_one(self, monkeypatch):
+        # the kernel formed in the scaled cost's own array, which refill()
+        # writes again, gives the bits of a kernel in an array of its own
+        neg_cost, log_a, log_b = self.underflow_instance()
+        expected = sinkhorn_scaling(neg_cost, log_a, log_b, 20_000, 1e-9)
+        work = neg_cost.copy()
+        refills = []
+
+        def refill():
+            refills.append(1)
+            np.copyto(work, neg_cost)
+
+        axes = count_log_sum_exp(monkeypatch)
+        got = sinkhorn_scaling(work, log_a, log_b, 20_000, 1e-9, None, None, refill)
+        assert got[4] is work
+        for value, reference in zip(got, expected):
+            assert np.array_equal(value, reference)
+        # one write per log-domain sweep: its column pass leaves K in place
+        # for its row pass, which forms the kernel there
+        assert len(refills) == axes.count(1) > 1
+
+    @given(scaling_instances(), st.integers(1, 5), st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_blocked_column_pass_matches_the_full_pass(self, instance, rows, overflow):
+        # a few rows per block walk the drawn costs in several, and the
+        # running sums carry across them; an overflowed entry is -inf
+        neg_cost, _, _, u, _ = instance
+        n, m = neg_cost.shape
+        if overflow:
+            neg_cost[n // 2, m // 2] = -np.inf
+        u = np.zeros(n) if u is None else u
+        original = neg_cost.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ot, "LSE_BLOCK_BYTES", rows * m * np.dtype(np.float64).itemsize)
+            blocked = ot._log_sum_exp(neg_cost, u, 0, None)
+        assert np.array_equal(neg_cost, original)
+        full = ot._log_sum_exp(neg_cost, u, 0, np.empty_like(neg_cost))
+        for value, reference in zip(blocked, full):
+            assert np.array_equal(value, reference, equal_nan=True)
+
     def test_needs_at_most_half_the_plain_sweeps(self):
         neg_cost, log_a, log_b = self.underflow_instance()
         *_, plain_sweeps, plain_err = reference_scaling(

@@ -952,6 +952,41 @@ class TestSolveCoupling:
         solve_coupling(mu, nu)
         assert traced_peak(solve_coupling, mu, nu) <= 1.1 * floats
 
+    @pytest.mark.parametrize("divisor", [None, 100])
+    def test_lent_cost_solve_matches_a_given_copy(self, rng, monkeypatch, divisor):
+        # at the default epsilon and at a twentieth of it (median / 100),
+        # where log-domain sweeps write the lent cost again from the points
+        mu, nu = random_instance(rng, 150, 130)
+        lent = ot._buffer_cost(mu, nu)
+        given = lent.copy()
+        epsilon = None if divisor is None else float(np.median(given)) / divisor
+        config = SolverConfig(mode="sinkhorn", epsilon=epsilon)
+        expected = sinkhorn(mu, nu, given, config)
+        writes = []
+        sqdist = ot._rewrite_sqdist
+
+        def counted(*args):
+            writes.append(args)
+            return sqdist(*args)
+
+        monkeypatch.setattr(ot, "_rewrite_sqdist", counted)
+        coupling = solve_coupling(mu, nu, cost=lent, config=config)
+        assert np.shares_memory(coupling.plan, lent)
+        for field in ("plan", "dual_row", "dual_col"):
+            assert np.array_equal(getattr(coupling, field), getattr(expected, field))
+        assert coupling.iterations == expected.iterations
+        assert coupling.marginal_error == expected.marginal_error
+        # one write restores the cost that the default epsilon's median
+        # partitioned; at median / 100 log-domain sweeps make the writes
+        assert len(writes) >= (1 if divisor is None else 2)
+
+    def test_computed_cost_solve_returns_a_plan_of_its_own(self, rng):
+        mu, nu = random_instance(rng, 60, 50)
+        coupling = solve_coupling(mu, nu, config=SolverConfig(mode="sinkhorn"))
+        assert not np.shares_memory(coupling.plan, ot._thread_buffers.cost)
+        cost = pairwise_sqdist(mu.points, nu.points)
+        assert np.array_equal(coupling.plan, sinkhorn(mu, nu, cost, SolverConfig(mode="sinkhorn")).plan)
+
     def test_threads_solving_different_shapes_match_sequential_solves(self, rng):
         # each thread holds its own cost buffer; growing shapes make every
         # thread drop and reallocate it while the others solve

@@ -21,6 +21,10 @@ bytes of every array and scalar it covers, in a fixed order:
   every class pair has more plan entries than the exact size limit, so the
   line covers the entropic fit path. At n=400 ``auto`` would run the exact
   path and repeat the ``potd_fit-exact`` line.
+- ``potd_fit-small-eps``: the same n=1600 fits at epsilon = median / 100 of
+  their class pair's whitened cost, a fifth of the default. Most of their
+  sweeps run in the log domain, where an entropic fit writes its cost again
+  from the points.
 - ``knn_predict-blobs``: KNN predictions (K=10) on 10 stratified half
   splits of the bundled ``tests/data/blobs_n400_p10.csv``.
 
@@ -99,6 +103,15 @@ def large_couplings():
         yield from (c.plan, c.dual_row, c.dual_col, c.iterations)
 
 
+def small_epsilon(data):
+    """Epsilon = median / 100 of the whitened cost of the two classes of
+    ``data``, at instance sizes where ``auto`` runs Sinkhorn."""
+    z, _ = whiten(data.X)
+    labels = np.unique(data.y)
+    cost = squared_euclidean_cost(z[data.y == labels[0]], z[data.y == labels[1]])
+    return SolverConfig(epsilon=float(np.median(cost)) / 100)
+
+
 def fits():
     """``{name: values}`` of every fit on every (model, seed) draw."""
     exact = SolverConfig(mode="exact")
@@ -111,6 +124,7 @@ def fits():
             bases = {
                 "potd_fit-exact": potd_fit(data, r, solver=exact),
                 "potd_fit-auto": potd_fit(large, r),
+                "potd_fit-small-eps": potd_fit(large, r, solver=small_epsilon(large)),
                 "potd_fit_continuous": potd_fit_continuous(continuous, r),
                 "sir_fit": sir_fit(data, r),
                 "save_fit": save_fit(data, r),
