@@ -1,9 +1,11 @@
 """Time the hot kernels of the coupling stage and record them.
 
 ``sinkhorn_scaling`` is timed to a 1e-9 marginal error on n-by-n
-scaled costs at epsilon = 0.01 times the largest cost, reporting the
-sweep count, the over-relaxation omega of the last sweep and the time per
-sweep; ``pairwise_sqdist`` is timed on n-by-n point clouds, with the peak
+scaled costs at epsilon = 0.01 times the largest cost, called in place as
+the library calls it (the kernel is formed in a work array, which a copy of
+the scaled cost refills before each repeat, outside the timer), reporting
+the sweep count, the over-relaxation omega of the last sweep and the time
+per sweep; ``pairwise_sqdist`` is timed on n-by-n point clouds, with the peak
 bytes ``tracemalloc`` traces during one more call; ``exact_ot``
 is timed on uniform unequal splits (the shortlist transportation LP),
 reporting the nonzeros of the plan, and on table-shaped instances: the
@@ -51,9 +53,8 @@ worker, stdout captured) in a fresh interpreter, as a standalone
 ``potd bench-real`` runs it, reporting the median wall time and the median
 minor page faults (``ru_minflt``) of ``REAL_ROUNDS`` rounds after a warm-up
 round, and the calls that one round makes to ``knn_predict`` and to each
-fit function the harness looks up (the public ``*_fit`` names and, where
-the measured checkout has them, the private per-split baseline fits
-``_sir``, ``_save`` and ``_pca``).
+fit function the harness looks up (the public ``*_fit`` names and the
+private per-split baseline fits ``_sir``, ``_save`` and ``_pca``).
 ``cold_start`` runs commands in fresh interpreters with the measured
 ``src`` on ``PYTHONPATH``: ``import potd``, ``potd gen`` of model I at
 n=1600, p=10, a Sinkhorn ``potd fit`` of that CSV, a default ``potd fit``
@@ -69,7 +70,9 @@ see the solver modules, which ``potd.ot`` loads from their files).
 Every run appends one record, its rows plus provenance (git SHA of the
 measured ``potd`` checkout, suffixed ``-dirty`` when it has uncommitted
 changes, a hash of its sources, library versions, BLAS threads,
-``os.cpu_count()``), to ``BENCH_kernels.json`` at the repository root.
+``os.cpu_count()``), to ``BENCH_kernels.json`` at the repository root. The
+file is written with each record's provenance and each of its rows on a
+line of its own, so that a new record adds one line per row to its diff.
 To measure another checkout's library with this script, put its ``src``
 first on ``PYTHONPATH``.
 
@@ -78,6 +81,7 @@ Usage:
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -134,13 +138,43 @@ OUT = ROOT / "BENCH_kernels.json"
 BLOBS_CSV = ROOT / "tests" / "data" / "blobs_n400_p10.csv"
 
 
-def best_of(func, *args, repeats=REPEATS):
+def best_of(func, *args, repeats=REPEATS, setup=None):
+    """Best time of ``func(*args)`` over ``repeats`` calls, each after an
+    untimed ``setup()`` when one is given."""
     times = []
     for _ in range(repeats):
+        if setup is not None:
+            setup()
         t0 = time.perf_counter()
         func(*args)
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+@contextlib.contextmanager
+def wrapped(module, wrappers):
+    """``module`` with each attribute ``name`` of ``wrappers`` replaced by
+    ``wrappers[name](original)`` inside the block."""
+    originals = {name: getattr(module, name) for name in wrappers}
+    try:
+        for name, wrap in wrappers.items():
+            setattr(module, name, wrap(originals[name]))
+        yield
+    finally:
+        for name, original in originals.items():
+            setattr(module, name, original)
+
+
+def counting(calls, name):
+    """A wrapper for :func:`wrapped` that counts each call in ``calls[name]``."""
+    def wrap(func):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return counted
+
+    return wrap
 
 
 def traced_peak_bytes(func, *args):
@@ -178,26 +212,23 @@ def sinkhorn_workload(rng, n, eps_factor=0.01):
     return neg_cost, log_marg
 
 
-def sweeps_and_omega(*args):
-    """Sweeps of one ``sinkhorn_scaling`` solve and the omega of its last sweep.
-
-    The omega is read off the kernel's schedule, ``ot._overrelaxation``;
-    a kernel without one runs plain sweeps, at omega = 1.
-    """
-    schedule = getattr(ot, "_overrelaxation", None)
-    if schedule is None:
-        return sinkhorn_scaling(*args)[2], 1.0
+def sweeps_and_omega(args):
+    """Sweeps of one in-place ``sinkhorn_scaling(*args)`` solve and the
+    omega of its last sweep, read off the kernel's schedule,
+    ``ot._overrelaxation``. The solve's ``refill``, its last argument,
+    first writes its work array."""
     omegas = [1.0]
 
-    def recorded(history):
-        omegas.append(schedule(history))
-        return omegas[-1]
+    def recording(schedule):
+        def recorded(history):
+            omegas.append(schedule(history))
+            return omegas[-1]
 
-    ot._overrelaxation = recorded
-    try:
+        return recorded
+
+    args[-1]()
+    with wrapped(ot, {"_overrelaxation": recording}):
         sweeps = sinkhorn_scaling(*args)[2]
-    finally:
-        ot._overrelaxation = schedule
     return sweeps, omegas[-1]
 
 
@@ -207,9 +238,13 @@ def bench_sinkhorn(rng):
     rows = []
     for n in (200, 400, 800):
         neg_cost, log_marg = sinkhorn_workload(rng, n)
-        args = (neg_cost, log_marg, log_marg, 100_000, 1e-9)
-        sweeps, omega = sweeps_and_omega(*args)
-        ms = best_of(sinkhorn_scaling, *args) * 1e3
+        # the kernel and the plan take the work array, which refill() writes
+        # back to the scaled cost
+        work = np.empty_like(neg_cost)
+        refill = functools.partial(np.copyto, work, neg_cost)
+        args = (work, log_marg, log_marg, 100_000, 1e-9, None, None, refill)
+        sweeps, omega = sweeps_and_omega(args)
+        ms = best_of(sinkhorn_scaling, *args, setup=refill) * 1e3
         print(f"{n:>6} {sweeps:>7} {omega:>6.3f} {ms:>10.1f} {ms / max(sweeps, 1):>10.3f}")
         rows.append({"bench": "sinkhorn_scaling", "n": n, "sweeps": sweeps,
                      "final_omega": omega, "ms": ms})
@@ -301,27 +336,26 @@ def lp_work(mu, nu, cost):
     """
     iterations = []
     crash_sweeps = []
-    highs = ot._Highs
-    crash = ot._crash_scaling
 
-    class CountingHighs(highs):
-        def run(self):
-            status = super().run()
-            iterations.append(self.getInfo().simplex_iteration_count)
-            return status
+    def counting_highs(highs):
+        class CountingHighs(highs):
+            def run(self):
+                status = super().run()
+                iterations.append(self.getInfo().simplex_iteration_count)
+                return status
 
-    def counted_crash(*args):
-        out = crash(*args)
-        crash_sweeps.append(out[2])
-        return out
+        return CountingHighs
 
-    ot._Highs = CountingHighs
-    ot._crash_scaling = counted_crash
-    try:
+    def counting_crash(crash):
+        def counted(*args):
+            out = crash(*args)
+            crash_sweeps.append(out[2])
+            return out
+
+        return counted
+
+    with wrapped(ot, {"_Highs": counting_highs, "_crash_scaling": counting_crash}):
         exact_ot(mu, nu, cost)
-    finally:
-        ot._Highs = highs
-        ot._crash_scaling = crash
     return sum(crash_sweeps), len(iterations), sum(iterations)
 
 
@@ -361,64 +395,32 @@ def bench_table_lp():
     return rows
 
 
-def counted_solve(mu, nu, config=None):
+def counted_solve(mu, nu, config):
     """Sweeps, log-sum-exp passes and distance matrices (``pairwise_sqdist``
-    calls, by that name or by ``_rewrite_sqdist`` where the measured checkout
-    has it) of one ``solve_coupling`` (default config unless ``config`` is
-    given)."""
+    calls, by that name or by ``_rewrite_sqdist``) of one ``solve_coupling``."""
     calls = Counter()
     names = ("_log_sum_exp", "pairwise_sqdist", "_rewrite_sqdist")
-    originals = {name: getattr(ot, name) for name in names if hasattr(ot, name)}
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    for name, fn in originals.items():
-        setattr(ot, name, counted(name, fn))
-    try:
+    with wrapped(ot, {name: counting(calls, name) for name in names}):
         coupling = solve_coupling(mu, nu, config=config)
-    finally:
-        for name, fn in originals.items():
-            setattr(ot, name, fn)
     return (coupling.iterations, calls["_log_sum_exp"],
             calls["pairwise_sqdist"] + calls["_rewrite_sqdist"])
 
 
-def bench_large_coupling():
-    print(f"\nentropic coupling at the large-auto shape (model I sign classes, "
+def bench_large_coupling(bench, rule=None, epsilon=None):
+    """The entropic solves at the large-auto shape, as rows ``bench``: at
+    the default config, or in sinkhorn mode at ``epsilon(median cost)``,
+    recorded as ``rule``, with the distance matrices each solve writes."""
+    at = "" if rule is None else f", epsilon = {rule}"
+    print(f"\nentropic coupling at the large-auto shape{at} (model I sign classes, "
           f"n={LARGE_N}, {LARGE_SEEDS} seeds)")
-    print(f"{'ms':>8} {'sweeps':>7} {'lse':>5}")
-    shapes, ms, sweeps, passes = [], [], [], []
-    for seed in range(LARGE_SEEDS):
-        mu, nu = sign_classes("I", LARGE_N, 10, seed)
-        solve_sweeps, solve_passes, _ = counted_solve(mu, nu)
-        shapes.append([mu.size, nu.size])
-        sweeps.append(solve_sweeps)
-        passes.append(solve_passes)
-        ms.append(best_of(solve_coupling, mu, nu) * 1e3)
-    print(f"{np.median(ms):>8.2f} {np.median(sweeps):>7.1f} "
-          f"{np.median(passes):>5.1f}")
-    return [{"bench": "solve_coupling", "model": "I", "n": LARGE_N, "p": 10,
-             "seeds": list(range(LARGE_SEEDS)), "median_ms": float(np.median(ms)),
-             "median_sweeps": float(np.median(sweeps)),
-             "median_log_sum_exp_passes": float(np.median(passes)),
-             "shapes": shapes, "ms": ms, "sweeps": sweeps,
-             "log_sum_exp_passes": passes}]
-
-
-def bench_small_eps_coupling():
-    print(f"\nentropic coupling at the large-auto shape, epsilon = median / 100 "
-          f"(model I sign classes, n={LARGE_N}, {LARGE_SEEDS} seeds)")
     print(f"{'ms':>8} {'sweeps':>7} {'lse':>5} {'sqdist':>7}")
     shapes, ms, sweeps, passes, writes = [], [], [], [], []
     for seed in range(LARGE_SEEDS):
         mu, nu = sign_classes("I", LARGE_N, 10, seed)
-        median = float(np.median(pairwise_sqdist(mu.points, nu.points)))
-        config = ot.SolverConfig(mode="sinkhorn", epsilon=median / 100)
+        config = None
+        if epsilon is not None:
+            median = float(np.median(pairwise_sqdist(mu.points, nu.points)))
+            config = ot.SolverConfig(mode="sinkhorn", epsilon=epsilon(median))
         solve_sweeps, solve_passes, solve_writes = counted_solve(mu, nu, config)
         shapes.append([mu.size, nu.size])
         sweeps.append(solve_sweeps)
@@ -427,13 +429,16 @@ def bench_small_eps_coupling():
         ms.append(best_of(solve_coupling, mu, nu, None, config) * 1e3)
     print(f"{np.median(ms):>8.2f} {np.median(sweeps):>7.1f} {np.median(passes):>5.1f} "
           f"{np.median(writes):>7.1f}")
-    return [{"bench": "solve_coupling_small_eps", "model": "I", "n": LARGE_N, "p": 10,
-             "epsilon": "median / 100", "seeds": list(range(LARGE_SEEDS)),
-             "median_ms": float(np.median(ms)), "median_sweeps": float(np.median(sweeps)),
-             "median_log_sum_exp_passes": float(np.median(passes)),
-             "median_pairwise_sqdist_calls": float(np.median(writes)),
-             "shapes": shapes, "ms": ms, "sweeps": sweeps, "log_sum_exp_passes": passes,
-             "pairwise_sqdist_calls": writes}]
+    # the default row records no epsilon and no distance matrices
+    counted = rule is not None
+    row = {"bench": bench, "model": "I", "n": LARGE_N, "p": 10, "epsilon": rule,
+           "seeds": list(range(LARGE_SEEDS)), "median_ms": float(np.median(ms)),
+           "median_sweeps": float(np.median(sweeps)),
+           "median_log_sum_exp_passes": float(np.median(passes)),
+           "median_pairwise_sqdist_calls": float(np.median(writes)) if counted else None,
+           "shapes": shapes, "ms": ms, "sweeps": sweeps, "log_sum_exp_passes": passes,
+           "pairwise_sqdist_calls": writes if counted else None}
+    return [{key: value for key, value in row.items() if value is not None}]
 
 
 def in_fresh_interpreter(bench):
@@ -551,29 +556,6 @@ def bench_knn(rng):
     return rows
 
 
-def counted_calls(func, names):
-    """``func()`` with each attribute of ``names`` that ``potd.harness`` has
-    counted; returns the counts by name."""
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    originals = {name: getattr(harness, name) for name in names if hasattr(harness, name)}
-    for name, fn in originals.items():
-        setattr(harness, name, counted(name, fn))
-    try:
-        func()
-    finally:
-        for name, fn in originals.items():
-            setattr(harness, name, fn)
-    return {name: calls[name] for name in originals}
-
-
 def bench_real_round():
     print(f"\nbench-real round in process (blobs CSV, 4 replications, dims 2,4,6,8, "
           f"median of {REAL_ROUNDS})")
@@ -589,7 +571,9 @@ def bench_real_round():
             if code != 0:
                 raise SystemExit(f"bench-real exited with {code}")
 
-        calls = counted_calls(one_round, REAL_CALLS)
+        calls = Counter({name: 0 for name in REAL_CALLS})
+        with wrapped(harness, {name: counting(calls, name) for name in REAL_CALLS}):
+            one_round()
         ms, faults = [], []
         for _ in range(REAL_ROUNDS):
             before = minflt()
@@ -729,17 +713,29 @@ def provenance():
     }
 
 
+def ledger_text(runs):
+    """``{"runs": runs}`` as JSON text, with each record's provenance and
+    each of its rows on a line of its own."""
+    records = []
+    for record in runs:
+        rows = ",\n".join("  " + json.dumps(row) for row in record["rows"])
+        records.append(f'{{"provenance": {json.dumps(record["provenance"])},\n'
+                       f' "rows": [\n{rows}\n ]}}')
+    return '{"runs": [\n' + ",\n".join(records) + "\n]}\n"
+
+
 def main():
     rng = np.random.default_rng(np.random.SeedSequence([123]))
     rows = (bench_pairwise(rng) + bench_sinkhorn(rng) + bench_exact_lp(rng)
-            + bench_assignment() + in_fresh_interpreter(bench_table_lp) + bench_large_coupling()
-            + bench_small_eps_coupling() + bench_solve_buffers()
-            + bench_fit_loop() + bench_knn(rng) + in_fresh_interpreter(bench_real_round)
-            + bench_cold_start())
+            + bench_assignment() + in_fresh_interpreter(bench_table_lp)
+            + bench_large_coupling("solve_coupling")
+            + bench_large_coupling("solve_coupling_small_eps", "median / 100",
+                                   lambda median: median / 100)
+            + bench_solve_buffers() + bench_fit_loop() + bench_knn(rng)
+            + in_fresh_interpreter(bench_real_round) + bench_cold_start())
     record = {"provenance": provenance(), "rows": rows}
     runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
-    runs.append(record)
-    OUT.write_text(json.dumps({"runs": runs}, indent=1) + "\n")
+    OUT.write_text(ledger_text(runs + [record]))
     print(f"\nappended to {OUT.name}: {json.dumps(record['provenance'])}")
 
 

@@ -10,8 +10,10 @@ fits once.
 
 import numpy as np
 
-from .core import Fit, _class_codes, centered_covariance, descending_eigh, whiten
-from .errors import DegenerateInputError, InvalidInputError
+from .core import (
+    Fit, _class_codes, _predictor_matrix, centered_covariance, descending_eigh, whiten,
+)
+from .errors import DegenerateInputError
 
 
 def _slice_stats(Z, labels, codes):
@@ -69,10 +71,7 @@ def save_fit(data, r):
 
 
 def _pca(X):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise InvalidInputError("X must be a matrix with at least 2 rows")
-    _, cov = centered_covariance(X)
+    _, cov = centered_covariance(_predictor_matrix(X, 2))
     evals, evecs = descending_eigh(cov)
     return Fit(evecs, np.maximum(evals, 0.0), None)
 

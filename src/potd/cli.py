@@ -294,20 +294,18 @@ def _cmd_embed(args):
 # gen
 
 
+# the draw of each ``gen --model`` choice, in the order --help lists them:
+# the sign models, then the two examples
+_GENERATORS = {
+    **dict.fromkeys(MODELS, lambda args: gen_model(
+        SyntheticSpec(args.model, args.n, args.p, args.seed, args.noise_scale))),
+    "cshape": lambda args: gen_cshape(args.n_per_class, args.seed, standardize=args.standardize),
+    "svm3d": lambda args: gen_svm3d(args.n_per_class, args.seed),
+}
+
+
 def _cmd_gen(args):
-    if args.model in MODELS:
-        spec = SyntheticSpec(
-            model=args.model,
-            n=args.n,
-            p=args.p,
-            seed=args.seed,
-            noise_scale=args.noise_scale,
-        )
-        data, _ = gen_model(spec)
-    elif args.model == "cshape":
-        data, _ = gen_cshape(args.n_per_class, args.seed, standardize=args.standardize)
-    else:
-        data, _ = gen_svm3d(args.n_per_class, args.seed)
+    data, _ = _GENERATORS[args.model](args)
     save_csv_dataset(data, args.dump)
     _write_meta(f"{args.dump}.meta.json", args)
     print(f"wrote {data.n} x {data.p} dataset to {args.dump}")
@@ -522,7 +520,7 @@ def build_parser():
     p_gen.add_argument(
         "--model",
         required=True,
-        choices=list(MODELS) + ["cshape", "svm3d"],
+        choices=list(_GENERATORS),
         help="generator to draw from",
     )
     p_gen.add_argument("--n", type=int, default=400, help="sample size (default: 400)")

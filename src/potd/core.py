@@ -106,9 +106,7 @@ class LabeledDataset:
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] < 2:
-            raise InvalidInputError("X must be a matrix with at least 2 rows")
+        X = _predictor_matrix(self.X, 2)
         if not np.all(np.isfinite(X)):
             raise InvalidInputError("X contains non-finite entries")
         y = np.asarray(self.y)
@@ -152,6 +150,17 @@ class SecondOrderDisplacement:
         return Fit(self.eigenvectors, self.eigenvalues, None).basis(r)
 
 
+def _predictor_matrix(X, min_rows=0):
+    """``X`` as a float64 matrix of at least ``min_rows`` rows and one column."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < min_rows:
+        at_least = f" with at least {min_rows} rows" if min_rows else ""
+        raise InvalidInputError(f"X must be a matrix{at_least}")
+    if X.shape[1] < 1:
+        raise InvalidInputError("X has no predictor columns")
+    return X
+
+
 def centered_covariance(X):
     """``(Xc, Xc.T @ Xc / n)``: the column-centered ``X`` and its covariance.
 
@@ -173,9 +182,7 @@ def whiten(X):
     a basis ``B`` fitted on ``Z`` maps back to predictor coordinates as
     ``orthonormalize(W @ B)``.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise InvalidInputError("X must be a matrix")
+    X = _predictor_matrix(X)
     n, p = X.shape
     if n <= p:
         raise InvalidInputError(f"whitening requires n > p (got n={n}, p={p})")

@@ -225,6 +225,8 @@ def load_csv_dataset(path, label_column, delimiter=","):
                     f"columns are {header}"
                 )
             label_idx = header.index(label_column)
+        if len(header) < 2:
+            raise DatasetSchemaError(f"{path}: no predictor column besides the label column")
         features, labels = [], []
         for row_num, row in enumerate(reader, start=1):
             if not row:

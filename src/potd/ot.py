@@ -19,6 +19,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
@@ -71,7 +72,8 @@ SCALING_BOUND = 1e3
 # epsilon); the sweeps stop on them and sinkhorn() reports them
 POTENTIAL_BOUND = 1e150
 # bytes of kernel rows per block of a scaling sweep: a block read for its
-# row sums is still in cache (L2 of a current x86 core) for its column sums
+# row sums is still in cache (L2 of a current x86 core) for its column sums.
+# A log-domain column pass walks the scaled cost in blocks of the same size
 SWEEP_BLOCK_BYTES = 1 << 20
 # bytes of the outer-sum scratch of pairwise_sqdist: a few rows, reused
 # down the matrix, so that a small matrix (one KNN block of 200 by 200)
@@ -80,9 +82,6 @@ SWEEP_BLOCK_BYTES = 1 << 20
 # row groups stay few: at 822 by 778 one call took 1.86 against 2.30 ms
 SQDIST_SCRATCH_BYTES = 1 << 15
 SQDIST_SCRATCH_PARTS = 32
-# bytes of the row blocks of a column log-sum-exp pass that leaves the
-# scaled cost as it is (see _column_log_sum_exp)
-LSE_BLOCK_BYTES = 1 << 18
 # the over-relaxation schedule of the scaling sweeps (see _overrelaxation)
 OMEGA_MAX = 1.8
 SETTLE_RTOL = 0.1
@@ -376,8 +375,8 @@ def _log_sum_exp(neg_cost, pot, axis, work):
 
 
 def _column_log_sum_exp(neg_cost, u):
-    """The column pass of :func:`_log_sum_exp` in row blocks of about
-    ``LSE_BLOCK_BYTES``, held in one scratch, without writing ``neg_cost``.
+    """The column pass of :func:`_log_sum_exp` in the row blocks of a
+    scaling sweep, held in one scratch, without writing ``neg_cost``.
 
     A first walk takes each column's maximum of ``neg_cost + u[:, None]``,
     a second the sums of its shifted exponentials. numpy sums a C-contiguous
@@ -387,7 +386,7 @@ def _column_log_sum_exp(neg_cost, u):
     matrix.
     """
     n, m = neg_cost.shape
-    blocks = _row_blocks(n, m, LSE_BLOCK_BYTES)
+    blocks = _row_blocks(n, m)
     # row 0 carries the running sums into each block's sum
     scratch = np.empty((neg_cost[blocks[0]].shape[0] + 1, m))
     shift = np.full(m, -np.inf)
@@ -479,9 +478,7 @@ def _row_sweep(kernel, beta, a, alpha, omega, col_scale=None):
     return row, new_alpha, col
 
 
-def sinkhorn_scaling(
-    neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None, refill=None
-):
+def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0, v0, refill):
     """Over-relaxed Sinkhorn iterations on the scaled negative cost ``K = -C/eps``.
 
     Returns ``(u, v, sweeps, err, plan)``: log-domain dual potentials, the
@@ -514,21 +511,15 @@ def sinkhorn_scaling(
     place to ``diag(alpha) Kt diag(beta)`` in one blocked pass, is the
     returned plan, so no fresh ``exp`` pass forms it.
 
-    A log-domain sweep takes its column sums in row blocks, which leave
-    ``K`` as it is for its row pass (see :func:`_column_log_sum_exp`).
-    Without ``refill`` the kernel is the one n-by-m array the call
-    allocates, and ``neg_cost`` is only read. With it, the call allocates
-    no n-by-m array: the kernel is formed in ``neg_cost`` itself (a
-    C-contiguous float64 array), which becomes the returned plan, and
-    ``refill()``, which must write the same ``K`` into ``neg_cost`` again,
-    runs once before each log-domain sweep, since the kernel has
-    overwritten ``K`` by then.
+    The call allocates no n-by-m array: the kernel is formed in
+    ``neg_cost`` itself (a writable C-contiguous float64 array), which
+    becomes the returned plan. ``refill()`` must write the same ``K`` into
+    ``neg_cost`` again; it runs before each log-domain sweep, whose column
+    sums are taken in row blocks that leave ``K`` for its row pass (see
+    :func:`_column_log_sum_exp`). ``u0``/``v0`` warm-start the potentials
+    (``None``: zero).
     """
-    if refill is None:
-        neg_cost = np.ascontiguousarray(neg_cost, dtype=np.float64)
-        kernel = np.empty(neg_cost.shape)
-    else:
-        kernel = neg_cost
+    kernel = neg_cost
     n, m = neg_cost.shape
     a = np.exp(log_a)
     b = np.exp(log_b)
@@ -566,8 +557,7 @@ def sinkhorn_scaling(
             else:
                 u += np.log(alpha)
                 v += np.log(beta)
-                if refill is not None:  # the kernel has overwritten K
-                    refill()
+                refill()  # the kernel has overwritten K
                 if sweeps > 1:  # the first sweep's column update is done
                     # in row blocks, which leave K for the row pass
                     lse_cols, _ = _log_sum_exp(neg_cost, u, 0, None)
@@ -602,6 +592,17 @@ def sinkhorn_scaling(
 # bound at import: it is LP work, and tracers that wrap the module attribute
 # ``sinkhorn_scaling`` to time entropic solves must not see it
 _crash_scaling = sinkhorn_scaling
+
+
+def _scale_into(out, cost, eps):
+    """Write the scaled negative cost ``-cost / eps`` into ``out``.
+
+    A cost over a tiny epsilon can overflow to -inf without a warning: the
+    potentials then degenerate, which :func:`sinkhorn` reports as one error
+    and the crash start counts as zero.
+    """
+    with np.errstate(over="ignore"):
+        np.divide(cost, -eps, out=out)
 
 
 def _check_same_dim(src, tgt):
@@ -762,23 +763,17 @@ def sinkhorn(mu, nu, cost, config, init=None):
     lent = _in_cost_buffer(cost)
     neg_cost = cost if lent else np.empty(cost.shape)
 
-    def scale(source):
-        # a cost over a tiny epsilon can overflow to -inf; the potentials
-        # then degenerate, which is reported below as one error
-        with np.errstate(over="ignore"):
-            np.divide(source, -eps, out=neg_cost)
-
     def refill():
         # the median or the kernel has overwritten a lent cost; its points
         # give it back
-        scale(_rewrite_sqdist(mu.points, nu.points, cost) if lent else cost)
+        _scale_into(neg_cost, _rewrite_sqdist(mu.points, nu.points, cost) if lent else cost, eps)
 
     if config.epsilon is None:
         eps = default_epsilon(cost, neg_cost)
         refill()
     else:
         eps = config.epsilon
-        scale(cost)
+        _scale_into(neg_cost, cost, eps)
     log_a = np.log(mu.weights)
     log_b = np.log(nu.weights)
     u0 = v0 = None
@@ -941,11 +936,7 @@ def _crash_reduced_cost(unit, a, b):
         np.copyto(reduced, unit)
         return reduced, np.zeros(n), np.zeros(m)
     eps = default_epsilon(unit, reduced)
-
-    def refill():
-        with np.errstate(over="ignore"):
-            np.divide(unit, -eps, out=reduced)
-
+    refill = partial(_scale_into, reduced, unit, eps)
     # the sweeps form their kernel in the scaled cost's buffer, which the
     # reduced costs take once they are done; all positional, as in sinkhorn()
     refill()
@@ -1087,12 +1078,12 @@ def _transportation_lp(a, b, cost):
         scale = 1.0
     unit = np.divide(cost, scale, out=_buffer("unit", n, m))
     shifted, u_shift, v_shift = _crash_reduced_cost(unit, a, b)
+    # the mask holds each row's smallest entry, star, which the basis needs
     mask = _shortlist_mask(shifted, a, b)
     star = shifted.argmin(axis=1)
     row_min = shifted[np.arange(n), star]
     shifted -= row_min[:, None]
     u_shift += row_min
-    mask[np.arange(n), star] = True
     highs = _highs_model()
     # row-sum constraints for every source atom, column-sum constraints for
     # all but the last target atom (the dropped one is implied by mass balance)

@@ -116,6 +116,10 @@ class TestPca:
         with pytest.raises(InvalidInputError, match="^X must be a matrix with at least 2 rows$"):
             pca_fit(X, 1)
 
+    def test_rejects_a_matrix_without_columns(self):
+        with pytest.raises(InvalidInputError, match="^X has no predictor columns$"):
+            pca_fit(np.zeros((4, 0)), 1)
+
 
 class TestAffineInvariance:
     @pytest.mark.parametrize("fit", [sir_fit, save_fit])

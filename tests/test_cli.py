@@ -551,6 +551,21 @@ class TestExitCodes:
         assert line == f"potd: error: {kind}: no luck on two lines"
 
     @pytest.mark.parametrize(
+        "command",
+        [["fit", "--r", "1"], ["embed", "--method", "PCA", "--r", "1"], ["bench-real"]],
+        ids=lambda command: command[0],
+    )
+    def test_label_only_csv_exits_2(self, command, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("label\na\nb\na\nb\n")
+        output = tmp_path / "out"
+        assert run_cli(*command, "--data", str(data), "--output", str(output)) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"potd: error: dataset-schema: {data}: no predictor column "
+                        "besides the label column")
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
         "exc, kind",
         [
             (json.JSONDecodeError("x", "{", 1), "json-decode"),

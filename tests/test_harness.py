@@ -121,6 +121,12 @@ class TestLoadCsv:
         with pytest.raises(DatasetSchemaError, match="label"):
             load_csv_dataset(path, "label")
 
+    def test_label_only_file(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "label\na\nb\na\nb\n")
+        message = f"{path}: no predictor column besides the label column"
+        with pytest.raises(DatasetSchemaError, match=f"^{re.escape(message)}$"):
+            load_csv_dataset(path, "label")
+
     def test_single_class_file(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "f1,label\n1,a\n2,a\n")
         message = f"{path}: all rows share a single class"

@@ -17,7 +17,7 @@ from scipy.special import logsumexp
 
 from potd import baselines, core, harness, ot
 from potd.core import LabeledDataset
-from potd.ot import SolverConfig, pairwise_sqdist, sinkhorn_scaling, solve_coupling
+from potd.ot import SolverConfig, pairwise_sqdist, solve_coupling
 
 from conftest import integer_weights, memory_points, random_instance, traced_peak
 
@@ -78,6 +78,16 @@ def reference_scaling(
     return u, v, sweeps, err
 
 
+def scaling_on_a_copy(neg_cost, log_a, log_b, max_iterations, tolerance, u0=None, v0=None):
+    """``ot.sinkhorn_scaling`` on a copy of ``neg_cost``, which its ``refill``
+    writes again; the copy becomes the returned plan, ``neg_cost`` is kept."""
+    work = neg_cost.copy()
+    return ot.sinkhorn_scaling(
+        work, log_a, log_b, max_iterations, tolerance, u0, v0,
+        lambda: np.copyto(work, neg_cost),
+    )
+
+
 def plan_of(neg_cost, u, v):
     return np.exp(neg_cost + u[:, None] + v[None, :])
 
@@ -102,7 +112,7 @@ def assert_matches_reference(neg_cost, log_a, log_b, u0, v0):
     if currently_in_test_context():
         assume(ref_err <= tol)
     assert ref_err <= tol
-    u, v, sweeps, err, _ = sinkhorn_scaling(neg_cost, log_a, log_b, budget, tol, u0, v0)
+    u, v, sweeps, err, _ = scaling_on_a_copy(neg_cost, log_a, log_b, budget, tol, u0, v0)
     assert abs(sweeps - ref_sweeps) <= 1
     plan = plan_of(neg_cost, u, v)
     assert np.max(np.abs(plan - plan_of(neg_cost, ref_u, ref_v))) <= 1e-12
@@ -135,7 +145,7 @@ def count_log_sum_exp(monkeypatch):
 
 def scaling_with_plan(neg_cost, log_a, log_b, max_iterations, u0=None, v0=None):
     """``sinkhorn_scaling`` to 1e-9, with the plan it returns listed first."""
-    u, v, sweeps, err, plan = sinkhorn_scaling(
+    u, v, sweeps, err, plan = scaling_on_a_copy(
         neg_cost, log_a, log_b, max_iterations, 1e-9, u0, v0
     )
     return plan, u, v, sweeps, err
@@ -243,7 +253,7 @@ class TestSinkhornScaling:
         # nearest it comes, and its column stays empty on a finite potential
         neg_cost, log_a, _ = self.setup_instance(rng, 4, 3)
         log_b = np.log(np.array([0.5, 0.5, 1e-300]))
-        u, v, _, err, _ = sinkhorn_scaling(neg_cost, log_a, log_b, 10_000, 1e-10)
+        u, v, _, err, _ = scaling_on_a_copy(neg_cost, log_a, log_b, 10_000, 1e-10)
         plan = plan_of(neg_cost, u, v)
         assert np.allclose(plan[:, 2], 0.0)
         assert plan[:, 2].sum() == pytest.approx(1e-300, rel=1e-6)
@@ -253,9 +263,9 @@ class TestSinkhornScaling:
     def test_warm_start_converges_faster(self, rng):
         neg_cost, log_a, log_b = self.setup_instance(rng, 10, 10)
         sharp = neg_cost * 20.0  # same instance at epsilon / 20
-        _, _, cold_iters, _, _ = sinkhorn_scaling(sharp, log_a, log_b, 200_000, 1e-9)
-        u, v, _, _, _ = sinkhorn_scaling(neg_cost, log_a, log_b, 200_000, 1e-9)
-        _, _, warm_iters, _, _ = sinkhorn_scaling(
+        _, _, cold_iters, _, _ = scaling_on_a_copy(sharp, log_a, log_b, 200_000, 1e-9)
+        u, v, _, _, _ = scaling_on_a_copy(neg_cost, log_a, log_b, 200_000, 1e-9)
+        _, _, warm_iters, _, _ = scaling_on_a_copy(
             sharp, log_a, log_b, 200_000, 1e-9, u0=u * 20.0, v0=v * 20.0
         )
         assert warm_iters <= cold_iters
@@ -300,7 +310,7 @@ class TestSinkhornScaling:
     def test_cold_start_makes_one_log_sum_exp_pass(self, rng, monkeypatch):
         neg_cost, log_a, log_b = self.setup_instance(rng, 30, 25)
         axes = count_log_sum_exp(monkeypatch)
-        sweeps = sinkhorn_scaling(neg_cost, log_a, log_b, 20_000, 1e-9)[2]
+        sweeps = scaling_on_a_copy(neg_cost, log_a, log_b, 20_000, 1e-9)[2]
         # the start's column pass; every sweep, the first included, scales
         assert sweeps > 1 and axes == [0]
 
@@ -375,7 +385,7 @@ class TestSinkhornScaling:
         neg_cost, log_a, log_b = self.underflow_instance()
         assert np.any(np.exp(neg_cost) == 0.0)
         axes = count_log_sum_exp(monkeypatch)
-        u, v, sweeps, err, _ = sinkhorn_scaling(neg_cost, log_a, log_b, 20_000, 1e-9)
+        u, v, sweeps, err, _ = scaling_on_a_copy(neg_cost, log_a, log_b, 20_000, 1e-9)
         # a log-domain row update is an absorption or the first sweep's
         # fallback; this instance absorbs in later sweeps
         assert axes.count(1) > 1
@@ -385,10 +395,11 @@ class TestSinkhornScaling:
         assert np.max(np.abs(plan_of(neg_cost, u, v) - plan_of(neg_cost, ref_u, ref_v))) <= 1e-12
 
     def test_in_place_kernel_matches_a_separate_one(self, monkeypatch):
-        # the kernel formed in the scaled cost's own array, which refill()
-        # writes again, gives the bits of a kernel in an array of its own
+        # the kernel is formed in the scaled cost's own array, which refill()
+        # writes again and which becomes the plan; a solve in a separate
+        # copy gives the same bits
         neg_cost, log_a, log_b = self.underflow_instance()
-        expected = sinkhorn_scaling(neg_cost, log_a, log_b, 20_000, 1e-9)
+        expected = scaling_on_a_copy(neg_cost, log_a, log_b, 20_000, 1e-9)
         work = neg_cost.copy()
         refills = []
 
@@ -397,7 +408,7 @@ class TestSinkhornScaling:
             np.copyto(work, neg_cost)
 
         axes = count_log_sum_exp(monkeypatch)
-        got = sinkhorn_scaling(work, log_a, log_b, 20_000, 1e-9, None, None, refill)
+        got = ot.sinkhorn_scaling(work, log_a, log_b, 20_000, 1e-9, None, None, refill)
         assert got[4] is work
         for value, reference in zip(got, expected):
             assert np.array_equal(value, reference)
@@ -417,7 +428,7 @@ class TestSinkhornScaling:
         u = np.zeros(n) if u is None else u
         original = neg_cost.copy()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ot, "LSE_BLOCK_BYTES", rows * m * np.dtype(np.float64).itemsize)
+            patch.setattr(ot, "SWEEP_BLOCK_BYTES", rows * m * np.dtype(np.float64).itemsize)
             blocked = ot._log_sum_exp(neg_cost, u, 0, None)
         assert np.array_equal(neg_cost, original)
         full = ot._log_sum_exp(neg_cost, u, 0, np.empty_like(neg_cost))
@@ -430,7 +441,7 @@ class TestSinkhornScaling:
             neg_cost, log_a, log_b, 20_000, 1e-9, schedule=lambda history: 1.0
         )
         assert plain_err <= 1e-9
-        sweeps = sinkhorn_scaling(neg_cost, log_a, log_b, 20_000, 1e-9)[2]
+        sweeps = scaling_on_a_copy(neg_cost, log_a, log_b, 20_000, 1e-9)[2]
         assert sweeps <= plain_sweeps / 2
 
 

@@ -1,13 +1,15 @@
 """Tests of the comparison scripts under tools/, loaded by path."""
 
 import importlib.util
+import json
 import os
 import subprocess
 from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 
 
 def load_tool(name, path=None):
@@ -84,3 +86,33 @@ class TestRaiseAudit:
         assert result == 0.5
         assert {name for name, _ in hits} == {str(module)}
         assert tool.unreached([module], hits) == [f"{module}:5"]
+
+
+class TestKernelLedger:
+    @pytest.fixture
+    def bench(self, monkeypatch):
+        # the script sets the BLAS thread variables when it is loaded; these
+        # settings restore them afterwards
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+        return load_tool("bench_kernels", ROOT / "benchmarks" / "bench_kernels.py")
+
+    def test_writes_one_row_per_line(self, bench):
+        runs = [
+            {"provenance": {"git_sha": "a", "cpu_count": 2},
+             "rows": [{"bench": "x", "ms": [1.5, 0.1]}, {"bench": "y", "calls": {"k": 2}}]},
+            {"provenance": {"git_sha": None}, "rows": [{"bench": "x", "ms": 2.0}]},
+        ]
+        text = bench.ledger_text(runs)
+        assert json.loads(text) == {"runs": runs}
+        lines = [line.strip().rstrip(",") for line in text.splitlines()]
+        # a line for the file's head and tail, and per record a line for its
+        # provenance, one per row and two around them
+        assert len(lines) == 2 + sum(3 + len(record["rows"]) for record in runs)
+        for record in runs:
+            assert f'{{"provenance": {json.dumps(record["provenance"])}' in lines
+            assert all(json.dumps(row) in lines for row in record["rows"])
+
+    def test_the_committed_ledger_is_in_that_layout(self, bench):
+        text = (ROOT / "BENCH_kernels.json").read_text()
+        assert bench.ledger_text(json.loads(text)["runs"]) == text
