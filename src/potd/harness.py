@@ -313,13 +313,14 @@ def knn_predict(train, test_points, K):
 
     Distances are computed one row block of test points at a time, about
     ``SWEEP_BLOCK_BYTES`` of them (see :func:`potd.ot.pairwise_sqdist`), so
-    no test-by-train array exists: the overflow check, the K-th distances,
-    the tie-break and the votes are taken per block, and the votes are
-    integer counts per label. A block's distances and the copy partitioned
-    for its K-th distances live in the two halves of this thread's
-    ``"cost"`` buffer and its candidate mask in ``"flags"`` (see
-    :func:`potd.ot._buffer`), so a repeat call allocates no array of a
-    block's size.
+    no test-by-train array exists. A block's candidates, the points within
+    a row's K-th distance, are marked 1.0, and one product of the marks
+    with the one-hot labels of the training points counts the votes; only
+    a block with a row of more than K candidates (ties) takes the
+    tie-break. The distances and their partitioned copy, which then holds
+    the marks, live in the two halves of this thread's ``"cost"`` buffer
+    (see :func:`potd.ot._buffer`), so a repeat call allocates no array of
+    a block's size.
     """
     if K < 1:
         raise InvalidInputError("K must be >= 1")
@@ -327,9 +328,7 @@ def knn_predict(train, test_points, K):
         raise InvalidInputError(f"K={K} exceeds training size {train.n}")
     test_points = np.asarray(test_points, dtype=np.float64)
     if test_points.ndim != 2 or test_points.shape[1] != train.p:
-        raise InvalidInputError(
-            f"test points must be a matrix with {train.p} columns"
-        )
+        raise InvalidInputError(f"test points must be a matrix with {train.p} columns")
     if test_points.shape[0] == 0:
         raise InvalidInputError("no test points to classify")
     if not np.all(np.isfinite(test_points)):
@@ -337,7 +336,8 @@ def knn_predict(train, test_points, K):
     labels, codes = np.unique(train.y, return_inverse=True)
     n_test, n_train = test_points.shape[0], train.n
     n_labels = labels.shape[0]
-    votes = np.empty((n_test, n_labels), dtype=np.intp)
+    onehot = (codes[:, None] == np.arange(n_labels)).astype(np.float64)
+    votes = np.empty((n_test, n_labels))
     blocks = _row_blocks(n_test, n_train)
     # rows of the first block, the largest: distances, then the partition copy
     size = min(blocks[0].stop, n_test)
@@ -353,35 +353,30 @@ def knn_predict(train, test_points, K):
                 "squared distances overflow float64; rescale the points"
             )
         # every point within a row's K-th smallest distance is a candidate;
-        # the K-th values do not depend on where the partition runs. The
-        # flat indices of the candidates give each one's row and training
-        # column, in row-major order
+        # the K-th values do not depend on where the partition runs
         part = work[size : size + count]
         np.copyto(part, block)
         part.partition(K - 1, axis=1)
         kth = part[:, [K - 1]]
         # the compare reads the K-th distances copied across their rows,
-        # since numpy takes a buffer of up to 64 KiB for a broadcasting call
+        # since numpy takes a buffer of up to 64 KiB for a broadcasting call,
+        # and marks the candidates 1.0 in their place: the votes, sums of
+        # products of 0.0 and 1.0, are exact integers
         np.copyto(part, kth)
-        candidates = np.less_equal(block, part, out=_buffer("flags", count, n_train, bool))
-        row, col = np.divmod(np.flatnonzero(candidates), n_train)
-        counts = np.bincount(row, minlength=block.shape[0])
+        marks = np.less_equal(block, part, out=part)
+        vote = np.matmul(marks, onehot, out=votes[rows])
+        counts = vote.sum(axis=1)
         if counts.max() > K:
-            # rows with ties at the K-th distance keep the tied points of
-            # lowest training index, as a stable sort by distance would. A
-            # row's candidates are contiguous, so a running count of tied
-            # candidates ranks them; a row whose last tied candidate has rank
-            # ``through`` drops its last ``counts - K`` tied candidates
-            tied = block[row, col] == kth[row, 0]
-            rank = np.cumsum(tied)
-            through = rank[np.cumsum(counts) - 1]
-            keep = ~tied | (rank <= (through - counts + K)[row])
-            row, col = row[keep], col[keep]
-        # integer votes per (row, label) from the K points each row keeps,
-        # counted on keys formed in place of the row indices
-        row *= n_labels
-        row += codes[col]
-        votes[rows] = np.bincount(row, minlength=count * n_labels).reshape(-1, n_labels)
+            # a row of c candidates drops its last c - K points tied at its
+            # K-th distance, as a stable sort would (none when c = K). In
+            # row-major order a row's tied points are one run, which ends at
+            # the running count of ties; the dropped points' votes are taken
+            # back
+            row, col = np.divmod(np.flatnonzero(block == kth), n_train)
+            cut = np.cumsum(np.bincount(row, minlength=count)) - (counts - K)
+            drop = np.arange(row.size) >= cut[row]
+            keys = row[drop] * n_labels + codes[col[drop]]
+            vote -= np.bincount(keys, minlength=count * n_labels).reshape(-1, n_labels)
     # argmax picks the first maximum, i.e. the smallest label on vote ties
     return labels[np.argmax(votes, axis=1)]
 

@@ -72,14 +72,14 @@ SCALING_BOUND = 1e3
 # epsilon); the sweeps stop on them and sinkhorn() reports them
 POTENTIAL_BOUND = 1e150
 # bytes of kernel rows per block of a scaling sweep: a block read for its
-# row sums is still in cache (L2 of a current x86 core) for its column sums.
-# A log-domain column pass walks the scaled cost in blocks of the same size
+# row sums is still in cache (L2 of a current x86 core) for its column sums
 SWEEP_BLOCK_BYTES = 1 << 20
-# bytes of the outer-sum scratch of pairwise_sqdist: a few rows, reused
-# down the matrix, so that a small matrix (one KNN block of 200 by 200)
-# holds no second copy of itself. A matrix of more than SQDIST_SCRATCH_PARTS
-# times that (an entropic cost) takes that fraction of itself, so that its
-# row groups stay few: at 822 by 778 one call took 1.86 against 2.30 ms
+# bytes of the scratch of a pass that walks a matrix in groups of a few rows
+# (pairwise_sqdist's outer sum, the log-domain column pass): one KNN block
+# of 200 by 200 holds no second copy of itself. A matrix of more than
+# SQDIST_SCRATCH_PARTS times that (an entropic cost) takes that fraction of
+# itself, so its groups stay few: 1.86 against 2.30 ms per pairwise_sqdist
+# call at 822 by 778
 SQDIST_SCRATCH_BYTES = 1 << 15
 SQDIST_SCRATCH_PARTS = 32
 # the over-relaxation schedule of the scaling sweeps (see _overrelaxation)
@@ -291,10 +291,16 @@ class SolverConfig:
             )
         if self.epsilon is not None and not self.epsilon > 0:
             raise InvalidInputError("epsilon must be positive")
-        if self.max_iterations < 1:
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be a positive integer")
         if not self.marginal_tolerance > 0:
             raise InvalidInputError("marginal_tolerance must be positive")
+        # an infinite tolerance passes any plan; an infinite epsilon, the product plan
+        for name in ("epsilon", "marginal_tolerance"):
+            if getattr(self, name) == np.inf:
+                raise InvalidInputError(f"{name} must be finite")
+        if not isinstance(self.exact_size_limit, (int, np.integer)) or self.exact_size_limit < 0:
+            raise InvalidInputError("exact_size_limit must be a nonnegative integer")
 
 
 def pairwise_sqdist(x, y, out=None):
@@ -305,8 +311,7 @@ def pairwise_sqdist(x, y, out=None):
     one is given. :func:`_buffer_cost` passes its thread's cost buffer
     there, and :func:`potd.harness.knn_predict` passes part of it for one
     row block of test points at a time. Its other temporaries are a
-    scratch of a few rows (``SQDIST_SCRATCH_BYTES``, or a
-    ``SQDIST_SCRATCH_PARTS``-th of a large result) and a few vectors.
+    scratch of one group of :func:`_scratch_blocks` and a few vectors.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
@@ -328,7 +333,7 @@ def pairwise_sqdist(x, y, out=None):
         (x * x).sum(axis=1, out=xx1[:, 0])
         yy1 = np.ones((2, y.shape[0]))
         (y * y).sum(axis=1, out=yy1[1])
-        blocks = _row_blocks(*d.shape, max(SQDIST_SCRATCH_BYTES, d.nbytes // SQDIST_SCRATCH_PARTS))
+        blocks = _scratch_blocks(*d.shape)
         # the first group is the largest; later groups use leading rows of
         # its scratch
         scratch = np.empty_like(d[blocks[0]]) if blocks else None
@@ -359,7 +364,7 @@ def _log_sum_exp(neg_cost, pot, axis, work):
     shift; the n-by-m buffer ``work`` is left holding
     ``exp(neg_cost + pot - shift)``. With ``work=None`` (column sums of a
     given ``pot`` only) ``neg_cost`` is left as it is, and the sums, with the
-    same bits, are taken in row blocks (see :func:`_column_log_sum_exp`).
+    same bits, are taken in row groups (see :func:`_column_log_sum_exp`).
     """
     if work is None:
         if neg_cost.shape[1] > 1:
@@ -375,19 +380,20 @@ def _log_sum_exp(neg_cost, pot, axis, work):
 
 
 def _column_log_sum_exp(neg_cost, u):
-    """The column pass of :func:`_log_sum_exp` in the row blocks of a
-    scaling sweep, held in one scratch, without writing ``neg_cost``.
+    """The column pass of :func:`_log_sum_exp` in the row groups of
+    :func:`_scratch_blocks`, held in one scratch of a group and a row,
+    without writing ``neg_cost``.
 
     A first walk takes each column's maximum of ``neg_cost + u[:, None]``,
     a second the sums of its shifted exponentials. numpy sums a C-contiguous
     matrix of two or more columns over axis 0 row by row, in order; each
-    block is summed with the running sums as its first row, so the sums are
+    group is summed with the running sums as its first row, so the sums are
     added in that order too and have the bits of the pass over the whole
-    matrix.
+    matrix, at any grouping.
     """
     n, m = neg_cost.shape
-    blocks = _row_blocks(n, m)
-    # row 0 carries the running sums into each block's sum
+    blocks = _scratch_blocks(n, m)
+    # row 0 carries the running sums into each group's sum
     scratch = np.empty((neg_cost[blocks[0]].shape[0] + 1, m))
     shift = np.full(m, -np.inf)
     for rows in blocks:
@@ -444,10 +450,15 @@ def _row_blocks(n, m, block_bytes=None):
     """Slices of consecutive rows of an n-by-m float64 array, about
     ``block_bytes`` each (at least one row; default ``SWEEP_BLOCK_BYTES``,
     read at the call)."""
-    if block_bytes is None:
-        block_bytes = SWEEP_BLOCK_BYTES
-    step = max(1, block_bytes // (8 * max(m, 1)))
+    step = max(1, (block_bytes or SWEEP_BLOCK_BYTES) // (8 * max(m, 1)))
     return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _scratch_blocks(n, m):
+    """Row groups of an n-by-m float64 array for a pass held in one scratch:
+    ``SQDIST_SCRATCH_BYTES``, or a ``SQDIST_SCRATCH_PARTS``-th of the array
+    if that is more (both read at the call)."""
+    return _row_blocks(n, m, max(SQDIST_SCRATCH_BYTES, 8 * n * m // SQDIST_SCRATCH_PARTS))
 
 
 def _row_sweep(kernel, beta, a, alpha, omega, col_scale=None):
@@ -515,7 +526,7 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0, v0, 
     ``neg_cost`` itself (a writable C-contiguous float64 array), which
     becomes the returned plan. ``refill()`` must write the same ``K`` into
     ``neg_cost`` again; it runs before each log-domain sweep, whose column
-    sums are taken in row blocks that leave ``K`` for its row pass (see
+    sums are taken in row groups that leave ``K`` for its row pass (see
     :func:`_column_log_sum_exp`). ``u0``/``v0`` warm-start the potentials
     (``None``: zero).
     """
@@ -559,7 +570,7 @@ def sinkhorn_scaling(neg_cost, log_a, log_b, max_iterations, tolerance, u0, v0, 
                 v += np.log(beta)
                 refill()  # the kernel has overwritten K
                 if sweeps > 1:  # the first sweep's column update is done
-                    # in row blocks, which leave K for the row pass
+                    # in row groups, which leave K for the row pass
                     lse_cols, _ = _log_sum_exp(neg_cost, u, 0, None)
                     v = (1.0 - omega) * v + omega * (log_b - lse_cols)
                 lse_rows, shift = _log_sum_exp(neg_cost, v, 1, kernel)
@@ -638,12 +649,12 @@ def _buffer(name, n, m, dtype=np.float64):
     solver keeps its unit-scaled cost in ``"unit"``, its reduced costs in
     ``"reduced"``, its other float temporaries in ``"scratch"`` and its
     boolean masks in ``"support"`` and ``"flags"``.
-    :func:`potd.harness.knn_predict` borrows ``"cost"`` and ``"flags"``
-    between solves: one half of ``"cost"`` holds a row block's distances,
-    the other the copy it partitions for their K-th values, and ``"flags"``
-    its candidate mask. Each is kept between solves and grows only: a
-    larger shape drops it before allocating the larger one, and it is freed
-    when its thread ends. Reuse is the point: glibc hands a freed array of
+    :func:`potd.harness.knn_predict` borrows ``"cost"`` between solves: one
+    half holds a row block's distances, the other the copy it partitions
+    for their K-th values, which then holds its candidate marks, so
+    ``"flags"`` is the exact solver's alone. Each is kept between solves
+    and grows only: a larger shape drops it before allocating the larger
+    one, and it is freed when its thread ends. Reuse is the point: glibc hands a freed array of
     this size back to the operating system, and the next solve then faults
     every page of a fresh one in again.
     """
@@ -666,10 +677,6 @@ def _buffer_cost(mu, nu):
     # the measures checked their points when they were built
     _check_same_dim(mu.points, nu.points)
     return pairwise_sqdist(mu.points, nu.points, _buffer("cost", mu.size, nu.size))
-
-
-def _in_cost_buffer(cost):
-    return cost.base is not None and cost.base is getattr(_thread_buffers, "cost", None)
 
 
 def _median(values, work=None):
@@ -760,7 +767,7 @@ def sinkhorn(mu, nu, cost, config, init=None):
     cost = _check_cost(mu, nu, cost)
     if config.mode != "sinkhorn":
         raise InvalidInputError("sinkhorn() requires a config with mode='sinkhorn'")
-    lent = _in_cost_buffer(cost)
+    lent = cost.base is not None and cost.base is getattr(_thread_buffers, "cost", None)
     neg_cost = cost if lent else np.empty(cost.shape)
 
     def refill():
@@ -774,8 +781,6 @@ def sinkhorn(mu, nu, cost, config, init=None):
     else:
         eps = config.epsilon
         _scale_into(neg_cost, cost, eps)
-    log_a = np.log(mu.weights)
-    log_b = np.log(nu.weights)
     u0 = v0 = None
     if init is not None:
         dual_row, dual_col = init
@@ -783,7 +788,8 @@ def sinkhorn(mu, nu, cost, config, init=None):
         v0 = _check_init("dual_col", dual_col, nu.size) / eps
     # all positional: wrappers that replace sinkhorn_scaling may take ``*args`` only
     u, v, iterations, err, plan = sinkhorn_scaling(
-        neg_cost, log_a, log_b, config.max_iterations, config.marginal_tolerance, u0, v0, refill
+        neg_cost, np.log(mu.weights), np.log(nu.weights), config.max_iterations,
+        config.marginal_tolerance, u0, v0, refill,
     )
     if _degenerate(u, v):
         raise NumericError(
@@ -1073,9 +1079,7 @@ def _transportation_lp(a, b, cost):
     """
     _load_solvers("scipy.optimize._highspy._core")
     n, m = cost.shape
-    scale = float(cost.max())
-    if scale <= 0.0:
-        scale = 1.0
+    scale = float(cost.max()) or 1.0  # the cost is nonnegative
     unit = np.divide(cost, scale, out=_buffer("unit", n, m))
     shifted, u_shift, v_shift = _crash_reduced_cost(unit, a, b)
     # the mask holds each row's smallest entry, star, which the basis needs

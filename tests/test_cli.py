@@ -312,6 +312,21 @@ class TestFit:
         assert code == 2
         assert "dataset not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--marginal-tolerance", "marginal_tolerance must be finite"),
+         ("--epsilon", "epsilon must be finite")],
+    )
+    def test_infinite_solver_setting_exit_2(self, flag, message, model_csv, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = run_cli(
+            "fit", "--data", model_csv, "--r", "2", "--solver", "sinkhorn", flag, "inf",
+            "--output", str(out),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("missing", ["nan", "NaN", ""])
     def test_missing_label_exit_2(self, missing, tmp_path, capsys):
         rows = [f"{i},{i % 7},{'a' if i < 20 else 'b'}" for i in range(39)]

@@ -428,6 +428,21 @@ class TestFitMemory:
         assert repeat <= 0.2 * floats
         assert peaks[0] <= floats + repeat + 0.01 * floats
 
+    def test_repeat_fit_with_log_domain_sweeps_holds_little_besides_its_plan(self, monkeypatch):
+        # model I at n=1600, seed 1 (the kernel ledger's fit_loop instance):
+        # its Sinkhorn solve takes log-domain sweeps, whose column passes
+        # walk the lent cost in groups of a few rows held in one scratch
+        data, _ = gen_model(SyntheticSpec("I", 1600, 10, 1))
+        n, m = np.unique(data.y, return_counts=True)[1]
+        passes = []
+        column_pass = potd.ot._column_log_sum_exp
+        monkeypatch.setattr(potd.ot, "_column_log_sum_exp",
+                            lambda *args: passes.append(args) or column_pass(*args))
+        potd_fit(data, 2)
+        assert passes
+        monkeypatch.undo()
+        assert traced_peak(potd_fit, data, 2) <= 0.15 * 8 * n * m
+
 
 class TestPotdFitContinuous:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -130,6 +130,19 @@ def walk_in_blocks(patch, rows, n, m):
     assert len(ot._row_blocks(n, m)) == -(-n // rows) > 1
 
 
+def walk_in_groups(patch, rows, n, m):
+    """Set the two scratch constants so that ``_scratch_blocks`` walks an
+    n-by-m matrix ``rows`` rows at a time (``None``: in one group, the whole
+    matrix as its first part), and return its groups."""
+    if rows is None:
+        patch.setattr(ot, "SQDIST_SCRATCH_BYTES", 8)
+        patch.setattr(ot, "SQDIST_SCRATCH_PARTS", 1)
+    else:
+        patch.setattr(ot, "SQDIST_SCRATCH_BYTES", 8 * rows * m)
+        patch.setattr(ot, "SQDIST_SCRATCH_PARTS", 8 * n * m + 1)
+    return ot._scratch_blocks(n, m)
+
+
 def count_log_sum_exp(monkeypatch):
     """The axis of every ``ot._log_sum_exp`` pass, in call order."""
     axes = []
@@ -237,6 +250,34 @@ class TestPairwiseSqdist:
     def test_identical_points_are_exactly_zero(self):
         x = np.array([[1.25, -3.5]])
         assert pairwise_sqdist(x, x)[0, 0] == 0.0
+
+
+class TestScratchRule:
+    @pytest.mark.parametrize("rows, groups", [(1, 30), (7, 5), (None, 1)])
+    def test_every_grouping_gives_the_same_bits(self, rng, monkeypatch, rows, groups):
+        # points at scales from 1e-4 to 1e4; the column pass gets potentials
+        n, m = 30, 17
+        x = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-4, 4, size=(n, 1))
+        y = rng.normal(size=(m, 3))
+        neg_cost = -reference_sqdist(rng.normal(size=(n, 3)), y)
+        u = rng.normal(size=n)
+        full = ot._log_sum_exp(neg_cost, u, 0, np.empty_like(neg_cost))
+        assert len(walk_in_groups(monkeypatch, rows, n, m)) == groups
+        assert np.array_equal(pairwise_sqdist(x, y), two_buffer_sqdist(x, y))
+        for value, reference in zip(ot._column_log_sum_exp(neg_cost, u), full):
+            assert np.array_equal(value, reference)
+
+    def test_column_pass_holds_one_group_and_a_few_rows(self, rng):
+        # an 800-by-800 cost is walked in groups of 25 rows; the scratch
+        # holds a group and the running sums, numpy takes a 64 KiB buffer
+        # for each broadcasting call, and the pass keeps a few vectors
+        n = m = 800
+        neg_cost = -10.0 * rng.random((n, m))
+        u = rng.normal(size=n)
+        group = ot._scratch_blocks(n, m)[0]
+        rows = group.stop - group.start
+        assert rows == 25
+        assert traced_peak(ot._column_log_sum_exp, neg_cost, u) <= 8 * m * (rows + 5) + (1 << 16)
 
 
 class TestSinkhornScaling:
@@ -428,7 +469,7 @@ class TestSinkhornScaling:
         u = np.zeros(n) if u is None else u
         original = neg_cost.copy()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ot, "SWEEP_BLOCK_BYTES", rows * m * np.dtype(np.float64).itemsize)
+            walk_in_groups(patch, rows, n, m)
             blocked = ot._log_sum_exp(neg_cost, u, 0, None)
         assert np.array_equal(neg_cost, original)
         full = ot._log_sum_exp(neg_cost, u, 0, np.empty_like(neg_cost))

@@ -1040,11 +1040,24 @@ class TestSolverConfig:
             ({"max_iterations": 0}, "max_iterations must be a positive integer"),
             ({"marginal_tolerance": 0.0}, "marginal_tolerance must be positive"),
             ({"marginal_tolerance": np.nan}, "marginal_tolerance must be positive"),
+            # a fractional budget would fail in range(), an infinite
+            # tolerance passes a plan of marginal error 0.97, an infinite
+            # epsilon gives the independence plan, and a size limit counts
+            # plan entries
+            ({"mode": "sinkhorn", "max_iterations": 2.5}, "max_iterations must be a positive integer"),
+            ({"marginal_tolerance": np.inf}, "marginal_tolerance must be finite"),
+            ({"mode": "sinkhorn", "epsilon": np.inf}, "epsilon must be finite"),
+            ({"exact_size_limit": -5}, "exact_size_limit must be a nonnegative integer"),
+            ({"exact_size_limit": 2.5}, "exact_size_limit must be a nonnegative integer"),
         ],
     )
     def test_rejects_a_bad_budget_or_tolerance(self, kwargs, message):
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             SolverConfig(**kwargs)
+
+    def test_integral_numpy_settings_and_a_zero_size_limit_are_accepted(self):
+        config = SolverConfig(max_iterations=np.int64(5), exact_size_limit=np.int32(0))
+        assert (config.max_iterations, config.exact_size_limit) == (5, 0)
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(InvalidInputError):

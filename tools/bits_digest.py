@@ -27,6 +27,10 @@ bytes of every array and scalar it covers, in a fixed order:
   from the points.
 - ``knn_predict-blobs``: KNN predictions (K=10) on 10 stratified half
   splits of the bundled ``tests/data/blobs_n400_p10.csv``.
+- ``knn_predict-grid``: KNN predictions at K = 1, 5 and 10 of 700 points
+  against 300 training points with 3 labels, all drawn with repeats from the
+  integer grid [-3, 3]^2, seeds 0-3: most rows tie at their K-th distance,
+  and the 700 rows take two row blocks.
 
 Two checkouts compute the same bits when ``diff`` finds no difference
 between their digest files. BLAS runs on one thread; the script takes a few
@@ -64,6 +68,7 @@ FIT_SEEDS = (1, 2, 3, 4)
 # sample size of the auto fits: large enough that auto runs Sinkhorn
 AUTO_FIT_N = 1600
 KNN_SPLITS = 10
+GRID_SEEDS = 4
 
 
 def digest(values):
@@ -144,6 +149,16 @@ def knn_predictions():
         yield knn_predict(train, data.X[test_idx], 10)
 
 
+def grid_predictions():
+    for seed in range(GRID_SEEDS):
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        train_x = rng.integers(-3, 4, size=(300, 2)).astype(np.float64)
+        train = LabeledDataset(train_x, rng.integers(0, 3, size=300))
+        test_x = rng.integers(-3, 4, size=(700, 2)).astype(np.float64)
+        for K in (1, 5, 10):
+            yield knn_predict(train, test_x, K)
+
+
 def main():
     print(f"{digest(table_couplings())}  exact_ot-table")
     print(f"{digest(large_couplings())}  solve_coupling-large")
@@ -153,6 +168,7 @@ def main():
         for name, values in fits().items():
             print(f"{digest(values)}  {name}")
     print(f"{digest(knn_predictions())}  knn_predict-blobs")
+    print(f"{digest(grid_predictions())}  knn_predict-grid")
 
 
 if __name__ == "__main__":
